@@ -90,6 +90,10 @@ def _need(args, name, flag):
 # -- verbs -----------------------------------------------------------------
 
 def _run_table(args):
+    if args.variant == "sep" and args.max_n < 1:
+        raise ValueError("--max-n must be >= 1, got %d" % args.max_n)
+    if args.max_m < 0:
+        raise ValueError("--max-m must be >= 0, got %d" % args.max_m)
     e = _build_theory(args, args.d, args.max_n, args.max_m,
                       variant=args.variant)
     rows, lines = [], []

@@ -96,20 +96,9 @@ def vector_splittings(v):
 
 def compositions_positive(n, k):
     """Ordered k-tuples of positive integers summing to n."""
-    if k == 0:
-        return [()] if n == 0 else []
-    out = []
-
-    def descend(remaining, slots, prefix):
-        if slots == 1:
-            if remaining >= 1:
-                out.append(tuple(prefix) + (remaining,))
-            return
-        for first in range(1, remaining - slots + 2):
-            descend(remaining - first, slots - 1, prefix + [first])
-
-    descend(n, k, [])
-    return out
+    if n < k:
+        return []
+    return [tuple(x + 1 for x in c) for c in compositions_nonneg(n - k, k)]
 
 
 def compositions_nonneg(n, k):

@@ -15,13 +15,13 @@ dropping below zero after the shift) is checked term by term.
 
 from fractions import Fraction
 from math import factorial
-import itertools
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, vertical_element
-from .series import MultiSeries, macmahon_series
+from .series import MultiSeries, _macmahon_neg
 from .symfunc import ChernData
-from .theories import (Theory, ck_theory, dt_vertex_theory, inertial_theory)
+from .theories import (Theory, _table_series, ck_theory, dt_vertex_theory,
+                       inertial_theory)
 
 _ZERO = Fraction(0)
 
@@ -88,23 +88,27 @@ def _require_mult_sep(e):
         raise ValueError("expected a multiplicative theory")
 
 
+def _chern_paired(chern, n_max, value):
+    """sum_n T^n sum_lam <m_lam> value(n, lam + (n-1)), to T^n_max."""
+    terms = {}
+    for n in range(1, n_max + 1):
+        total = _ZERO
+        for lam, w in chern.items():
+            if w:
+                m = tuple(x + n - 1 for x in pad_partition(lam, chern.d))
+                total += w * value(n, m)
+        if total:
+            terms[(n,)] = total
+    return MultiSeries(("T",), (n_max,), terms)
+
+
 def paired_primitive_series(e, chern, n_max):
     """sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+(n-1)}>."""
     _require_mult_sep(e)
     if e.d != chern.d:
         raise ContextMismatchError("theory is for d=%d, Chern data for d=%d" %
                                    (e.d, chern.d))
-    terms = {}
-    for n in range(1, n_max + 1):
-        total = _ZERO
-        for lam, w in chern.items():
-            if not w:
-                continue
-            m = tuple(x + n - 1 for x in pad_partition(lam, e.d))
-            total += w * e.primitive_value(n, m)
-        if total:
-            terms[(n,)] = total
-    return MultiSeries(("T",), (n_max,), terms)
+    return _chern_paired(chern, n_max, e.primitive_value)
 
 
 def vertical_series(e, chern, n_max, path="both"):
@@ -168,31 +172,14 @@ def gamma_integral_series(e, chern, n_max):
         raise ValueError("gamma integral needs d >= 1")
     cap = n_max - 1 + d
     variables = ("T",) + tuple("g%d" % (i + 1) for i in range(d))
-    caps = (n_max,) + (cap,) * d
-    terms = {(0,) * (d + 1): Fraction(1)}
-    for n in range(1, n_max + 1):
-        for m in itertools.product(range(cap + 1), repeat=d):
-            v = e.value(n, m)
-            if v:
-                terms[(n,) + m] = v
-    table = MultiSeries(variables, caps, terms)
-    shifted_log = table.log()
+    shifted_log = _table_series(e.value, variables, n_max, cap).log()
     offenders = [(exps, c) for exps, c in shifted_log.sorted_terms()
                  if min(exps[1:]) < exps[0] - 1]
     if offenders:
         raise PoleCancellationError(offenders)
-    out = {}
-    for n in range(1, n_max + 1):
-        total = _ZERO
-        for lam, w in chern.items():
-            if not w:
-                continue
-            key = (n,) + tuple(x + n - 1 for x in pad_partition(lam, d))
-            total += w * shifted_log.coefficient(key)
-        if total:
-            out[(n,)] = total
-    report = GammaReport(n_max, cap, len(shifted_log.terms))
-    return MultiSeries(("T",), (n_max,), out), report
+    series = _chern_paired(
+        chern, n_max, lambda n, m: shifted_log.coefficient((n,) + m))
+    return series, GammaReport(n_max, cap, len(shifted_log.terms))
 
 
 def nonsep_vertical_series(e_values, chern, n_max):
@@ -237,13 +224,6 @@ def chern_class_integral(P, chern):
                 break
         total += v
     return total
-
-
-def _macmahon_neg(n_max):
-    mac = macmahon_series(n_max)
-    return MultiSeries(("T",), (n_max,),
-                       {e: c if e[0] % 2 == 0 else -c
-                        for e, c in mac.terms.items()})
 
 
 def verify_identity(name, **params):
@@ -301,14 +281,8 @@ def verify_identity(name, **params):
         n_max = int(params["n_max"])
         m_max = int(params.get("m_max", n_max))
         e = ck_theory(k, 1, n_max, m_max)
-        variables, caps = ("T", "U"), (n_max, m_max)
-        terms = {(0, 0): Fraction(1)}
-        for n in range(1, n_max + 1):
-            for m in range(m_max + 1):
-                v = e.value(n, (m,))
-                if v:
-                    terms[(n, m)] = v
-        lhs = MultiSeries(variables, caps, terms)
+        lhs = _table_series(e.value, ("T", "U"), n_max, m_max)
+        variables, caps = lhs.variables, lhs.caps
         t = MultiSeries.var(variables, caps, "T")
         u = MultiSeries.var(variables, caps, "U")
         rhs = (t * (MultiSeries.one(variables, caps) + u) ** k).exp()

@@ -169,9 +169,7 @@ class HopfElement:
             raise ContextMismatchError("elements live in different contexts")
 
     def _like(self, terms):
-        out = HopfElement(self.d, self.variant, self.basis)
-        out.terms = {m: c for m, c in terms.items() if c}
-        return out
+        return _built(HopfElement, self.d, self.variant, self.basis, terms)
 
     def is_zero(self):
         return not self.terms
@@ -200,11 +198,7 @@ class HopfElement:
         self._check_context(other)
         terms = dict(self.terms)
         for mon, c in other.terms.items():
-            s = terms.get(mon, _ZERO) + c
-            if s:
-                terms[mon] = s
-            elif mon in terms:
-                del terms[mon]
+            terms[mon] = terms.get(mon, _ZERO) + c
         return self._like(terms)
 
     __radd__ = __add__
@@ -225,12 +219,7 @@ class HopfElement:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check_context(other)
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = tuple(sorted(m1 + m2))
-                acc[mon] = acc.get(mon, _ZERO) + c1 * c2
-        return self._like(acc)
+        return self._like(_poly_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -260,19 +249,16 @@ class HopfElement:
         for mon, coeff in self.terms.items():
             for pair, mult in _monomial_coproduct(self.variant, mon).items():
                 acc[pair] = acc.get(pair, _ZERO) + coeff * mult
-        out = TensorElement(self.d, self.variant, self.basis)
-        out.terms = {p: c for p, c in acc.items() if c}
-        return out
+        return _built(TensorElement, self.d, self.variant, self.basis, acc)
 
     def antipode(self):
-        """Multiplicative, -1 on each primitive factor."""
-        if self.variant == "nonsep" or self.basis == "p":
-            return self._like({m: c if len(m) % 2 == 0 else -c
-                               for m, c in self.terms.items()})
-        p = self.to_p()
-        negated = p._like({m: c if len(m) % 2 == 0 else -c
-                           for m, c in p.terms.items()})
-        return negated.to_q()
+        """Multiplicative, -1 on each primitive factor; a sep q-basis
+        element goes through the p basis and back."""
+        sep_q = self.variant == "sep" and self.basis == "q"
+        x = self.to_p() if sep_q else self
+        x = x._like({m: c if len(m) % 2 == 0 else -c
+                     for m, c in x.terms.items()})
+        return x.to_q() if sep_q else x
 
     # -- basis change ------------------------------------------------------
 
@@ -282,7 +268,8 @@ class HopfElement:
             return self
         if self.variant == "nonsep":
             return HopfElement(self.d, "nonsep", "p", self.terms)
-        return self._substitute(_q_in_p, "p")
+        return _built(HopfElement, self.d, "sep", "p",
+                      _substitute(self.terms, _q_in_p))
 
     def to_q(self):
         """Rewrite in the generator basis."""
@@ -290,19 +277,8 @@ class HopfElement:
             return self
         if self.variant == "nonsep":
             return HopfElement(self.d, "nonsep", "q", self.terms)
-        return self._substitute(_p_in_q, "q")
-
-    def _substitute(self, expander, new_basis):
-        acc = {}
-        for mon, coeff in self.terms.items():
-            prod = {(): Fraction(1)}
-            for g in mon:
-                prod = _poly_mul(prod, expander(g[0], g[1]))
-            for m2, c2 in prod.items():
-                acc[m2] = acc.get(m2, _ZERO) + coeff * c2
-        out = HopfElement(self.d, self.variant, new_basis)
-        out.terms = {m: c for m, c in acc.items() if c}
-        return out
+        return _built(HopfElement, self.d, "sep", "q",
+                      _substitute(self.terms, _p_in_q))
 
     # -- gradings ----------------------------------------------------------
 
@@ -336,9 +312,7 @@ class TensorElement:
         self.terms = dict(terms) if terms else {}
 
     def _like(self, terms):
-        out = TensorElement(self.d, self.variant, self.basis)
-        out.terms = {p: c for p, c in terms.items() if c}
-        return out
+        return _built(TensorElement, self.d, self.variant, self.basis, terms)
 
     def _check_context(self, other):
         if (self.d != other.d or self.variant != other.variant
@@ -361,11 +335,7 @@ class TensorElement:
         self._check_context(other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            s = terms.get(p, _ZERO) + c
-            if s:
-                terms[p] = s
-            elif p in terms:
-                del terms[p]
+            terms[p] = terms.get(p, _ZERO) + c
         return self._like(terms)
 
     def __sub__(self, other):
@@ -394,9 +364,7 @@ class TensorElement:
         for (l, r), c in self.terms.items():
             if not l:
                 acc[r] = acc.get(r, _ZERO) + c
-        out = HopfElement(self.d, self.variant, self.basis)
-        out.terms = {m: c for m, c in acc.items() if c}
-        return out
+        return _built(HopfElement, self.d, self.variant, self.basis, acc)
 
     def right_counit(self):
         return self.swap().left_counit()
@@ -409,8 +377,14 @@ def tensor(a, b):
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             acc[(m1, m2)] = acc.get((m1, m2), _ZERO) + c1 * c2
-    out = TensorElement(a.d, a.variant, a.basis)
-    out.terms = {p: c for p, c in acc.items() if c}
+    return _built(TensorElement, a.d, a.variant, a.basis, acc)
+
+
+def _built(cls, d, variant, basis, terms):
+    """A HopfElement or TensorElement holding the nonzero entries of terms,
+    which must already be canonical (no validation)."""
+    out = cls(d, variant, basis)
+    out.terms = {k: c for k, c in terms.items() if c}
     return out
 
 
@@ -452,6 +426,7 @@ def _monomial_coproduct(variant, mon):
 
 
 def _poly_mul(a, b):
+    """Product of two monomial -> coefficient maps."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -460,32 +435,43 @@ def _poly_mul(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def _p_in_q(n, m):
-    """p_{n,m} expanded in q monomials (ordered compositions, log signs)."""
+def _substitute(terms, expander):
+    """Replace each factor g of every monomial by the map expander(*g) and
+    multiply out; returns the accumulated monomial -> coefficient map."""
+    acc = {}
+    for mon, coeff in terms.items():
+        prod = {(): Fraction(1)}
+        for g in mon:
+            prod = _poly_mul(prod, expander(g[0], g[1]))
+        for m2, c2 in prod.items():
+            acc[m2] = acc.get(m2, _ZERO) + coeff * c2
+    return acc
+
+
+def _composition_sum(n, m, weight):
+    """sum_k weight(k) times the sum, over ordered compositions of the row
+    (n, m) into k rows with positive multiplicities, of their monomial."""
     acc = {}
     for k in range(1, n + 1):
-        coeff = Fraction((-1) ** (k + 1), k)
+        coeff = weight(k)
         for nc in compositions_positive(n, k):
             for mc in vector_compositions(m, k):
                 mon = tuple(sorted((nc[i], tuple(sorted(mc[i], reverse=True)))
                                    for i in range(k)))
                 acc[mon] = acc.get(mon, _ZERO) + coeff
     return {mon: c for mon, c in acc.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _p_in_q(n, m):
+    """p_{n,m} expanded in q monomials (log signs (-1)^(k+1)/k)."""
+    return _composition_sum(n, m, lambda k: Fraction((-1) ** (k + 1), k))
 
 
 @lru_cache(maxsize=None)
 def _q_in_p(n, m):
-    """q_{n,m} expanded in p monomials (ordered compositions, 1/k!)."""
-    acc = {}
-    for k in range(1, n + 1):
-        coeff = Fraction(1, factorial(k))
-        for nc in compositions_positive(n, k):
-            for mc in vector_compositions(m, k):
-                mon = tuple(sorted((nc[i], tuple(sorted(mc[i], reverse=True)))
-                                   for i in range(k)))
-                acc[mon] = acc.get(mon, _ZERO) + coeff
-    return {mon: c for mon, c in acc.items() if c}
+    """q_{n,m} expanded in p monomials (1/k!)."""
+    return _composition_sum(n, m, lambda k: Fraction(1, factorial(k)))
 
 
 # -- sep -> nonsep ---------------------------------------------------------
@@ -512,23 +498,16 @@ def sep_to_nonsep(x):
     """
     if x.variant != "sep":
         raise ContextMismatchError("sep_to_nonsep expects the sep variant")
-    acc = {}
     if x.basis == "q":
-        for mon, coeff in x.terms.items():
-            prod = {(): Fraction(1)}
-            for g in mon:
-                prod = _poly_mul(prod, _sep_gen_image(g[0], g[1]))
-            for m2, c2 in prod.items():
-                acc[m2] = acc.get(m2, _ZERO) + coeff * c2
+        acc = _substitute(x.terms, _sep_gen_image)
     else:
+        acc = {}
         for mon, coeff in x.terms.items():
             if any(g[0] >= 2 for g in mon):
                 continue
             m2 = tuple(sorted(g[1] for g in mon))
             acc[m2] = acc.get(m2, _ZERO) + coeff
-    out = HopfElement(x.d, "nonsep", "q")
-    out.terms = {m: c for m, c in acc.items() if c}
-    return out
+    return _built(HopfElement, x.d, "nonsep", "q", acc)
 
 
 # -- vertical classes ------------------------------------------------------
@@ -588,16 +567,29 @@ def _monomial_to_obj(mon, variant):
     return [[1, list(g)] for g in mon]
 
 
+def _fields(obj, what, *keys):
+    """The values of keys in the JSON object obj; a ValueError names what
+    is not an object or which key is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object, got %s" %
+                         (what, type(obj).__name__))
+    for key in keys:
+        if key not in obj:
+            raise ValueError("%s has no %r key" % (what, key))
+    return [obj[key] for key in keys]
+
+
 def _monomial_from_obj(obj, variant, d):
-    factors = []
-    for n, m in obj:
-        if variant == "sep":
-            factors.append((int(n), tuple(int(x) for x in m)))
-        else:
-            if int(n) != 1:
-                raise ValueError("nonsep factors must carry multiplicity 1")
-            factors.append(tuple(int(x) for x in m))
-    return tuple(sorted(factors))
+    try:
+        rows = [(int(n), tuple(int(x) for x in m)) for n, m in obj]
+    except (TypeError, ValueError):
+        raise ValueError("monomial %r is not a list of [n, [m_1, ..., m_d]] "
+                         "factors" % (obj,)) from None
+    if variant == "sep":
+        return tuple(sorted(rows))
+    if any(n != 1 for n, _ in rows):
+        raise ValueError("nonsep factors must carry multiplicity 1")
+    return tuple(sorted(m for _, m in rows))
 
 
 def element_to_obj(x):
@@ -612,14 +604,14 @@ def element_to_obj(x):
 
 
 def element_from_obj(obj):
-    d = int(obj["d"])
-    variant = obj["variant"]
-    basis = obj["basis"]
+    d, variant, basis, rows = _fields(obj, "element", "d", "variant",
+                                      "basis", "terms")
+    d = int(d)
     terms = {}
-    for row in obj["terms"]:
-        mon = _monomial_from_obj(row["monomial"], variant, d)
-        coeff = parse_rational(row["coeff"])
-        terms[mon] = terms.get(mon, _ZERO) + coeff
+    for i, row in enumerate(rows, 1):
+        mon, coeff = _fields(row, "element term %d" % i, "monomial", "coeff")
+        mon = _monomial_from_obj(mon, variant, d)
+        terms[mon] = terms.get(mon, _ZERO) + parse_rational(coeff)
     return HopfElement(d, variant, basis, terms)
 
 
@@ -638,16 +630,17 @@ def tensor_to_obj(t):
 
 
 def tensor_from_obj(obj):
-    d = int(obj["d"])
-    variant = obj["variant"]
-    out = TensorElement(d, variant, obj["basis"])
+    d, variant, basis, rows = _fields(obj, "tensor", "d", "variant",
+                                      "basis", "terms")
+    d = int(d)
     terms = {}
-    for row in obj["terms"]:
-        key = (_monomial_from_obj(row["left"], variant, d),
-               _monomial_from_obj(row["right"], variant, d))
-        terms[key] = terms.get(key, _ZERO) + parse_rational(row["coeff"])
-    out.terms = {p: c for p, c in terms.items() if c}
-    return out
+    for i, row in enumerate(rows, 1):
+        left, right, coeff = _fields(row, "tensor term %d" % i, "left",
+                                     "right", "coeff")
+        key = (_monomial_from_obj(left, variant, d),
+               _monomial_from_obj(right, variant, d))
+        terms[key] = terms.get(key, _ZERO) + parse_rational(coeff)
+    return _built(TensorElement, d, variant, basis, terms)
 
 
 def _factor_pretty(g, variant, basis):
@@ -657,43 +650,37 @@ def _factor_pretty(g, variant, basis):
     return "q_{(%s)}" % ",".join(str(x) for x in g)
 
 
+def _factors_pretty(mon, variant, basis):
+    """The factors of a sorted monomial, a run of k equal ones as f^k."""
+    out = []
+    i = 0
+    while i < len(mon):
+        j = i
+        while j < len(mon) and mon[j] == mon[i]:
+            j += 1
+        f = _factor_pretty(mon[i], variant, basis)
+        out.append(f if j - i == 1 else "%s^%d" % (f, j - i))
+        i = j
+    return out
+
+
 def element_pretty(x):
     if not x.terms:
         return "0"
-    parts = []
-    for mon in sorted(x.terms, key=lambda m: _monomial_key(m, x.variant)):
-        piece = [format_rational(x.terms[mon])]
-        i = 0
-        while i < len(mon):
-            j = i
-            while j < len(mon) and mon[j] == mon[i]:
-                j += 1
-            f = _factor_pretty(mon[i], x.variant, x.basis)
-            piece.append(f if j - i == 1 else "%s^%d" % (f, j - i))
-            i = j
-        parts.append("*".join(piece))
-    return " + ".join(parts)
+    return " + ".join(
+        "*".join([format_rational(x.terms[mon])] +
+                 _factors_pretty(mon, x.variant, x.basis))
+        for mon in sorted(x.terms, key=lambda m: _monomial_key(m, x.variant)))
 
 
 def tensor_pretty(t):
     if not t.terms:
         return "0"
-    both = []
-    for (l, r) in sorted(t.terms, key=lambda p: (_monomial_key(p[0], t.variant),
-                                                 _monomial_key(p[1], t.variant))):
-        def side(mon):
-            if not mon:
-                return "1"
-            parts = []
-            i = 0
-            while i < len(mon):
-                j = i
-                while j < len(mon) and mon[j] == mon[i]:
-                    j += 1
-                f = _factor_pretty(mon[i], t.variant, t.basis)
-                parts.append(f if j - i == 1 else "%s^%d" % (f, j - i))
-                i = j
-            return "*".join(parts)
-        both.append("%s*%s(x)%s" % (format_rational(t.terms[(l, r)]),
-                                    side(l), side(r)))
-    return " + ".join(both)
+
+    def side(mon):
+        return "*".join(_factors_pretty(mon, t.variant, t.basis)) or "1"
+
+    keys = sorted(t.terms, key=lambda p: (_monomial_key(p[0], t.variant),
+                                          _monomial_key(p[1], t.variant)))
+    return " + ".join("%s*%s(x)%s" % (format_rational(t.terms[(l, r)]),
+                                      side(l), side(r)) for (l, r) in keys)

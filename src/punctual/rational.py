@@ -35,6 +35,8 @@ def parse_rational(text):
     >>> parse_rational("7")
     Fraction(7, 1)
     """
+    if not isinstance(text, str):
+        raise ValueError("rational %r is not a num/den string" % (text,))
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError("malformed rational %r, expected num/den" % (text,))

@@ -21,6 +21,19 @@ from .rational import format_rational, parse_rational
 _ZERO = Fraction(0)
 
 
+def _mul_into(acc, a, b, caps, total_cap):
+    """Add the product of the term maps a and b into acc, dropping every
+    exponent past a per-variable cap or the total cap; returns acc."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if any(x > c for x, c in zip(e, caps)) or (
+                    total_cap is not None and sum(e) > total_cap):
+                continue
+            acc[e] = acc.get(e, _ZERO) + c1 * c2
+    return acc
+
+
 class MultiSeries:
 
     __slots__ = ("variables", "caps", "total_cap", "terms")
@@ -132,11 +145,7 @@ class MultiSeries:
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
+            terms[e] = terms.get(e, _ZERO) + c
         return self._like(terms)
 
     __radd__ = __add__
@@ -159,18 +168,10 @@ class MultiSeries:
                 return MultiSeries.zero(self.variables, self.caps, self.total_cap)
             return self._like({e: c0 * c for e, c0 in self.terms.items()})
         self._check_compatible(other)
-        # product of the two sparse term maps, truncated at the caps
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        acc = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if not self._admits(e):
-                    continue
-                acc[e] = acc.get(e, _ZERO) + c1 * c2
-        return self._like(acc)
+        return self._like(_mul_into({}, a, b, self.caps, self.total_cap))
 
     __rmul__ = __mul__
 
@@ -209,14 +210,8 @@ class MultiSeries:
             acc = {}
             for j, gj in g.items():
                 prev = out.get(k - j)
-                if j > k or not prev:
-                    continue
-                for e1, c1 in gj.items():
-                    for e2, c2 in prev.items():
-                        e = tuple(x + y for x, y in zip(e1, e2))
-                        if not self._admits(e):
-                            continue
-                        acc[e] = acc.get(e, _ZERO) + c1 * c2
+                if j <= k and prev:
+                    _mul_into(acc, gj, prev, self.caps, self.total_cap)
             layer = {}
             inv = Fraction(1, k)
             for e, c in acc.items():
@@ -233,22 +228,18 @@ class MultiSeries:
         """log(f) for constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        s_layers = self._by_total_degree()
+        # theta_k = k f_k - sum_j theta_j f_(k-j); the kernel only adds, so
+        # it multiplies by the layers of -f
+        neg_layers = (-self)._by_total_degree()
         ts_layers = self._by_total_degree(weighted=True)
         theta_l = {}
         for k in range(1, self._degree_bound() + 1):
             acc = dict(ts_layers.get(k, {}))
             for j in range(1, k):
                 lj = theta_l.get(j)
-                sk = s_layers.get(k - j)
-                if not lj or not sk:
-                    continue
-                for e1, c1 in lj.items():
-                    for e2, c2 in sk.items():
-                        e = tuple(x + y for x, y in zip(e1, e2))
-                        if not self._admits(e):
-                            continue
-                        acc[e] = acc.get(e, _ZERO) - c1 * c2
+                sk = neg_layers.get(k - j)
+                if lj and sk:
+                    _mul_into(acc, lj, sk, self.caps, self.total_cap)
             layer = {e: c for e, c in acc.items() if c}
             if layer:
                 theta_l[k] = layer
@@ -315,3 +306,9 @@ def macmahon_series(cap):
             MultiSeries.monomial(("T",), (cap,), (n,))
         out = out * factor.pow(Fraction(-n))
     return out
+
+
+def _macmahon_neg(cap):
+    """M(-T) to T^cap: the T^n coefficient of M times (-1)^n."""
+    return MultiSeries(("T",), (cap,), {(n,): (-1) ** n * c for (n,), c
+                                        in macmahon_series(cap).terms.items()})

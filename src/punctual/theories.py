@@ -23,7 +23,7 @@ from math import factorial
 from .combinat import pad_partition
 from .hopf import ContextMismatchError
 from .rational import parse_rational
-from .series import MultiSeries, macmahon_series
+from .series import MultiSeries, _macmahon_neg
 
 _ZERO = Fraction(0)
 
@@ -35,6 +35,19 @@ class CapError(ValueError):
 def _series_frame(d, n_cap, m_cap):
     variables = ("T",) + tuple("U%d" % (i + 1) for i in range(d))
     return variables, (n_cap,) + (m_cap,) * d
+
+
+def _table_series(value, variables, n_cap, m_cap, unit=True):
+    """sum value(n, m) T^n U^m over 1 <= n <= n_cap and m in {0..m_cap}^d,
+    plus 1 when unit is set; variables are T and then the d U's."""
+    d = len(variables) - 1
+    terms = {(0,) * (d + 1): Fraction(1)} if unit else {}
+    for n in range(1, n_cap + 1):
+        for m in itertools.product(range(m_cap + 1), repeat=d):
+            v = value(n, m)
+            if v:
+                terms[(n,) + m] = v
+    return MultiSeries(variables, (n_cap,) + (m_cap,) * d, terms)
 
 
 class Theory:
@@ -145,18 +158,9 @@ class Theory:
 
     # -- wholesale derivations through the generating series ---------------
 
-    def _table_series(self, from_prim):
-        variables, caps = _series_frame(self.d, self.n_cap, self.m_cap)
-        terms = {}
-        if not from_prim:
-            terms[(0,) * (self.d + 1)] = Fraction(1)
-        for n in range(1, self.n_cap + 1):
-            for m in itertools.product(range(self.m_cap + 1), repeat=self.d):
-                v = (self.primitive_value(n, m) if from_prim
-                     else self.value(n, m))
-                if v:
-                    terms[(n,) + m] = v
-        return MultiSeries(variables, caps, terms)
+    def _table(self, value, unit):
+        variables, _ = _series_frame(self.d, self.n_cap, self.m_cap)
+        return _table_series(value, variables, self.n_cap, self.m_cap, unit)
 
     def _absorb(self, series, into):
         for e, c in series.terms.items():
@@ -165,11 +169,12 @@ class Theory:
             into[(e[0], tuple(sorted(e[1:], reverse=True)))] = c
 
     def _fill_prim_from_gen(self):
-        self._absorb(self._table_series(from_prim=False).log(), self._prim)
+        self._absorb(self._table(self.value, unit=True).log(), self._prim)
         self._prim_filled = True
 
     def _fill_gen_from_prim(self):
-        self._absorb(self._table_series(from_prim=True).exp(), self._gen)
+        self._absorb(self._table(self.primitive_value, unit=False).exp(),
+                     self._gen)
         self._gen_filled = True
 
     # -- pairing -----------------------------------------------------------
@@ -391,11 +396,7 @@ def dt_vertex_theory(n_cap, m_cap):
     if m_cap < n_cap - 1:
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
-    mac = macmahon_series(n_cap)
-    m_neg = MultiSeries(("T",), (n_cap,),
-                        {e: c if e[0] % 2 == 0 else -c
-                         for e, c in mac.terms.items()})
-    log_m_neg = m_neg.log()
+    log_m_neg = _macmahon_neg(n_cap).log()
     variables, caps = _series_frame(3, n_cap, m_cap + 1)
     # log M(-U1 U2 U3 T), truncated
     a_terms = {}

@@ -57,6 +57,27 @@ def sigma2(n):
     return sum(d * d for d in range(1, n + 1) if n % d == 0)
 
 
+def macmahon_neg_power(a, order):
+    """Coefficients [T^0 .. T^order] of M(-T)^a, M the MacMahon series.
+
+    M comes from its logarithmic derivative, n M_n = sum_k sigma2(k)
+    M_(n-k), since log M = sum_k sigma2(k)/k T^k.  The power then follows
+    J.C.P. Miller's recurrence for g = f^a with f_0 = 1:
+    n g_n = sum_{k=1..n} ((a+1) k - n) f_k g_(n-k).
+    """
+    a = Fraction(a)
+    m = [Fraction(1)]
+    for n in range(1, order + 1):
+        m.append(Fraction(sum(sigma2(k) * m[n - k] for k in range(1, n + 1)),
+                          n))
+    f = [(-1) ** n * c for n, c in enumerate(m)]
+    g = [Fraction(1)]
+    for n in range(1, order + 1):
+        g.append(sum(((a + 1) * k - n) * f[k] * g[n - k]
+                     for k in range(1, n + 1)) / n)
+    return g
+
+
 # -- naive truncated series ------------------------------------------------
 
 def poly_mul(a, b, caps):

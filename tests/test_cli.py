@@ -189,6 +189,30 @@ def test_bad_inputs(capsys):
     status, out, err = run(capsys, "eval", "--theory", "builtin:ck,k=1",
                            "--element", "{not json")
     assert status == 2
+    for max_n in ("-1", "0"):
+        status, out, err = run(capsys, "table", "--theory", "builtin:ck,k=2",
+                               "--d", "1", "--max-n", max_n, "--max-m", "3")
+        assert (status, out) == (2, "")
+        assert "--max-n must be >= 1" in err
+    status, out, err = run(capsys, "table", "--theory", "builtin:ek,k=1",
+                           "--d", "1", "--max-n", "2", "--max-m", "-1")
+    assert (status, out) == (2, "")
+    assert "--max-m must be >= 0" in err
+    good = json.loads(Q22)
+    no_variant = {k: v for k, v in good.items() if k != "variant"}
+    no_coeff = dict(good, terms=[{"monomial": [[2, [2]]]}])
+    flat_monomial = dict(good, terms=[{"monomial": [2, [2]], "coeff": "1"}])
+    number_coeff = dict(good, terms=[{"monomial": [[2, [2]]], "coeff": 1}])
+    for element, message in (
+            (json.dumps(no_variant), "element has no 'variant' key"),
+            (json.dumps(no_coeff), "element term 1 has no 'coeff' key"),
+            ("[1,2]", "element must be a JSON object, got list"),
+            (json.dumps(flat_monomial), "monomial [2, [2]] is not a list"),
+            (json.dumps(number_coeff), "rational 1 is not a num/den string")):
+        status, out, err = run(capsys, "eval", "--theory", "builtin:ck,k=1",
+                               "--element", element)
+        assert (status, out) == (2, "")
+        assert message in err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
     assert exc.value.code == 2

@@ -50,6 +50,8 @@ def test_compositions_positive():
     assert compositions_positive(3, 2) == [(1, 2), (2, 1)]
     assert compositions_positive(3, 0) == []
     assert compositions_positive(0, 0) == [()]
+    assert compositions_positive(0, 1) == []
+    assert compositions_positive(2, 3) == []
     assert len(compositions_positive(6, 3)) == comb(5, 2)
 
 

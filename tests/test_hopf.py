@@ -270,6 +270,16 @@ def test_tensor_serialization_roundtrip():
     assert tensor_from_obj(json.loads(json.dumps(obj))) == t
 
 
+def test_tensor_from_obj_names_bad_shape():
+    obj = tensor_to_obj(q(1, 2, (2,)).coproduct())
+    with pytest.raises(ValueError, match="tensor has no 'basis' key"):
+        tensor_from_obj({k: v for k, v in obj.items() if k != "basis"})
+    with pytest.raises(ValueError, match="tensor term 1 has no 'right' key"):
+        tensor_from_obj(dict(obj, terms=[{"left": [], "coeff": "1"}]))
+    with pytest.raises(ValueError, match="tensor must be a JSON object"):
+        tensor_from_obj([obj])
+
+
 def test_pretty():
     x = q(1, 2, (2,)) + F(1, 2) * q(1, 1, (1,)) * q(1, 1, (1,))
     assert element_pretty(x) == "1/2*q_{1,(1)}^2 + 1/1*q_{2,(2)}"

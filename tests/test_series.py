@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from punctual.series import MultiSeries, macmahon_series
+from punctual.series import MultiSeries, _macmahon_neg, macmahon_series
 
 import oracles
 
@@ -133,13 +133,14 @@ def test_macmahon_log_is_sigma2_over_n():
 
 
 def test_macmahon_negated_power():
-    m = macmahon_series(2)
-    mneg = MultiSeries(("T",), (2,), {e: c if e[0] % 2 == 0 else -c
-                                      for e, c in m.terms.items()})
+    want = oracles.macmahon_neg_power(1, 6)
+    assert want == [1, -1, 3, -6, 13, -24, 48]
+    assert [_macmahon_neg(6).coefficient((n,)) for n in range(7)] == want
+    mneg = MultiSeries(("T",), (6,), {(n,): c for n, c in enumerate(want)})
     s = mneg.pow(F(-20))
-    assert s.coefficient((0,)) == 1
-    assert s.coefficient((1,)) == 20
-    assert s.coefficient((2,)) == 150
+    assert [s.coefficient((n,)) for n in range(3)] == [1, 20, 150]
+    assert [s.coefficient((n,)) for n in range(7)] == \
+        oracles.macmahon_neg_power(-20, 6)
 
 
 def test_serialization_roundtrip():
