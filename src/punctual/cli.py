@@ -3,7 +3,8 @@
 Every verb reads typed flags, runs one computation, and emits canonical
 structured text (or JSON with --format json); identical invocations give
 byte-identical output.  Exit status: 0 on success and passing checks, 1
-when a verification fails, 2 on bad input.
+when a verification fails (a failing verify, or the two vertical-series
+paths disagreeing), 2 on bad input.
 """
 
 import argparse
@@ -13,8 +14,9 @@ import random
 import sys
 
 from .axioms import run_axiom_suite
-from .genfun import (IDENTITY_NAMES, curve_series, gamma_integral_series,
-                     nonsep_vertical_series, verify_identity, vertical_series)
+from .genfun import (IDENTITY_NAMES, _PathsDisagreeError, curve_series,
+                     gamma_integral_series, nonsep_vertical_series,
+                     verify_identity, vertical_series)
 from .hopf import (element_from_obj, element_pretty, element_to_obj,
                    tensor_pretty, tensor_to_obj)
 from .rational import format_rational, parse_rational
@@ -199,6 +201,11 @@ def _run_verify(args):
 
 
 def _run_axioms(args):
+    if args.count < 1:
+        raise ValueError("--count must be >= 1, got %d" % args.count)
+    if args.max_cycle_degree < 0:
+        raise ValueError("--max-cycle-degree must be >= 0, got %d" %
+                         args.max_cycle_degree)
     dims = (args.d,) if args.d is not None else (1, 2, 3)
     variants = (("sep", "nonsep") if args.variant == "both"
                 else (args.variant,))
@@ -305,6 +312,9 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except _PathsDisagreeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     payload = (json.dumps(obj, indent=2) if args.format == "json" else text)
     payload += "\n"
     if args.output:

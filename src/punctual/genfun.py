@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .combinat import pad_partition
-from .hopf import ContextMismatchError, vertical_element
+from .hopf import ContextMismatchError, _canonical_nonsep, vertical_element
 from .series import MultiSeries, _macmahon_neg
 from .symfunc import ChernData
 from .theories import (Theory, _table_series, ck_theory, dt_vertex_theory,
@@ -37,6 +37,10 @@ class PoleCancellationError(ArithmeticError):
             " (and %d more)" % (len(self.offenders) - 4)
         super().__init__("uncancelled poles in gamma integral: %s%s" %
                          (shown, more))
+
+
+class _PathsDisagreeError(RuntimeError):
+    """Raised when the two evaluation routes of vertical_series differ."""
 
 
 class GammaReport:
@@ -129,9 +133,9 @@ def vertical_series(e, chern, n_max, path="both"):
     if path in ("both", "exp"):
         expd = paired_primitive_series(e, chern, n_max).exp()
     if path == "both" and paired != expd:
-        raise RuntimeError("vertical series paths disagree for %s; "
-                           "pairing gave %s, exponential gave %s" %
-                           (e.label, paired.pretty(), expd.pretty()))
+        raise _PathsDisagreeError("vertical series paths disagree for %s; "
+                                  "pairing gave %s, exponential gave %s" %
+                                  (e.label, paired.pretty(), expd.pretty()))
     return paired if paired is not None else expd
 
 
@@ -194,7 +198,7 @@ def nonsep_vertical_series(e_values, chern, n_max):
             raise ContextMismatchError("expected a nonsep theory")
         fn = e_values.nonsep_value
     else:
-        table = {pad_partition(tuple(sorted(lam, reverse=True)), d): Fraction(v)
+        table = {_canonical_nonsep(lam, d): Fraction(v)
                  for lam, v in dict(e_values).items()}
         fn = lambda lam: table.get(lam, _ZERO)
     a = _ZERO

@@ -67,12 +67,21 @@ def canonical_generator(n, m):
     for n = 0 with m nonzero.
     """
     n = int(n)
-    m = tuple(int(x) for x in m)
-    if n < 0 or any(x < 0 for x in m):
+    m = tuple(map(int, m))
+    if n < 0 or min(m, default=0) < 0:
         raise ValueError("negative entry in generator index")
     if n == 0:
         return UNIT if not any(m) else ZERO
     return (n, tuple(sorted(m, reverse=True)))
+
+
+def _canonical_nonsep(lam, d):
+    """Canonical form of a nonsep index: lam sorted decreasingly and padded
+    with zeros to length d."""
+    lam = tuple(sorted(map(int, lam), reverse=True))
+    if lam and lam[-1] < 0:
+        raise ValueError("negative part in partition %r" % (lam,))
+    return pad_partition(lam, d)
 
 
 def _check_sep_factor(g, d):
@@ -158,14 +167,14 @@ class HopfElement:
 
     @classmethod
     def nonsep_generator(cls, d, lam):
-        lam = tuple(sorted(lam, reverse=True))
-        return cls(d, "nonsep", "q", {(pad_partition(lam, d),): Fraction(1)})
+        return cls(d, "nonsep", "q",
+                   {(_canonical_nonsep(lam, d),): Fraction(1)})
 
     # -- basics ------------------------------------------------------------
 
-    def _check_context(self, other, basis_too=True):
+    def _check_context(self, other):
         if (self.d != other.d or self.variant != other.variant
-                or (basis_too and self.basis != other.basis)):
+                or self.basis != other.basis):
             raise ContextMismatchError("elements live in different contexts")
 
     def _like(self, terms):

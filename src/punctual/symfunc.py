@@ -43,8 +43,7 @@ def _expand_e_monomial(mu, d):
 @lru_cache(maxsize=None)
 def _m_to_e_table(d):
     """For every lam |- d the expansion of m_lam in the e_mu, exact."""
-    lams = partitions_of(d, d)
-    mus = partitions_of(d, d, max_part=d)
+    lams = mus = partitions_of(d, d)
     # e_mu = sum_lam M[mu][lam] m_lam ; the m_lam coefficient is the
     # coefficient of the sorted exponent vector in the full expansion
     mat = []
@@ -204,6 +203,6 @@ def parse_chern_arg(d, text):
         entries[lam] = entries.get(lam, Fraction(0)) + value
     if family == "c" or family is None:
         full = {mu: entries.get(mu, Fraction(0))
-                for mu in partitions_of(d, d, max_part=d)}
+                for mu in partitions_of(d, d)}
         return chern_data_from_classes(d, full)
     return ChernData(d, entries)

@@ -11,17 +11,19 @@ formal sum of all q_{n,m} is group-like and its coefficientwise logarithm
 is the primitive family p_{n,m}.  In particular a multiplicative e pairs
 with a p-basis monomial as the product of its primitive values.
 
-Tables are lazily cached over (n, m) with declared caps n <= n_cap,
-m_i <= m_cap; evaluating outside the caps raises CapError rather than
-truncating silently.
+Both tables sit behind one cached lookup over keys (n, m) with declared
+caps n <= n_cap, m_i <= m_cap; evaluating outside the caps raises CapError
+rather than truncating silently.  A side given by a function is computed
+key by key; the other side is derived whole, once, by log or exp of the
+generating series of the given one.
 """
 
 import itertools
 from fractions import Fraction
 from math import factorial
 
-from .combinat import pad_partition
-from .hopf import ContextMismatchError
+from .hopf import (UNIT, ZERO, ContextMismatchError, _canonical_nonsep,
+                   _fields, canonical_generator)
 from .rational import parse_rational
 from .series import MultiSeries, _macmahon_neg
 
@@ -50,17 +52,25 @@ def _table_series(value, variables, n_cap, m_cap, unit=True):
     return MultiSeries(variables, (n_cap,) + (m_cap,) * d, terms)
 
 
-class Theory:
-    """A functional determined by generator values, with lazy caches.
+def _series_table(series, shift=0):
+    """{(n, m sorted decreasingly): c} for the terms c T^n U^(m + shift) of
+    a table series with n >= 1."""
+    return {(e[0], tuple(sorted((x - shift for x in e[1:]), reverse=True))): c
+            for e, c in series.terms.items() if e[0]}
 
-    Exactly one of gen_fn / prim_fn may be omitted; the missing side is
-    derived wholesale through the exp/log generating series when first
-    needed.  For the nonsep variant gen_fn takes a padded partition.
+
+class Theory:
+    """A functional determined by generator values, with one cached lookup.
+
+    Exactly one of gen_fn / prim_fn may be omitted.  The table of a side
+    with a function starts empty and is filled key by key; the table of
+    the other side starts as None and is derived whole, through the exp/log
+    generating series, on its first lookup.  For the nonsep variant gen_fn
+    takes a padded partition.
     """
 
     __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap",
-                 "_gen_fn", "_prim_fn", "_gen", "_prim",
-                 "_gen_filled", "_prim_filled")
+                 "_gen_fn", "_prim_fn", "_gen", "_prim")
 
     def __init__(self, d, kind, label, n_cap, m_cap, variant="sep",
                  gen_fn=None, prim_fn=None):
@@ -78,10 +88,8 @@ class Theory:
         self.m_cap = int(m_cap)
         self._gen_fn = gen_fn
         self._prim_fn = prim_fn
-        self._gen = {}
-        self._prim = {}
-        self._gen_filled = False
-        self._prim_filled = False
+        self._gen = None if gen_fn is None else {}
+        self._prim = None if prim_fn is None else {}
 
     def __repr__(self):
         return "Theory(%s, d=%d, %s, %s)" % (self.label, self.d, self.kind,
@@ -90,125 +98,100 @@ class Theory:
     # -- keyed access ------------------------------------------------------
 
     def _key(self, n, m):
-        n = int(n)
-        m = tuple(sorted((int(x) for x in m), reverse=True))
+        """canonical_generator(n, m) checked against d and the caps: the key
+        (n, m sorted decreasingly), or UNIT / ZERO when n = 0."""
+        if self.variant != "sep":
+            raise ContextMismatchError("%s is a nonsep theory" % self.label)
+        m = tuple(m)
         if len(m) != self.d:
             raise ValueError("exponent vector of length %d, expected %d" %
                              (len(m), self.d))
-        if n < 0 or any(x < 0 for x in m):
-            raise ValueError("negative index")
-        if n > self.n_cap or any(x > self.m_cap for x in m):
+        key = canonical_generator(n, m)
+        # n = 0 rows are checked against the m cap too
+        n, m = (0, tuple(map(int, m))) if key is UNIT or key is ZERO else key
+        if n > self.n_cap or max(m, default=0) > self.m_cap:
             raise CapError("index (%d, %r) outside caps (%d, %d) of %s" %
-                           (n, m, self.n_cap, self.m_cap, self.label))
-        return (n, m)
+                           (n, tuple(sorted(m, reverse=True)), self.n_cap,
+                            self.m_cap, self.label))
+        return key
+
+    def _lookup(self, prim, key):
+        """The value at key on the primitive side when prim is set, else on
+        the generator side.  Keys are the argument tuples of the side's
+        function: (n, m) for sep, (lam,) for nonsep."""
+        table = self._prim if prim else self._gen
+        if table is None:
+            table = self._derive(prim)
+        v = table.get(key)
+        if v is None:
+            fn = self._prim_fn if prim else self._gen_fn
+            if fn is None:          # derived side: absent keys are zero
+                return _ZERO
+            v = table[key] = Fraction(fn(*key))
+        return v
+
+    def _derive(self, prim):
+        """Fill the whole table of the side without a function."""
+        variables, _ = _series_frame(self.d, self.n_cap, self.m_cap)
+        if prim:
+            self._prim = _series_table(_table_series(
+                self.value, variables, self.n_cap, self.m_cap).log())
+            return self._prim
+        self._gen = _series_table(_table_series(
+            self.primitive_value, variables, self.n_cap, self.m_cap,
+            unit=False).exp())
+        return self._gen
 
     def value(self, n, m):
         """Table value on the sep generator q_{n,m} (n = 0 rows follow the
         unit/zero convention)."""
-        if self.variant != "sep":
-            raise ContextMismatchError("%s is a nonsep theory" % self.label)
-        n, m = self._key(n, m)
-        if n == 0:
-            return Fraction(1) if not any(m) else _ZERO
-        key = (n, m)
-        if key in self._gen:
-            return self._gen[key]
-        if self._gen_fn is not None:
-            v = Fraction(self._gen_fn(n, m))
-            self._gen[key] = v
-            return v
-        if not self._gen_filled:
-            self._fill_gen_from_prim()
-        return self._gen.get(key, _ZERO)
+        key = self._key(n, m)
+        if key is UNIT:
+            return Fraction(1)
+        return _ZERO if key is ZERO else self._lookup(False, key)
 
     def nonsep_value(self, lam):
         if self.variant != "nonsep":
             raise ContextMismatchError("%s is a sep theory" % self.label)
-        lam = tuple(sorted((int(x) for x in lam), reverse=True))
-        lam = pad_partition(lam, self.d)
-        if any(x > self.m_cap for x in lam):
+        lam = _canonical_nonsep(lam, self.d)
+        if max(lam, default=0) > self.m_cap:
             raise CapError("partition %r outside cap %d of %s" %
                            (lam, self.m_cap, self.label))
-        if lam in self._gen:
-            return self._gen[lam]
-        v = Fraction(self._gen_fn(lam))
-        self._gen[lam] = v
-        return v
+        return self._lookup(False, (lam,))
 
     def primitive_value(self, n, m):
         """Value on the primitive p_{n,m}; for a multiplicative theory this
         is also the value of its logarithm."""
-        if self.variant != "sep":
-            raise ContextMismatchError("%s is a nonsep theory" % self.label)
         if self.kind == "primitive":
             return self.value(n, m)
-        n, m = self._key(n, m)
-        if n == 0:
-            return _ZERO
-        key = (n, m)
-        if key in self._prim:
-            return self._prim[key]
-        if self._prim_fn is not None:
-            v = Fraction(self._prim_fn(n, m))
-            self._prim[key] = v
-            return v
-        if not self._prim_filled:
-            self._fill_prim_from_gen()
-        return self._prim.get(key, _ZERO)
-
-    # -- wholesale derivations through the generating series ---------------
-
-    def _table(self, value, unit):
-        variables, _ = _series_frame(self.d, self.n_cap, self.m_cap)
-        return _table_series(value, variables, self.n_cap, self.m_cap, unit)
-
-    def _absorb(self, series, into):
-        for e, c in series.terms.items():
-            if e[0] == 0:
-                continue
-            into[(e[0], tuple(sorted(e[1:], reverse=True)))] = c
-
-    def _fill_prim_from_gen(self):
-        self._absorb(self._table(self.value, unit=True).log(), self._prim)
-        self._prim_filled = True
-
-    def _fill_gen_from_prim(self):
-        self._absorb(self._table(self.primitive_value, unit=False).exp(),
-                     self._gen)
-        self._gen_filled = True
+        key = self._key(n, m)
+        return _ZERO if key is UNIT or key is ZERO else self._lookup(True, key)
 
     # -- pairing -----------------------------------------------------------
 
     def pair(self, x):
-        """<self, x> for a HopfElement x, linear over terms."""
+        """<self, x> for a HopfElement x, linear over terms.  A primitive
+        theory vanishes on the unit and on products in either basis."""
         if x.d != self.d or x.variant != self.variant:
             raise ContextMismatchError("element context (%d, %s) does not "
                                        "match theory (%d, %s)" %
                                        (x.d, x.variant, self.d, self.variant))
+        if self.variant == "nonsep":
+            # a nonsep factor is its partition: gather the parts back
+            get = lambda *lam: self.nonsep_value(lam)
+        else:
+            get = self.primitive_value if x.basis == "p" else self.value
+        primitive = self.kind == "primitive"
         total = _ZERO
-        if self.kind == "multiplicative":
-            for mon, coeff in x.terms.items():
-                v = coeff
-                for g in mon:
-                    if self.variant == "nonsep":
-                        v *= self.nonsep_value(g)
-                    elif x.basis == "p":
-                        v *= self.primitive_value(g[0], g[1])
-                    else:
-                        v *= self.value(g[0], g[1])
-                    if not v:
-                        break
-                total += v
-            return total
-        # primitive kind: unit and longer monomials vanish in either basis
         for mon, coeff in x.terms.items():
-            if len(mon) != 1:
+            if primitive and len(mon) != 1:
                 continue
-            g = mon[0]
-            if self.variant == "nonsep":
-                total += coeff * self.nonsep_value(g)
-            else:
-                total += coeff * self.value(g[0], g[1])
+            v = coeff
+            for g in mon:
+                v *= get(*g)
+                if not v:
+                    break
+            total += v
         return total
 
 
@@ -221,11 +204,9 @@ def theory_log(e):
     """The primitive theory with the same values on primitives as e."""
     if e.kind != "multiplicative":
         raise ValueError("theory_log expects a multiplicative theory")
-    if e.variant == "nonsep":
-        return Theory(e.d, "primitive", "log(%s)" % e.label, e.n_cap, e.m_cap,
-                      variant="nonsep", gen_fn=e.nonsep_value)
+    fn = e.nonsep_value if e.variant == "nonsep" else e.primitive_value
     return Theory(e.d, "primitive", "log(%s)" % e.label, e.n_cap, e.m_cap,
-                  gen_fn=lambda n, m: e.primitive_value(n, m))
+                  variant=e.variant, gen_fn=fn)
 
 
 def theory_exp(p):
@@ -236,7 +217,7 @@ def theory_exp(p):
         return Theory(p.d, "multiplicative", "exp(%s)" % p.label, p.n_cap,
                       p.m_cap, variant="nonsep", gen_fn=p.nonsep_value)
     return Theory(p.d, "multiplicative", "exp(%s)" % p.label, p.n_cap, p.m_cap,
-                  prim_fn=lambda n, m: p.value(n, m))
+                  prim_fn=p.value)
 
 
 # -- constructions ---------------------------------------------------------
@@ -317,25 +298,16 @@ def coarse_curve_theory(k, kind, n_cap, m_cap):
     """
     k = int(k)
     if kind == "chern":
-        rows = {0: [Fraction(1)]}
-
-        def row(n):
-            # coefficients of prod_{i<=n} (1+iT)^k
-            if n not in rows:
-                poly = list(row(n - 1))
-                for _ in range(k):
-                    shifted = [_ZERO] + [Fraction(n) * c for c in poly]
-                    poly = [a + b for a, b in
-                            itertools.zip_longest(poly, shifted,
-                                                  fillvalue=_ZERO)]
-                rows[n] = poly
-            return rows[n]
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        one = MultiSeries.one(("x",), (m_cap,))
+        x = MultiSeries.var(("x",), (m_cap,), "x")
+        rows = [one]
 
         def gen_fn(n, m):
-            poly = row(n)
-            j = m[0]
-            c = poly[j] if j < len(poly) else _ZERO
-            return c / factorial(n)
+            while len(rows) <= n:
+                rows.append(rows[-1] * (one + len(rows) * x) ** k)
+            return rows[n].coefficient(m) / factorial(n)
 
         return Theory(1, "multiplicative", "coarse-c^%d" % k, n_cap, m_cap,
                       gen_fn=gen_fn)
@@ -411,37 +383,33 @@ def dt_vertex_theory(n_cap, m_cap):
                        MultiSeries.var(variables, caps, "U%d" % j))
     e_poly = factors[0] * factors[1] * factors[2]
     b_series = -(e_poly * a_series)
-    prim_table = {}
-    for e, c in b_series.terms.items():
+    for e in b_series.terms:
         if min(e[1:]) < 1:
             raise ArithmeticError("vertex exponent series is not divisible "
                                   "by U1 U2 U3 at %r" % (e,))
-        key = (e[0], tuple(sorted((x - 1 for x in e[1:]), reverse=True)))
-        prim_table[key] = c
-
-    def prim_fn(n, m):
-        return prim_table.get((n, m), _ZERO)
-
-    return Theory(3, "multiplicative", "e_DT", n_cap, m_cap, prim_fn=prim_fn)
+    prim_table = _series_table(b_series, shift=1)
+    return Theory(3, "multiplicative", "e_DT", n_cap, m_cap,
+                  prim_fn=lambda n, m: prim_table.get((n, m), _ZERO))
 
 
 def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
                  label="table", variant="sep"):
     """A theory from an explicit generator-value list; absent entries are
-    zero.  Entries are tuples ((n, m), value) or, for nonsep, (lam, value)."""
+    zero, entries beyond the caps are never read.  Entries are tuples
+    ((n, m), value) or, for nonsep, (lam, value)."""
     table = {}
     for key, v in entries:
         if variant == "sep":
             n, m = key
-            table[(int(n), tuple(sorted((int(x) for x in m), reverse=True)))] = \
-                Fraction(v)
+            if len(m) != d:
+                raise ValueError("table entry %r: exponent vector of length "
+                                 "%d, expected %d" % (key, len(m), d))
+            key = canonical_generator(n, m)
         else:
-            table[pad_partition(tuple(sorted(key, reverse=True)), d)] = Fraction(v)
-    if variant == "sep":
-        return Theory(d, kind, label, n_cap, m_cap,
-                      gen_fn=lambda n, m: table.get((n, m), _ZERO))
-    return Theory(d, kind, label, n_cap, m_cap, variant="nonsep",
-                  gen_fn=lambda lam: table.get(lam, _ZERO))
+            key = (_canonical_nonsep(key, d),)
+        table[key] = Fraction(v)
+    return Theory(d, kind, label, n_cap, m_cap, variant=variant,
+                  gen_fn=lambda *key: table.get(key, _ZERO))
 
 
 def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
@@ -477,9 +445,9 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
         return mult_class_theory(P, d, n_cap, m_cap, variant=variant)
     if "table" in spec:
         entries = []
-        for row in spec["table"]:
-            v = parse_rational(row["value"]) if isinstance(row["value"], str) \
-                else Fraction(row["value"])
-            entries.append(((int(row["n"]), tuple(row["m"])), v))
+        for i, row in enumerate(spec["table"], 1):
+            n, m, v = _fields(row, "table row %d" % i, "n", "m", "value")
+            v = parse_rational(v) if isinstance(v, str) else Fraction(v)
+            entries.append(((n, tuple(m)), v))
         return table_theory(entries, d, n_cap, m_cap)
     raise ValueError("unrecognized theory description %r" % (spec,))

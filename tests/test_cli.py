@@ -4,6 +4,7 @@ import pytest
 
 from punctual.cli import main, parse_theory_string
 from punctual.hopf import HopfElement, element_from_obj, element_to_obj
+from punctual.series import MultiSeries
 
 
 def run(capsys, *argv):
@@ -198,6 +199,20 @@ def test_bad_inputs(capsys):
                            "--d", "1", "--max-n", "2", "--max-m", "-1")
     assert (status, out) == (2, "")
     assert "--max-m must be >= 0" in err
+    for flag, value in (("--count", "-1"), ("--count", "0"),
+                        ("--max-cycle-degree", "-3")):
+        status, out, err = run(capsys, "axioms", "--d", "1", flag, value)
+        assert (status, out) == (2, "")
+        assert flag in err
+    for row, message in (
+            ({"n": 1, "m": [1]}, "table row 1 has no 'value' key"),
+            ({"n": 1, "m": [1, 0], "value": "3"}, "length 2, expected 1"),
+            ({"n": 1, "m": [-1], "value": "3"}, "negative")):
+        status, out, err = run(capsys, "table", "--theory",
+                               json.dumps({"table": [row]}), "--d", "1",
+                               "--max-n", "2", "--max-m", "2")
+        assert (status, out) == (2, "")
+        assert message in err
     good = json.loads(Q22)
     no_variant = {k: v for k, v in good.items() if k != "variant"}
     no_coeff = dict(good, terms=[{"monomial": [[2, [2]]]}])
@@ -217,6 +232,24 @@ def test_bad_inputs(capsys):
         main(["no-such-verb"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_vertical_paths_disagree_exits_1(capsys, monkeypatch):
+    import punctual.genfun as genfun
+    exact = genfun.paired_primitive_series
+
+    def off_by_t(e, chern, n_max):
+        s = exact(e, chern, n_max)
+        return s + MultiSeries.var(s.variables, s.caps, "T")
+    monkeypatch.setattr(genfun, "paired_primitive_series", off_by_t)
+    argv = ("vertical", "--theory", "builtin:ck,k=1", "--d", "1",
+            "--chern", "m1=2", "--order", "3")
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: vertical series paths disagree for c^1")
+    assert len(err.splitlines()) == 1
+    status, out, err = run(capsys, *argv, "--path", "pair")
+    assert (status, out, err) == (0, "1/1 + 2/1*T + 2/1*T^2 + 4/3*T^3\n", "")
 
 
 def test_output_file(tmp_path, capsys):

@@ -71,6 +71,10 @@ def test_coarse_chern_values():
     # (1+T)^2 (1+2T)^2 = 1 + 6T + 13T^2 + 12T^3 + 4T^4, over 2
     assert [e2.value(2, (m,)) for m in range(5)] == \
         [F(1, 2), 3, F(13, 2), 6, 2]
+    e0 = coarse_curve_theory(0, "chern", 3, 2)
+    assert [e0.value(3, (m,)) for m in range(3)] == [F(1, 6), 0, 0]
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        coarse_curve_theory(-1, "chern", 3, 3)
 
 
 def test_coarse_euler_values():
@@ -184,6 +188,71 @@ def test_cap_errors():
         e.value(1, (0, 0))
 
 
+def _count_series_calls(monkeypatch):
+    calls = {"log": 0, "exp": 0}
+    for name in calls:
+        original = getattr(MultiSeries, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+        monkeypatch.setattr(MultiSeries, name, counted)
+    return calls
+
+
+def test_derived_side_is_built_once(monkeypatch):
+    # the lookups include keys whose derived value is 0: c^1 has
+    # F = exp(T(1+U)), so its primitive values vanish for n >= 2, and the
+    # generator tables of inertial(1) and of the vertex vanish off a band
+    ck = ck_theory(1, 1, 4, 4)
+    inertial = inertial_theory(MultiSeries.one(("U",), (2,)), 2, 3, 4)
+    dt = dt_vertex_theory(3, 4)
+    calls = _count_series_calls(monkeypatch)
+    keys = [(n, (m,)) for n in range(1, 5) for m in range(5)]
+    for _ in range(2):
+        for n, m in keys:
+            ck.primitive_value(n, m)
+    assert ck.primitive_value(3, (2,)) == 0
+    assert calls == {"log": 1, "exp": 0}
+    keys = [(n, (a, b)) for n in range(1, 4) for a in range(5)
+            for b in range(a + 1)]
+    for _ in range(2):
+        for n, m in keys:
+            inertial.value(n, m)
+    assert inertial.value(3, (1, 0)) == 0
+    assert calls == {"log": 1, "exp": 1}
+    for _ in range(2):
+        assert dt.value(1, (3, 0, 0)) == 0
+        assert dt.value(2, (4, 4, 4)) == 0
+        assert dt.value(1, (1, 1, 1)) == 2
+    assert calls == {"log": 1, "exp": 2}
+
+
+def test_degree_zero_rows_on_derived_generator_side():
+    u = MultiSeries.var(("U",), (2,), "U")
+    for e in (dt_vertex_theory(3, 4), inertial_theory(1 + 2 * u, 3, 3, 4)):
+        assert e.value(0, (0, 0, 0)) == 1
+        assert e.value(0, (1, 0, 0)) == 0
+        assert e.value(0, (0, 2, 1)) == 0
+        assert e.primitive_value(0, (0, 0, 0)) == 0
+        assert e.pair(HopfElement.unit(3)) == 1
+        assert e.pair(HopfElement.unit(3, basis="p")) == 1
+
+
+def test_sep_primitive_theory_pairing():
+    lg = theory_log(ck_theory(2, 2, 3, 4))
+    a, b = (1, (2, 1)), (1, (1, 0))
+    assert lg.value(*a) and lg.value(*b)
+    for basis in ("q", "p"):
+        def gen(n, m):
+            return HopfElement.generator(2, n, m, basis=basis)
+        assert lg.pair(HopfElement.unit(2, basis=basis)) == 0
+        assert lg.pair(gen(*a) * gen(*b)) == 0
+        assert lg.pair(gen(*a) * gen(*a)) == 0
+        assert lg.pair(3 * gen(*a) + gen(*a) * gen(*b)) == 3 * lg.value(*a)
+        assert lg.pair(gen(*b)) == lg.value(*b)
+
+
 def test_nonsep_theories():
     e = ck_theory(1, 2, 3, 2, variant="nonsep")
     assert e.nonsep_value((1, 1)) == 1
@@ -196,6 +265,13 @@ def test_nonsep_theories():
     assert lg.pair(x) == 1
     with pytest.raises(Exception):
         e.value(1, (1, 1))
+    assert e.nonsep_value((2, 2)) == 0
+    with pytest.raises(CapError):
+        e.nonsep_value((3, 0))
+    with pytest.raises(CapError):
+        e.nonsep_value((1, 3))
+    with pytest.raises(ValueError, match="negative part"):
+        e.nonsep_value((1, -1))
 
 
 def test_table_theory_and_spec():
@@ -213,6 +289,19 @@ def test_table_theory_and_spec():
     assert e3.value(1, (1,)) == 2
     e4 = theory_from_spec({"builtin": "coarse-ek", "k": 1}, 1, 3, 3)
     assert e4.value(2, (2,)) == 1
+    # entries beyond the caps are accepted and never read
+    e6 = table_theory([((1, (1,)), F(2)), ((9, (9,)), F(1))], 1, 2, 2)
+    assert e6.value(1, (1,)) == 2
+    for entries, message in (([((1, (1, 0)), F(3))], "length 2, expected 1"),
+                             ([((1, (-1,)), F(3))], "negative"),
+                             ([((-1, (1,)), F(3))], "negative")):
+        with pytest.raises(ValueError, match=message):
+            table_theory(entries, 1, 3, 3)
+    with pytest.raises(ValueError, match="table row 1 has no 'value' key"):
+        theory_from_spec({"table": [{"n": 1, "m": [1]}]}, 1, 3, 3)
+    with pytest.raises(ValueError, match="table row 2 must be a JSON object"):
+        theory_from_spec({"table": [{"n": 1, "m": [1], "value": "1"}, 3]},
+                         1, 3, 3)
     e5 = theory_from_spec({"mult_class": ["1", "1", "1/2"]}, 1, 3, 4)
     assert e5.value(1, (2,)) == F(1, 2)
     with pytest.raises(ValueError):
