@@ -1,0 +1,115 @@
+"""Linearity of the Hopf structure maps and multiplicativity of the
+coproduct, as Hypothesis properties over small sep and nonsep elements."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from punctual.hopf import HopfElement, TensorElement, sep_to_nonsep, tensor
+
+# few small examples, the same ones every run
+examples = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
+
+coeffs = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                   st.integers(1, 3))
+
+# strategies are cached per context: building one costs more than drawing
+
+
+@lru_cache(maxsize=None)
+def rows(d):
+    return st.lists(st.integers(0, 2), min_size=d, max_size=d).map(
+        lambda m: tuple(sorted(m, reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def monomials(d, variant):
+    factor = rows(d) if variant == "nonsep" else st.tuples(st.integers(1, 2),
+                                                           rows(d))
+    return st.lists(factor, max_size=2).map(lambda mon: tuple(sorted(mon)))
+
+
+@lru_cache(maxsize=None)
+def pairs(d, variant):
+    return st.tuples(monomials(d, variant), monomials(d, variant))
+
+
+@lru_cache(maxsize=None)
+def term_maps(keys):
+    return st.dictionaries(keys, coeffs, max_size=3)
+
+
+@st.composite
+def contexts(draw, variant=None, basis=None):
+    variant = variant or draw(st.sampled_from(("sep", "nonsep")))
+    d = draw(st.integers(0 if variant == "sep" else 1, 2))
+    return d, variant, basis or draw(st.sampled_from(("q", "p")))
+
+
+@st.composite
+def elements(draw, count=2, variant=None, basis=None):
+    """count elements of one random context."""
+    d, variant, basis = draw(contexts(variant, basis))
+    terms = term_maps(monomials(d, variant))
+    return [HopfElement(d, variant, basis, draw(terms)) for _ in range(count)]
+
+
+@st.composite
+def tensors(draw, count=2):
+    """count tensor elements of one random context."""
+    d, variant, basis = draw(contexts())
+    terms = term_maps(pairs(d, variant))
+    return [TensorElement(d, variant, basis, draw(terms))
+            for _ in range(count)]
+
+
+def combo(a, x, b, y):
+    return x.scaled(a) + y.scaled(b)
+
+
+@pytest.mark.parametrize("f, variant, basis", [
+    (lambda x: x.coproduct(), None, "q"),
+    (lambda x: x.to_p(), None, None),
+    (lambda x: x.to_q(), None, None),
+    (lambda x: x.antipode(), None, None),
+    (sep_to_nonsep, "sep", None),
+], ids=["coproduct", "to_p", "to_q", "antipode", "sep_to_nonsep"])
+@examples
+@given(data=st.data())
+def test_element_maps_are_linear(f, variant, basis, data):
+    x, y = data.draw(elements(variant=variant, basis=basis))
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    assert f(combo(a, x, b, y)) == combo(a, f(x), b, f(y))
+
+
+@pytest.mark.parametrize("f", [TensorElement.left_counit,
+                               TensorElement.right_counit],
+                         ids=["left_counit", "right_counit"])
+@examples
+@given(tu=tensors(), a=coeffs, b=coeffs)
+def test_counits_are_linear(f, tu, a, b):
+    t, u = tu
+    assert f(combo(a, t, b, u)) == combo(a, f(t), b, f(u))
+
+
+@examples
+@given(xyz=elements(count=3), a=coeffs, b=coeffs)
+def test_tensor_is_bilinear(xyz, a, b):
+    x, y, z = xyz
+    assert tensor(combo(a, x, b, y), z) == combo(a, tensor(x, z),
+                                                 b, tensor(y, z))
+    assert tensor(z, combo(a, x, b, y)) == combo(a, tensor(z, x),
+                                                 b, tensor(z, y))
+
+
+@examples
+@given(xy=elements(basis="q"))
+def test_coproduct_is_multiplicative(xy):
+    x, y = xy
+    assert (x * y).coproduct() == x.coproduct() * y.coproduct()
