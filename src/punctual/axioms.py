@@ -6,7 +6,7 @@ indices from a seeded random stream, so runs are reproducible.
 
 from fractions import Fraction
 
-from .hopf import HopfElement, _monomial_coproduct, tensor
+from .hopf import HopfElement, _linear, _monomial_coproduct, tensor
 
 _COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
            Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(5)]
@@ -35,29 +35,18 @@ def random_element(rng, d, variant, max_cycle_degree, max_terms=3, max_m=3):
     return HopfElement(d, variant, "q", terms)
 
 
-def _triple_left(t):
-    """(coproduct ox id) applied to a TensorElement."""
-    acc = {}
-    for (l, r), c in t.terms.items():
-        for (a, b), c2 in _monomial_coproduct(t.variant, l).items():
-            key = (a, b, r)
-            acc[key] = acc.get(key, Fraction(0)) + c * c2
-    return {k: v for k, v in acc.items() if v}
-
-
-def _triple_right(t):
-    """(id ox coproduct) applied to a TensorElement."""
-    acc = {}
-    for (l, r), c in t.terms.items():
-        for (a, b), c2 in _monomial_coproduct(t.variant, r).items():
-            key = (l, a, b)
-            acc[key] = acc.get(key, Fraction(0)) + c * c2
-    return {k: v for k, v in acc.items() if v}
+def _coproduct_in_slot(t, slot):
+    """(coproduct ox id) for slot 0, (id ox coproduct) for slot 1, applied
+    to a TensorElement: a map (a, b, c) -> coeff."""
+    def image(pair):
+        return {pair[:slot] + ab + pair[slot + 1:]: c for ab, c in
+                _monomial_coproduct(t.variant, pair[slot]).items()}
+    return {k: v for k, v in _linear(t.terms, image).items() if v}
 
 
 def check_coassociative(x):
     t = x.coproduct()
-    return _triple_left(t) == _triple_right(t)
+    return _coproduct_in_slot(t, 0) == _coproduct_in_slot(t, 1)
 
 
 def check_counit(x):

@@ -23,7 +23,8 @@ logarithm of the formal sum of all q_{n,m}:
 over ordered compositions of (n, m) into k nonzero rows, and inversely
 q_{n,m} = sum_k 1/k! sum p_{n_1,m_1} ... p_{n_k,m_k}.  The antipode is
 multiplicative and acts by -1 on primitives, so it is computed by a p-basis
-round trip.
+round trip.  Each structure map is _linear, the linear extension of a map
+on monomials; tensors (TensorElement) share HopfElement's linear-space body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -31,7 +32,7 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .combinat import (compositions_positive, pad_partition,
@@ -39,6 +40,7 @@ from .combinat import (compositions_positive, pad_partition,
 from .rational import format_rational, parse_rational
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ContextMismatchError(ValueError):
@@ -126,20 +128,17 @@ class HopfElement:
         self.variant = variant
         self.basis = basis
         kept = {}
-        if terms:
-            for mon, coeff in terms.items():
-                mon = tuple(sorted(tuple(g) if variant == "nonsep" else
-                                   (g[0], tuple(g[1])) for g in mon))
-                for g in mon:
-                    if variant == "sep":
-                        _check_sep_factor(g, d)
-                    else:
-                        _check_nonsep_factor(g, d)
-                c = kept.get(mon, _ZERO) + Fraction(coeff)
-                if c:
-                    kept[mon] = c
-                elif mon in kept:
-                    del kept[mon]
+        check = _check_sep_factor if variant == "sep" else _check_nonsep_factor
+        for mon, coeff in (terms or {}).items():
+            mon = tuple(sorted(tuple(g) if variant == "nonsep" else
+                               (g[0], tuple(g[1])) for g in mon))
+            for g in mon:
+                check(g, d)
+            c = kept.get(mon, _ZERO) + Fraction(coeff)
+            if c:
+                kept[mon] = c
+            elif mon in kept:
+                del kept[mon]
         self.terms = kept
 
     # -- constructors ------------------------------------------------------
@@ -173,12 +172,12 @@ class HopfElement:
     # -- basics ------------------------------------------------------------
 
     def _check_context(self, other):
-        if (self.d != other.d or self.variant != other.variant
-                or self.basis != other.basis):
+        if (type(other) is not type(self) or self.d != other.d
+                or self.variant != other.variant or self.basis != other.basis):
             raise ContextMismatchError("elements live in different contexts")
 
     def _like(self, terms):
-        return _built(HopfElement, self.d, self.variant, self.basis, terms)
+        return _built(type(self), self.d, self.variant, self.basis, terms)
 
     def is_zero(self):
         return not self.terms
@@ -188,7 +187,7 @@ class HopfElement:
         return self.terms.get(mon, _ZERO)
 
     def __eq__(self, other):
-        if not isinstance(other, HopfElement):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.d == other.d and self.variant == other.variant
                 and self.basis == other.basis and self.terms == other.terms)
@@ -216,8 +215,6 @@ class HopfElement:
         return self.scaled(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return self + (-other)
 
     def scaled(self, c):
@@ -254,11 +251,9 @@ class HopfElement:
     def coproduct(self):
         if self.basis != "q":
             raise ValueError("coproduct expects the q basis, convert first")
-        acc = {}
-        for mon, coeff in self.terms.items():
-            for pair, mult in _monomial_coproduct(self.variant, mon).items():
-                acc[pair] = acc.get(pair, _ZERO) + coeff * mult
-        return _built(TensorElement, self.d, self.variant, self.basis, acc)
+        return _built(TensorElement, self.d, self.variant, self.basis,
+                      _linear(self.terms,
+                              partial(_monomial_coproduct, self.variant)))
 
     def antipode(self):
         """Multiplicative, -1 on each primitive factor; a sep q-basis
@@ -273,21 +268,20 @@ class HopfElement:
 
     def to_p(self):
         """Rewrite in the primitive basis."""
-        if self.basis == "p":
-            return self
-        if self.variant == "nonsep":
-            return HopfElement(self.d, "nonsep", "p", self.terms)
-        return _built(HopfElement, self.d, "sep", "p",
-                      _substitute(self.terms, _q_in_p))
+        return self._rebase("p", _q_in_p)
 
     def to_q(self):
         """Rewrite in the generator basis."""
-        if self.basis == "q":
+        return self._rebase("q", _p_in_q)
+
+    def _rebase(self, basis, expander):
+        """self in basis: sep by substituting expander(*g) for each factor g,
+        nonsep (whose generators are primitive) by relabelling."""
+        if self.basis == basis:
             return self
-        if self.variant == "nonsep":
-            return HopfElement(self.d, "nonsep", "q", self.terms)
-        return _built(HopfElement, self.d, "sep", "q",
-                      _substitute(self.terms, _p_in_q))
+        terms = (self.terms if self.variant == "nonsep"
+                 else _substitute(self.terms, expander))
+        return _built(HopfElement, self.d, self.variant, basis, terms)
 
     # -- gradings ----------------------------------------------------------
 
@@ -302,15 +296,13 @@ class HopfElement:
             cyc = monomial_cycle_degree(mon, self.variant)
             hom = monomial_hom_degree(mon, self.variant)
             buckets.setdefault((cyc, hom), {})[mon] = c
-        out = []
-        for (cyc, hom) in sorted(buckets):
-            out.append((cyc, hom, hom - 2 * self.d * cyc,
-                        self._like(buckets[(cyc, hom)])))
-        return out
+        return [(cyc, hom, hom - 2 * self.d * cyc,
+                 self._like(buckets[cyc, hom])) for cyc, hom in sorted(buckets)]
 
 
 class TensorElement:
-    """An element of the two-fold tensor product, sparse over monomial pairs."""
+    """An element of the two-fold tensor product, sparse over monomial pairs,
+    with HopfElement's linear-space body (which keeps the two types apart)."""
 
     __slots__ = ("d", "variant", "basis", "terms")
 
@@ -320,39 +312,18 @@ class TensorElement:
         self.basis = basis
         self.terms = dict(terms) if terms else {}
 
-    def _like(self, terms):
-        return _built(TensorElement, self.d, self.variant, self.basis, terms)
-
-    def _check_context(self, other):
-        if (self.d != other.d or self.variant != other.variant
-                or self.basis != other.basis):
-            raise ContextMismatchError("tensor elements live in different contexts")
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.d == other.d and self.variant == other.variant
-                and self.basis == other.basis and self.terms == other.terms)
-
+    _like = HopfElement._like
+    _check_context = HopfElement._check_context
+    __eq__ = HopfElement.__eq__
     __hash__ = None
+    __add__ = HopfElement.__add__
+    __neg__ = HopfElement.__neg__
+    __sub__ = HopfElement.__sub__
+    scaled = HopfElement.scaled
 
     def __repr__(self):
         return "TensorElement(d=%d, %s, %d terms)" % (self.d, self.variant,
                                                       len(self.terms))
-
-    def __add__(self, other):
-        self._check_context(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, _ZERO) + c
-        return self._like(terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        return self._like({p: x * c for p, x in self.terms.items()})
 
     def __mul__(self, other):
         """Componentwise product (a ox b)(c ox d) = ac ox bd."""
@@ -369,11 +340,9 @@ class TensorElement:
 
     def left_counit(self):
         """Apply the counit to the left slot, landing back in the algebra."""
-        acc = {}
-        for (l, r), c in self.terms.items():
-            if not l:
-                acc[r] = acc.get(r, _ZERO) + c
-        return _built(HopfElement, self.d, self.variant, self.basis, acc)
+        return _built(HopfElement, self.d, self.variant, self.basis,
+                      _linear(self.terms,
+                              lambda lr: {} if lr[0] else {lr[1]: _ONE}))
 
     def right_counit(self):
         return self.swap().left_counit()
@@ -382,11 +351,9 @@ class TensorElement:
 def tensor(a, b):
     """The simple tensor a ox b of two elements in the same context."""
     a._check_context(b)
-    acc = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            acc[(m1, m2)] = acc.get((m1, m2), _ZERO) + c1 * c2
-    return _built(TensorElement, a.d, a.variant, a.basis, acc)
+    return _built(TensorElement, a.d, a.variant, a.basis,
+                  _linear(a.terms, lambda m1: {(m1, m2): c for m2, c
+                                               in b.terms.items()}))
 
 
 def _built(cls, d, variant, basis, terms):
@@ -444,17 +411,25 @@ def _poly_mul(a, b):
     return out
 
 
+def _linear(terms, image):
+    """sum coeff * image(key) over the items of terms, where image(key) is a
+    key -> coefficient map; the linear extension of image."""
+    acc = {}
+    for key, coeff in terms.items():
+        for k, c in image(key).items():
+            acc[k] = acc.get(k, _ZERO) + coeff * c
+    return acc
+
+
 def _substitute(terms, expander):
     """Replace each factor g of every monomial by the map expander(*g) and
     multiply out; returns the accumulated monomial -> coefficient map."""
-    acc = {}
-    for mon, coeff in terms.items():
-        prod = {(): Fraction(1)}
+    def image(mon):
+        prod = {(): _ONE}
         for g in mon:
-            prod = _poly_mul(prod, expander(g[0], g[1]))
-        for m2, c2 in prod.items():
-            acc[m2] = acc.get(m2, _ZERO) + coeff * c2
-    return acc
+            prod = _poly_mul(prod, expander(*g))
+        return prod
+    return _linear(terms, image)
 
 
 def _composition_sum(n, m, weight):
@@ -507,16 +482,9 @@ def sep_to_nonsep(x):
     """
     if x.variant != "sep":
         raise ContextMismatchError("sep_to_nonsep expects the sep variant")
-    if x.basis == "q":
-        acc = _substitute(x.terms, _sep_gen_image)
-    else:
-        acc = {}
-        for mon, coeff in x.terms.items():
-            if any(g[0] >= 2 for g in mon):
-                continue
-            m2 = tuple(sorted(g[1] for g in mon))
-            acc[m2] = acc.get(m2, _ZERO) + coeff
-    return _built(HopfElement, x.d, "nonsep", "q", acc)
+    image = (_sep_gen_image if x.basis == "q"
+             else lambda n, m: {(m,): _ONE} if n == 1 else {})
+    return _built(HopfElement, x.d, "nonsep", "q", _substitute(x.terms, image))
 
 
 # -- vertical classes ------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction as F
 
@@ -285,3 +286,14 @@ def test_pretty():
     assert element_pretty(x) == "1/2*q_{1,(1)}^2 + 1/1*q_{2,(2)}"
     assert element_pretty(HopfElement.zero(1)) == "0"
     assert "(x)" in tensor_pretty(x.coproduct())
+
+
+def test_elements_and_tensors_do_not_mix():
+    x = q(1, 2, (2,))
+    t = x.coproduct()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ContextMismatchError):
+            op(x, t)
+        with pytest.raises(ContextMismatchError):
+            op(t, x)
+    assert x != t and t != x
