@@ -20,6 +20,7 @@ generating series of the given one.
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .hopf import (UNIT, ZERO, ContextMismatchError, _canonical_nonsep,
@@ -143,11 +144,12 @@ class Theory:
         return self._gen
 
     def value(self, n, m):
-        """Table value on the sep generator q_{n,m} (n = 0 rows follow the
-        unit/zero convention)."""
+        """Table value on the sep generator q_{n,m}.  n = 0 rows follow the
+        unit/zero convention; the unit pairs to 1 with a multiplicative
+        theory and to 0 with a primitive one."""
         key = self._key(n, m)
         if key is UNIT:
-            return Fraction(1)
+            return Fraction(1) if self.kind == "multiplicative" else _ZERO
         return _ZERO if key is ZERO else self._lookup(False, key)
 
     def nonsep_value(self, lam):
@@ -243,18 +245,6 @@ def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
             powers.append(powers[-1] * base)
         return powers[n].coefficient((j,))
 
-    label = label or "class(%s)" % P.pretty()
-    if variant == "nonsep":
-        def lam_fn(lam):
-            v = Fraction(1)
-            for x in lam:
-                v *= coeff(1, x)
-                if not v:
-                    break
-            return v
-        return Theory(d, "multiplicative", label, n_cap, m_cap,
-                      variant="nonsep", gen_fn=lam_fn)
-
     def gen_fn(n, m):
         v = Fraction(1, factorial(n))
         for x in m:
@@ -263,7 +253,10 @@ def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
                 break
         return v
 
-    return Theory(d, "multiplicative", label, n_cap, m_cap, gen_fn=gen_fn)
+    # a nonsep generator q_lam takes the sep rule at n = 1
+    return Theory(d, "multiplicative", label or "class(%s)" % P.pretty(),
+                  n_cap, m_cap, variant=variant,
+                  gen_fn=gen_fn if variant == "sep" else partial(gen_fn, 1))
 
 
 def ck_theory(k, d, n_cap, m_cap, variant="sep"):
@@ -404,7 +397,11 @@ def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
             if len(m) != d:
                 raise ValueError("table entry %r: exponent vector of length "
                                  "%d, expected %d" % (key, len(m), d))
-            key = canonical_generator(n, m)
+            g = canonical_generator(n, m)
+            if g is UNIT or g is ZERO:
+                raise ValueError("table entry %r: multiplicity n must be >= 1"
+                                 % (key,))
+            key = g
         else:
             key = (_canonical_nonsep(key, d),)
         table[key] = Fraction(v)
@@ -447,6 +444,12 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
         entries = []
         for i, row in enumerate(spec["table"], 1):
             n, m, v = _fields(row, "table row %d" % i, "n", "m", "value")
+            if type(n) is not int:
+                raise ValueError("table row %d: 'n' must be an integer, got %r"
+                                 % (i, n))
+            if type(m) is not list or any(type(x) is not int for x in m):
+                raise ValueError("table row %d: 'm' must be a list of "
+                                 "integers, got %r" % (i, m))
             v = parse_rational(v) if isinstance(v, str) else Fraction(v)
             entries.append(((n, tuple(m)), v))
         return table_theory(entries, d, n_cap, m_cap)

@@ -207,7 +207,12 @@ def test_bad_inputs(capsys):
     for row, message in (
             ({"n": 1, "m": [1]}, "table row 1 has no 'value' key"),
             ({"n": 1, "m": [1, 0], "value": "3"}, "length 2, expected 1"),
-            ({"n": 1, "m": [-1], "value": "3"}, "negative")):
+            ({"n": 1, "m": [-1], "value": "3"}, "negative"),
+            ({"n": 0, "m": [1], "value": "3"}, "multiplicity n must be >= 1"),
+            ({"n": 1, "m": 5, "value": "3"},
+             "table row 1: 'm' must be a list of integers, got 5"),
+            ({"n": "x", "m": [1], "value": "3"},
+             "table row 1: 'n' must be an integer, got 'x'")):
         status, out, err = run(capsys, "table", "--theory",
                                json.dumps({"table": [row]}), "--d", "1",
                                "--max-n", "2", "--max-m", "2")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -253,6 +254,27 @@ def test_sep_primitive_theory_pairing():
         assert lg.pair(gen(*b)) == lg.value(*b)
 
 
+def test_primitive_theory_vanishes_on_unit():
+    e = ck_theory(1, 1, 3, 3)
+    unit = HopfElement.unit(1)
+    assert e.value(0, (0,)) == e.pair(unit) == 1
+    for lg in (theory_log(e),
+               table_theory([((1, (1,)), F(2))], 1, 3, 3, kind="primitive")):
+        assert lg.value(0, (0,)) == lg.primitive_value(0, (0,)) == 0
+        assert lg.pair(unit) == 0
+
+
+def test_nonsep_class_theory_is_the_sep_rule_at_n_1():
+    x = MultiSeries.var(("x",), (4,), "x")
+    one = MultiSeries.one(("x",), (4,))
+    for P in (one + x, one + 2 * x + x * x, one - x + F(1, 3) * x * x * x):
+        for d in (1, 2, 3):
+            sep = mult_class_theory(P, d, 2, 4)
+            nonsep = mult_class_theory(P, d, 2, 4, variant="nonsep")
+            for lam in itertools.product(range(5), repeat=d):
+                assert nonsep.nonsep_value(lam) == sep.value(1, lam)
+
+
 def test_nonsep_theories():
     e = ck_theory(1, 2, 3, 2, variant="nonsep")
     assert e.nonsep_value((1, 1)) == 1
@@ -294,11 +316,20 @@ def test_table_theory_and_spec():
     assert e6.value(1, (1,)) == 2
     for entries, message in (([((1, (1, 0)), F(3))], "length 2, expected 1"),
                              ([((1, (-1,)), F(3))], "negative"),
-                             ([((-1, (1,)), F(3))], "negative")):
+                             ([((-1, (1,)), F(3))], "negative"),
+                             ([((0, (1,)), F(3))], "must be >= 1"),
+                             ([((0, (0,)), F(3))], "must be >= 1")):
         with pytest.raises(ValueError, match=message):
             table_theory(entries, 1, 3, 3)
     with pytest.raises(ValueError, match="table row 1 has no 'value' key"):
         theory_from_spec({"table": [{"n": 1, "m": [1]}]}, 1, 3, 3)
+    for row, message in (
+            ({"n": 1, "m": 5}, "table row 1: 'm' must be a list of integers"),
+            ({"n": 1, "m": [1.5]}, "'m' must be a list of integers"),
+            ({"n": "2", "m": [1]}, "table row 1: 'n' must be an integer"),
+            ({"n": 1.0, "m": [1]}, "'n' must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            theory_from_spec({"table": [dict(row, value="1")]}, 1, 3, 3)
     with pytest.raises(ValueError, match="table row 2 must be a JSON object"):
         theory_from_spec({"table": [{"n": 1, "m": [1], "value": "1"}, 3]},
                          1, 3, 3)
