@@ -12,25 +12,93 @@ integrate back), which costs about one series multiplication in total and
 stays cheap whenever one side is sparse.  Rational powers are exp(r*log f),
 never Newton iteration; with exact arithmetic this is always well defined
 for unit constant term.
+
+Products, exp and log run on integers and build one Fraction per output
+term at the end.  An exponent vector is packed into one int (Kronecker
+substitution): each variable gets a field of cap.bit_length() + 1 bits whose
+top bit is a guard, and a last field holds the total degree, capped at the
+degree bound.  Adding ``bias`` lifts every field's cap to one below its guard
+bit, so ``(e1 + e2 + bias) & guard`` is nonzero exactly when a sum passes a
+per-variable cap or the total cap; a field holds at most twice its cap, so no
+field carries into the next.  Coefficients are integer numerators over one
+denominator D, the lcm of the input's denominators (FLINT's fmpq_poly
+layout): a product is over D_a*D_b.  exp and log scale the degree-k layer by
+D^k (the substitution x -> D*x), which makes every layer integral and keeps
+the recursion in integer sums of products, so the result is exact.  The
+price is size: layer k of log carries k*D^k*log(f)_k, about k*log2(D) bits,
+and layer k of exp carries k!*D^k*exp(f)_k, log2(k!) bits more; D = 5040 at
+degree 34 gives numerators of about 420 bits, still far cheaper than one
+Fraction normalisation per product term.
 """
 
 from fractions import Fraction
+from math import factorial, lcm
 
 from .rational import format_rational, parse_rational
 
 _ZERO = Fraction(0)
 
 
-def _mul_into(acc, a, b, caps, total_cap):
-    """Add the product of the term maps a and b into acc, dropping every
-    exponent past a per-variable cap or the total cap; returns acc."""
+class _Packing:
+    """Term maps as {packed exponent: integer numerator} over a common
+    denominator, for given caps and total-degree bound.  The total-degree
+    field is on top, so ``p >> top`` is the total degree of the packed p."""
+
+    __slots__ = ("fields", "top", "bias", "guard")
+
+    def __init__(self, caps, bound):
+        self.fields, self.bias, self.guard, shift = [], 0, 0, 0
+        for cap in caps + (bound,):
+            width = cap.bit_length() + 1
+            self.fields.append((shift, (1 << width) - 1))
+            self.bias += ((1 << width - 1) - 1 - cap) << shift
+            self.guard += 1 << shift + width - 1
+            shift += width
+        self.top = self.fields.pop()[0]
+
+    def pack(self, e):
+        return sum(x << s for x, (s, _) in zip(e, self.fields)) + \
+            (sum(e) << self.top)
+
+    def encode(self, terms):
+        """(D, {packed e: D*c_e}), D the lcm of the denominators."""
+        den = lcm(*(c.denominator for c in terms.values()))
+        return den, {self.pack(e): c.numerator * (den // c.denominator)
+                     for e, c in terms.items()}
+
+    def scaled_layers(self, terms):
+        """(D, {k: {packed e: D^k*c_e}}) over the terms of degree k >= 1."""
+        den, nums = self.encode(terms)
+        layers = {}
+        for p, c in nums.items():
+            k = p >> self.top
+            if k:
+                layers.setdefault(k, {})[p] = c * den ** (k - 1)
+        return den, layers
+
+    def decode_into(self, terms, nums, den):
+        """Set terms[unpacked p] = nums[p] / den for each nonzero nums[p]."""
+        fields = self.fields
+        for p, c in nums.items():
+            if c:
+                e = tuple([p >> s & m for s, m in fields])
+                terms[e] = Fraction(c, den)
+        return terms
+
+
+def _mul_into(acc, a, b, packing):
+    """Add the product of the packed integer term maps a and b into acc,
+    dropping every exponent past a per-variable cap or the total cap;
+    returns acc."""
+    bias, guard = packing.bias, packing.guard
+    get = acc.get
     for e1, c1 in a.items():
+        lifted = e1 + bias
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if any(x > c for x, c in zip(e, caps)) or (
-                    total_cap is not None and sum(e) > total_cap):
+            if (lifted + e2) & guard:
                 continue
-            acc[e] = acc.get(e, _ZERO) + c1 * c2
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
     return acc
 
 
@@ -105,6 +173,9 @@ class MultiSeries:
             bound = min(bound, self.total_cap)
         return bound
 
+    def _packing(self):
+        return _Packing(self.caps, self._degree_bound())
+
     def _like(self, terms):
         s = MultiSeries.zero(self.variables, self.caps, self.total_cap)
         s.terms = {e: c for e, c in terms.items() if c}
@@ -168,10 +239,13 @@ class MultiSeries:
                 return MultiSeries.zero(self.variables, self.caps, self.total_cap)
             return self._like({e: c0 * c for e, c0 in self.terms.items()})
         self._check_compatible(other)
-        a, b = self.terms, other.terms
+        packing = self._packing()
+        da, a = packing.encode(self.terms)
+        db, b = packing.encode(other.terms)
         if len(a) > len(b):
             a, b = b, a
-        return self._like(_mul_into({}, a, b, self.caps, self.total_cap))
+        return self._like(packing.decode_into({}, _mul_into({}, a, b, packing),
+                                              da * db))
 
     __rmul__ = __mul__
 
@@ -191,63 +265,57 @@ class MultiSeries:
 
     # -- exp / log / rational powers --------------------------------------
 
-    def _by_total_degree(self, weighted=False):
-        layers = {}
-        for e, c in self.terms.items():
-            k = sum(e)
-            layers.setdefault(k, {})[e] = c * k if weighted else c
-        return layers
-
     def exp(self):
         """exp(f) = sum f^k / k!, requires zero constant term."""
         if self.constant_term():
             raise ValueError("exp needs zero constant term")
-        nvars = len(self.variables)
-        zero_e = (0,) * nvars
-        g = self._by_total_degree(weighted=True)   # layers of theta(f)
-        out = {0: {zero_e: Fraction(1)}}
+        packing = self._packing()
+        den, f = packing.scaled_layers(self.terms)
+        # f[j] holds D^j*f_j and g[k] holds k!*D^k*exp(f)_k, so
+        # k*exp(f)_k = sum_j j*f_j*exp(f)_(k-j) becomes
+        # g[k] = sum_j j*(k-1)!/(k-j)! * f[j]*g[k-j]
+        g = {0: {0: 1}}
         for k in range(1, self._degree_bound() + 1):
             acc = {}
-            for j, gj in g.items():
-                prev = out.get(k - j)
+            for j, fj in f.items():
+                prev = g.get(k - j)
                 if j <= k and prev:
-                    _mul_into(acc, gj, prev, self.caps, self.total_cap)
-            layer = {}
-            inv = Fraction(1, k)
-            for e, c in acc.items():
-                if c:
-                    layer[e] = c * inv
+                    scale = j * factorial(k - 1) // factorial(k - j)
+                    _mul_into(acc, {p: scale * c for p, c in fj.items()}, prev,
+                              packing)
+            layer = {p: c for p, c in acc.items() if c}
             if layer:
-                out[k] = layer
+                g[k] = layer
         terms = {}
-        for layer in out.values():
-            terms.update(layer)
+        for k, layer in g.items():
+            packing.decode_into(terms, layer, factorial(k) * den ** k)
         return self._like(terms)
 
     def log(self):
         """log(f) for constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        # theta_k = k f_k - sum_j theta_j f_(k-j); the kernel only adds, so
-        # it multiplies by the layers of -f
-        neg_layers = (-self)._by_total_degree()
-        ts_layers = self._by_total_degree(weighted=True)
-        theta_l = {}
+        packing = self._packing()
+        den, f = packing.scaled_layers(self.terms)
+        # f[k] holds D^k*f_k and theta[k] holds k*D^k*log(f)_k, so
+        # k*f_k = sum_j j*log(f)_j*f_(k-j) becomes
+        # theta[k] = k*f[k] - sum_(j<k) theta[j]*f[k-j]; the kernel only
+        # adds, so it multiplies by the layers of -f
+        neg = {k: {p: -c for p, c in fk.items()} for k, fk in f.items()}
+        theta = {}
         for k in range(1, self._degree_bound() + 1):
-            acc = dict(ts_layers.get(k, {}))
+            acc = {p: k * c for p, c in f.get(k, {}).items()}
             for j in range(1, k):
-                lj = theta_l.get(j)
-                sk = neg_layers.get(k - j)
-                if lj and sk:
-                    _mul_into(acc, lj, sk, self.caps, self.total_cap)
-            layer = {e: c for e, c in acc.items() if c}
+                tj = theta.get(j)
+                neg_f = neg.get(k - j)
+                if tj and neg_f:
+                    _mul_into(acc, tj, neg_f, packing)
+            layer = {p: c for p, c in acc.items() if c}
             if layer:
-                theta_l[k] = layer
+                theta[k] = layer
         terms = {}
-        for k, layer in theta_l.items():
-            inv = Fraction(1, k)
-            for e, c in layer.items():
-                terms[e] = c * inv
+        for k, layer in theta.items():
+            packing.decode_into(terms, layer, k * den ** k)
         return self._like(terms)
 
     def pow(self, r):
