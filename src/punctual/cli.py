@@ -50,7 +50,12 @@ def parse_theory_string(text):
             key, eq, v = p.partition("=")
             if not eq:
                 raise ValueError("malformed theory option %r" % p)
-            spec[key.strip()] = int(v)
+            try:
+                spec[key.strip()] = int(v)
+            except ValueError:
+                raise ValueError("builtin theory %r: option %r must be an "
+                                 "integer, got %r" % (parts[0], key.strip(),
+                                                      v.strip())) from None
         return spec
     if head == "mult_class":
         return {"mult_class": [c.strip() for c in rest.split(",")]}

@@ -310,7 +310,7 @@ class TensorElement:
         self.d = d
         self.variant = variant
         self.basis = basis
-        self.terms = dict(terms) if terms else {}
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     _like = HopfElement._like
     _check_context = HopfElement._check_context

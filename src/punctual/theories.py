@@ -409,6 +409,17 @@ def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
                   gen_fn=lambda *key: table.get(key, _ZERO))
 
 
+def _spec_rational(v, where):
+    """A rational read from a theory description: an integer or a num/den
+    string, never a float, whose binary value the user did not write."""
+    if type(v) is int:
+        return Fraction(v)
+    try:
+        return parse_rational(v)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
+
+
 def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
     """Build a theory from a structured description.
 
@@ -418,7 +429,10 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
     """
     if "builtin" in spec:
         name = spec["builtin"]
-        k = int(spec.get("k", 1))
+        k = spec.get("k", 1)
+        if type(k) is not int:
+            raise ValueError("builtin theory %r: option 'k' must be an "
+                             "integer, got %r" % (name, k))
         if name == "ck":
             return ck_theory(k, d, n_cap, m_cap, variant=variant)
         if name == "ek":
@@ -434,8 +448,8 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
             return dt_vertex_theory(n_cap, m_cap)
         raise ValueError("unknown builtin theory %r" % name)
     if "mult_class" in spec:
-        coeffs = [parse_rational(c) if isinstance(c, str) else Fraction(c)
-                  for c in spec["mult_class"]]
+        coeffs = [_spec_rational(c, "mult_class coefficient %d" % i)
+                  for i, c in enumerate(spec["mult_class"], 1)]
         cap = max(len(coeffs) - 1, 1)
         P = MultiSeries(("x",), (cap,),
                         {(j,): c for j, c in enumerate(coeffs)})
@@ -450,7 +464,7 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
             if type(m) is not list or any(type(x) is not int for x in m):
                 raise ValueError("table row %d: 'm' must be a list of "
                                  "integers, got %r" % (i, m))
-            v = parse_rational(v) if isinstance(v, str) else Fraction(v)
+            v = _spec_rational(v, "table row %d: 'value'" % i)
             entries.append(((n, tuple(m)), v))
         return table_theory(entries, d, n_cap, m_cap)
     raise ValueError("unrecognized theory description %r" % (spec,))

@@ -212,10 +212,23 @@ def test_bad_inputs(capsys):
             ({"n": 1, "m": 5, "value": "3"},
              "table row 1: 'm' must be a list of integers, got 5"),
             ({"n": "x", "m": [1], "value": "3"},
-             "table row 1: 'n' must be an integer, got 'x'")):
+             "table row 1: 'n' must be an integer, got 'x'"),
+            ({"n": 1, "m": [1], "value": 0.1},
+             "table row 1: 'value': rational 0.1 is not a num/den string")):
         status, out, err = run(capsys, "table", "--theory",
                                json.dumps({"table": [row]}), "--d", "1",
                                "--max-n", "2", "--max-m", "2")
+        assert (status, out) == (2, "")
+        assert message in err
+    for theory, message in (
+            ('{"mult_class": [1, 0.5]}',
+             "mult_class coefficient 2: rational 0.5 is not a num/den string"),
+            ("builtin:ck,k=1.5",
+             "builtin theory 'ck': option 'k' must be an integer, got '1.5'"),
+            ('{"builtin": "ck", "k": 1.5}',
+             "builtin theory 'ck': option 'k' must be an integer, got 1.5")):
+        status, out, err = run(capsys, "table", "--theory", theory, "--d", "1",
+                               "--max-n", "1", "--max-m", "1")
         assert (status, out) == (2, "")
         assert message in err
     good = json.loads(Q22)

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from punctual.axioms import check_primitive, random_element
-from punctual.hopf import (ContextMismatchError, HopfElement, element_from_obj,
-                           element_pretty, element_to_obj, sep_to_nonsep,
-                           tensor, tensor_from_obj, tensor_pretty,
-                           tensor_to_obj, vertical_element)
+from punctual.hopf import (ContextMismatchError, HopfElement, TensorElement,
+                           element_from_obj, element_pretty, element_to_obj,
+                           sep_to_nonsep, tensor, tensor_from_obj,
+                           tensor_pretty, tensor_to_obj, vertical_element)
 from punctual.symfunc import ChernData
 
 
@@ -269,6 +269,12 @@ def test_tensor_serialization_roundtrip():
     t = q(1, 2, (2,)).coproduct()
     obj = tensor_to_obj(t)
     assert tensor_from_obj(json.loads(json.dumps(obj))) == t
+
+
+def test_tensor_drops_zero_coefficients():
+    zero = TensorElement(1, "sep", "q", {((), ()): 0})
+    assert zero == TensorElement(1, "sep", "q") and not zero.terms
+    assert tensor_pretty(zero) == tensor_pretty(TensorElement(1, "sep", "q"))
 
 
 def test_tensor_from_obj_names_bad_shape():

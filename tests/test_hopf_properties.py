@@ -1,8 +1,11 @@
 """Linearity of the Hopf structure maps and multiplicativity of the
-coproduct, as Hypothesis properties over small sep and nonsep elements."""
+coproduct, involutions of the basis changes and the antipode, as Hypothesis
+properties over small sep and nonsep elements; theory_exp inverts
+theory_log on random generator tables."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from punctual.hopf import HopfElement, TensorElement, sep_to_nonsep, tensor
+from punctual.theories import table_theory, theory_exp, theory_log
 
 # few small examples, the same ones every run
 examples = settings(max_examples=50, deadline=None, derandomize=True,
@@ -113,3 +117,34 @@ def test_tensor_is_bilinear(xyz, a, b):
 def test_coproduct_is_multiplicative(xy):
     x, y = xy
     assert (x * y).coproduct() == x.coproduct() * y.coproduct()
+
+
+@examples
+@given(xs=elements(count=1))
+def test_basis_changes_and_antipode_are_involutions(xs):
+    x, = xs
+    # to_q . to_p on a q-basis x, to_p . to_q on a p-basis x
+    assert x.to_p().to_q() == x.to_q()
+    assert x.to_q().to_p() == x.to_p()
+    assert x.antipode().antipode() == x
+
+
+@st.composite
+def tables(draw):
+    """A random sep generator table, its d and its caps."""
+    d, n_cap, m_cap = draw(st.integers(1, 2)), draw(st.integers(1, 3)), \
+        draw(st.integers(0, 2))
+    keys = st.tuples(st.integers(1, n_cap), st.lists(
+        st.integers(0, m_cap), min_size=d, max_size=d).map(tuple))
+    return draw(st.dictionaries(keys, coeffs, max_size=5)), d, n_cap, m_cap
+
+
+@examples
+@given(table=tables())
+def test_theory_exp_inverts_theory_log(table):
+    entries, d, n_cap, m_cap = table
+    e = table_theory(entries.items(), d, n_cap, m_cap)
+    back = theory_exp(theory_log(e))
+    for n in range(1, n_cap + 1):
+        for m in combinations_with_replacement(range(m_cap, -1, -1), d):
+            assert back.value(n, m) == e.value(n, m)
