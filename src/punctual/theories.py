@@ -410,9 +410,10 @@ def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
 
 
 def _spec_rational(v, where):
-    """A rational read from a theory description: an integer or a num/den
-    string, never a float, whose binary value the user did not write."""
-    if type(v) is int:
+    """A rational read from a theory description: an int, a Fraction or a
+    num/den string, never a float, whose binary value the user did not
+    write."""
+    if type(v) is int or isinstance(v, Fraction):
         return Fraction(v)
     try:
         return parse_rational(v)
