@@ -86,7 +86,7 @@ def tables(draw):
         draw(st.integers(0, 2))
     keys = st.tuples(st.integers(1, n_cap + 1), st.lists(
         st.integers(0, m_cap + 1), min_size=d, max_size=d).map(tuple))
-    entries = draw(st.dictionaries(keys, coeffs, max_size=6))
+    entries = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=6))
     kind = draw(st.sampled_from(("multiplicative", "primitive")))
     return entries, kind, d, n_cap, m_cap
 
