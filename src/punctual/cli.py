@@ -8,12 +8,12 @@ paths disagreeing), 2 on bad input.
 """
 
 import argparse
-import itertools
 import json
 import random
 import sys
 
 from .axioms import run_axiom_suite
+from .combinat import _desc_vectors
 from .genfun import (IDENTITY_NAMES, _PathsDisagreeError, curve_series,
                      gamma_integral_series, nonsep_vertical_series,
                      verify_identity, vertical_series)
@@ -60,13 +60,6 @@ def parse_theory_string(text):
     if head == "mult_class":
         return {"mult_class": [c.strip() for c in rest.split(",")]}
     raise ValueError("unrecognized theory string %r" % text)
-
-
-def _desc_vectors(d, cap):
-    """Weakly decreasing exponent vectors in {0..cap}^d, graded order."""
-    vecs = [tuple(reversed(c)) for c in
-            itertools.combinations_with_replacement(range(cap + 1), d)]
-    return sorted(vecs, key=lambda v: (sum(v), v))
 
 
 def _element_caps(x):

@@ -76,6 +76,17 @@ def num_orderings(lam):
     return n
 
 
+def _desc_vectors(d, cap):
+    """Weakly decreasing vectors in {0..cap}^d, in graded order.
+
+    >>> _desc_vectors(2, 1)
+    [(0, 0), (1, 0), (1, 1)]
+    """
+    vecs = [tuple(reversed(c)) for c in
+            itertools.combinations_with_replacement(range(cap + 1), d)]
+    return sorted(vecs, key=lambda v: (sum(v), v))
+
+
 def vector_splittings(v):
     """All ordered pairs (a, b) of non-negative vectors with a + b = v.
 

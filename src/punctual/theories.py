@@ -11,11 +11,13 @@ formal sum of all q_{n,m} is group-like and its coefficientwise logarithm
 is the primitive family p_{n,m}.  In particular a multiplicative e pairs
 with a p-basis monomial as the product of its primitive values.
 
-Both tables sit behind one cached lookup over keys (n, m) with declared
-caps n <= n_cap, m_i <= m_cap; evaluating outside the caps raises CapError
-rather than truncating silently.  A side given by a function is computed
-key by key; the other side is derived whole, once, by log or exp of the
-generating series of the given one.
+A Theory holds each side as its generating series, a MultiSeries in T and
+U1..Ud truncated at the declared caps n <= n_cap, m_i <= m_cap: F on the
+generator side, whose constant term is the value on the unit, and log F on
+the primitive side.  The side a theory is built from is tabulated once, at
+construction; the other side is derived whole, by log or exp, on its first
+lookup.  A lookup reads one coefficient; evaluating outside the caps raises
+CapError rather than truncating silently.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
+from .combinat import _desc_vectors
 from .hopf import (UNIT, ZERO, ContextMismatchError, _canonical_nonsep,
                    _fields, canonical_generator)
 from .rational import parse_rational
@@ -35,43 +38,43 @@ class CapError(ValueError):
     pass
 
 
-def _series_frame(d, n_cap, m_cap):
-    variables = ("T",) + tuple("U%d" % (i + 1) for i in range(d))
-    return variables, (n_cap,) + (m_cap,) * d
-
-
 def _table_series(value, variables, n_cap, m_cap, unit=True):
     """sum value(n, m) T^n U^m over 1 <= n <= n_cap and m in {0..m_cap}^d,
-    plus 1 when unit is set; variables are T and then the d U's."""
+    plus 1 when unit is set; variables are T and then the d U's.  value is
+    called once for each weakly decreasing m and its value is written at
+    every ordering of m."""
     d = len(variables) - 1
+    orderings = [(m, set(itertools.permutations(m)))
+                 for m in _desc_vectors(d, m_cap)]
     terms = {(0,) * (d + 1): Fraction(1)} if unit else {}
     for n in range(1, n_cap + 1):
-        for m in itertools.product(range(m_cap + 1), repeat=d):
+        for m, perms in orderings:
             v = value(n, m)
             if v:
-                terms[(n,) + m] = v
-    return MultiSeries(variables, (n_cap,) + (m_cap,) * d, terms)
-
-
-def _series_table(series, shift=0):
-    """{(n, m sorted decreasingly): c} for the terms c T^n U^(m + shift) of
-    a table series with n >= 1."""
-    return {(e[0], tuple(sorted((x - shift for x in e[1:]), reverse=True))): c
-            for e, c in series.terms.items() if e[0]}
+                v = Fraction(v)
+                for p in perms:
+                    terms[(n,) + p] = v
+    # every exponent lies within the caps, so the terms go in unchecked
+    series = MultiSeries(variables, (n_cap,) + (m_cap,) * d)
+    series.terms = terms
+    return series
 
 
 class Theory:
-    """A functional determined by generator values, with one cached lookup.
+    """A functional held as the generating series of its generator values
+    and of its primitive values.
 
-    Exactly one of gen_fn / prim_fn may be omitted.  The table of a side
-    with a function starts empty and is filled key by key; the table of
-    the other side starts as None and is derived whole, through the exp/log
-    generating series, on its first lookup.  For the nonsep variant gen_fn
-    takes a padded partition.
+    Exactly one of gen_fn / prim_fn may be omitted; primitive and nonsep
+    theories take gen_fn alone.  A given side is a MultiSeries in T, U1..Ud
+    with caps (n_cap, m_cap, ..., m_cap), or a function of (n, m) called at
+    construction for every n in 1..n_cap and weakly decreasing m within the
+    caps.  The other side is derived whole, by exp or log, on its first
+    lookup.  For the nonsep variant gen_fn takes a padded partition lam,
+    whose value sits at T U^lam.
     """
 
-    __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap",
-                 "_gen_fn", "_prim_fn", "_gen", "_prim")
+    __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap", "_gen",
+                 "_prim")
 
     def __init__(self, d, kind, label, n_cap, m_cap, variant="sep",
                  gen_fn=None, prim_fn=None):
@@ -81,16 +84,30 @@ class Theory:
             raise ValueError("variant must be 'sep' or 'nonsep'")
         if gen_fn is None and prim_fn is None:
             raise ValueError("need a generator table or a primitive table")
+        if prim_fn is not None and (kind, variant) != ("multiplicative",
+                                                         "sep"):
+            raise ValueError("primitive and nonsep theories take gen_fn only")
         self.d = int(d)
         self.variant = variant
         self.kind = kind
         self.label = label or kind
         self.n_cap = int(n_cap)
         self.m_cap = int(m_cap)
-        self._gen_fn = gen_fn
-        self._prim_fn = prim_fn
-        self._gen = None if gen_fn is None else {}
-        self._prim = None if prim_fn is None else {}
+        variables = ("T",) + tuple("U%d" % (i + 1) for i in range(self.d))
+        # no lookup passes a negative cap, so the series stops at 0
+        n_top, m_top = max(self.n_cap, 0), max(self.m_cap, 0)
+
+        def tabulate(fn, unit):
+            if isinstance(fn, MultiSeries):
+                return fn
+            if variant == "nonsep":
+                return _table_series(lambda n, lam: fn(lam), variables, 1,
+                                     m_top, unit=False)
+            return _table_series(fn, variables, n_top, m_top, unit)
+
+        self._gen = None if gen_fn is None else tabulate(
+            gen_fn, kind == "multiplicative")
+        self._prim = None if prim_fn is None else tabulate(prim_fn, False)
 
     def __repr__(self):
         return "Theory(%s, d=%d, %s, %s)" % (self.label, self.d, self.kind,
@@ -98,59 +115,37 @@ class Theory:
 
     # -- keyed access ------------------------------------------------------
 
-    def _key(self, n, m):
-        """canonical_generator(n, m) checked against d and the caps: the key
-        (n, m sorted decreasingly), or UNIT / ZERO when n = 0."""
+    def _exponent(self, n, m):
+        """The exponent (n,) + m of T^n U^m, checked against d and the
+        caps."""
         if self.variant != "sep":
             raise ContextMismatchError("%s is a nonsep theory" % self.label)
-        m = tuple(m)
-        if len(m) != self.d:
+        e = (int(n),) + tuple(map(int, m))
+        if len(e) != self.d + 1:
             raise ValueError("exponent vector of length %d, expected %d" %
-                             (len(m), self.d))
-        key = canonical_generator(n, m)
-        # n = 0 rows are checked against the m cap too
-        n, m = (0, tuple(map(int, m))) if key is UNIT or key is ZERO else key
-        if n > self.n_cap or max(m, default=0) > self.m_cap:
+                             (len(e) - 1, self.d))
+        if min(e) < 0:
+            raise ValueError("negative entry in generator index")
+        if e[0] > self.n_cap or max(e[1:], default=0) > self.m_cap:
             raise CapError("index (%d, %r) outside caps (%d, %d) of %s" %
-                           (n, tuple(sorted(m, reverse=True)), self.n_cap,
-                            self.m_cap, self.label))
-        return key
+                           (e[0], tuple(sorted(e[1:], reverse=True)),
+                            self.n_cap, self.m_cap, self.label))
+        return e
 
-    def _lookup(self, prim, key):
-        """The value at key on the primitive side when prim is set, else on
-        the generator side.  Keys are the argument tuples of the side's
-        function: (n, m) for sep, (lam,) for nonsep."""
-        table = self._prim if prim else self._gen
-        if table is None:
-            table = self._derive(prim)
-        v = table.get(key)
-        if v is None:
-            fn = self._prim_fn if prim else self._gen_fn
-            if fn is None:          # derived side: absent keys are zero
-                return _ZERO
-            v = table[key] = Fraction(fn(*key))
-        return v
-
-    def _derive(self, prim):
-        """Fill the whole table of the side without a function."""
-        variables, _ = _series_frame(self.d, self.n_cap, self.m_cap)
-        if prim:
-            self._prim = _series_table(_table_series(
-                self.value, variables, self.n_cap, self.m_cap).log())
-            return self._prim
-        self._gen = _series_table(_table_series(
-            self.primitive_value, variables, self.n_cap, self.m_cap,
-            unit=False).exp())
-        return self._gen
+    def _series(self, prim):
+        """The primitive series when prim is set, else the generator
+        series; the side not given is derived on first use."""
+        if prim and self._prim is None:
+            self._prim = self._gen.log()
+        elif not prim and self._gen is None:
+            self._gen = self._prim.exp()
+        return self._prim if prim else self._gen
 
     def value(self, n, m):
-        """Table value on the sep generator q_{n,m}.  n = 0 rows follow the
-        unit/zero convention; the unit pairs to 1 with a multiplicative
-        theory and to 0 with a primitive one."""
-        key = self._key(n, m)
-        if key is UNIT:
-            return Fraction(1) if self.kind == "multiplicative" else _ZERO
-        return _ZERO if key is ZERO else self._lookup(False, key)
+        """Table value on the sep generator q_{n,m}.  At n = 0 this is the
+        constant term: 1 on the unit of a multiplicative theory, else 0."""
+        e = self._exponent(n, m)
+        return self._series(False).terms.get(e, _ZERO)
 
     def nonsep_value(self, lam):
         if self.variant != "nonsep":
@@ -159,15 +154,15 @@ class Theory:
         if max(lam, default=0) > self.m_cap:
             raise CapError("partition %r outside cap %d of %s" %
                            (lam, self.m_cap, self.label))
-        return self._lookup(False, (lam,))
+        return self._gen.terms.get((1,) + lam, _ZERO)
 
     def primitive_value(self, n, m):
         """Value on the primitive p_{n,m}; for a multiplicative theory this
         is also the value of its logarithm."""
         if self.kind == "primitive":
             return self.value(n, m)
-        key = self._key(n, m)
-        return _ZERO if key is UNIT or key is ZERO else self._lookup(True, key)
+        e = self._exponent(n, m)
+        return self._series(True).terms.get(e, _ZERO)
 
     # -- pairing -----------------------------------------------------------
 
@@ -206,20 +201,20 @@ def theory_log(e):
     """The primitive theory with the same values on primitives as e."""
     if e.kind != "multiplicative":
         raise ValueError("theory_log expects a multiplicative theory")
-    fn = e.nonsep_value if e.variant == "nonsep" else e.primitive_value
+    # nonsep generators are primitive
+    series = e._gen if e.variant == "nonsep" else e._series(True)
     return Theory(e.d, "primitive", "log(%s)" % e.label, e.n_cap, e.m_cap,
-                  variant=e.variant, gen_fn=fn)
+                  variant=e.variant, gen_fn=series)
 
 
 def theory_exp(p):
     """The multiplicative theory whose primitive values are p's table."""
     if p.kind != "primitive":
         raise ValueError("theory_exp expects a primitive theory")
-    if p.variant == "nonsep":
-        return Theory(p.d, "multiplicative", "exp(%s)" % p.label, p.n_cap,
-                      p.m_cap, variant="nonsep", gen_fn=p.nonsep_value)
-    return Theory(p.d, "multiplicative", "exp(%s)" % p.label, p.n_cap, p.m_cap,
-                  prim_fn=p.value)
+    # nonsep generators are primitive
+    given = "gen_fn" if p.variant == "nonsep" else "prim_fn"
+    return Theory(p.d, "multiplicative", "exp(%s)" % p.label, p.n_cap,
+                  p.m_cap, variant=p.variant, **{given: p._gen})
 
 
 # -- constructions ---------------------------------------------------------
@@ -362,27 +357,20 @@ def dt_vertex_theory(n_cap, m_cap):
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
     log_m_neg = _macmahon_neg(n_cap).log()
-    variables, caps = _series_frame(3, n_cap, m_cap + 1)
-    # log M(-U1 U2 U3 T), truncated
-    a_terms = {}
-    for e, c in log_m_neg.terms.items():
-        n = e[0]
-        if n <= m_cap + 1:
-            a_terms[(n, n, n, n)] = c
-    a_series = MultiSeries(variables, caps, a_terms)
-    factors = []
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        factors.append(MultiSeries.var(variables, caps, "U%d" % i) +
-                       MultiSeries.var(variables, caps, "U%d" % j))
-    e_poly = factors[0] * factors[1] * factors[2]
-    b_series = -(e_poly * a_series)
+    variables, caps = ("T", "U1", "U2", "U3"), (n_cap,) + (m_cap + 1,) * 3
+    # log M(-U1 U2 U3 T), truncated at the caps
+    a_series = MultiSeries(variables, caps, {(n,) * 4: c for (n,), c
+                                             in log_m_neg.terms.items()})
+    u1, u2, u3 = (MultiSeries.var(variables, caps, v) for v in variables[1:])
+    b_series = -((u1 + u2) * (u2 + u3) * (u3 + u1) * a_series)
     for e in b_series.terms:
         if min(e[1:]) < 1:
             raise ArithmeticError("vertex exponent series is not divisible "
                                   "by U1 U2 U3 at %r" % (e,))
-    prim_table = _series_table(b_series, shift=1)
-    return Theory(3, "multiplicative", "e_DT", n_cap, m_cap,
-                  prim_fn=lambda n, m: prim_table.get((n, m), _ZERO))
+    prim = MultiSeries(variables, (n_cap,) + (m_cap,) * 3,
+                       {(e[0],) + tuple(x - 1 for x in e[1:]): c
+                        for e, c in b_series.terms.items()})
+    return Theory(3, "multiplicative", "e_DT", n_cap, m_cap, prim_fn=prim)
 
 
 def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",

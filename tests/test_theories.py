@@ -7,7 +7,7 @@ import pytest
 
 from punctual.hopf import HopfElement
 from punctual.series import MultiSeries
-from punctual.theories import (CapError, ck_theory,
+from punctual.theories import (CapError, Theory, ck_theory,
                                coarse_curve_theory, dt_vertex_theory,
                                ek_theory, eval_theory, inertial_theory,
                                mult_class_theory, table_theory, theory_exp,
@@ -262,6 +262,16 @@ def test_primitive_theory_vanishes_on_unit():
                table_theory([((1, (1,)), F(2))], 1, 3, 3, kind="primitive")):
         assert lg.value(0, (0,)) == lg.primitive_value(0, (0,)) == 0
         assert lg.pair(unit) == 0
+
+
+def test_theory_refuses_a_primitive_side_it_cannot_hold():
+    # a primitive theory is its own primitive side, and a nonsep theory has
+    # only generators
+    for kind, variant in (("primitive", "sep"), ("multiplicative", "nonsep"),
+                          ("primitive", "nonsep")):
+        with pytest.raises(ValueError, match="take gen_fn only"):
+            Theory(1, kind, "t", 2, 2, variant=variant,
+                   prim_fn=lambda *key: F(1))
 
 
 def test_nonsep_class_theory_is_the_sep_rule_at_n_1():
