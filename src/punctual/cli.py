@@ -90,6 +90,8 @@ def _need(args, name, flag):
 # -- verbs -----------------------------------------------------------------
 
 def _run_table(args):
+    if args.d < 0:
+        raise ValueError("--d must be >= 0, got %d" % args.d)
     if args.variant == "sep" and args.max_n < 1:
         raise ValueError("--max-n must be >= 1, got %d" % args.max_n)
     if args.max_m < 0:

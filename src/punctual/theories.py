@@ -271,6 +271,8 @@ def ek_theory(k, d, n_cap, m_cap):
     if every m_i = k n and zero otherwise.  (Not a unit class, so this does
     not factor through mult_class_theory.)"""
     k = int(k)
+    if k < 0:
+        raise ValueError("k must be >= 0")
 
     def gen_fn(n, m):
         return Fraction(1, factorial(n)) if all(x == k * n for x in m) else _ZERO
@@ -285,9 +287,9 @@ def coarse_curve_theory(k, kind, n_cap, m_cap):
     kind "euler":  <e, q_{n,m}> = (n!)^(k-1) if m = nk else 0
     """
     k = int(k)
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if kind == "chern":
-        if k < 0:
-            raise ValueError("k must be >= 0")
         one = MultiSeries.one(("x",), (m_cap,))
         x = MultiSeries.var(("x",), (m_cap,), "x")
         rows = [one]
@@ -413,10 +415,22 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
     """Build a theory from a structured description.
 
     Accepted forms: {"builtin": name, "k": int} with name one of ck, ek,
-    coarse-ck, coarse-ek, dt; {"mult_class": [coefficients of P]};
-    {"table": [{"n": int, "m": [int..], "value": "num/den"}, ...]}.
+    coarse-ck, coarse-ek, dt (which takes no k); {"mult_class":
+    [coefficients of P]}; {"table": [{"n": int, "m": [int..], "value":
+    "num/den"}, ...]}.  A description gives one form and no other key.
     """
-    if "builtin" in spec:
+    form = next((f for f in ("builtin", "mult_class", "table")
+                 if isinstance(spec, dict) and f in spec), None)
+    if form is None:
+        raise ValueError("unrecognized theory description %r" % (spec,))
+    what, takes = "%s theory" % form, (form,)
+    if form == "builtin":
+        what = "builtin theory %r" % (spec[form],)
+        takes += ("k",) * (spec[form] != "dt")
+    for key in spec:
+        if key not in takes:
+            raise ValueError("%s does not take option %r" % (what, key))
+    if form == "builtin":
         name = spec["builtin"]
         k = spec.get("k", 1)
         if type(k) is not int:
@@ -436,24 +450,22 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
                 raise ValueError("the vertex theory needs d = 3")
             return dt_vertex_theory(n_cap, m_cap)
         raise ValueError("unknown builtin theory %r" % name)
-    if "mult_class" in spec:
+    if form == "mult_class":
         coeffs = [_spec_rational(c, "mult_class coefficient %d" % i)
                   for i, c in enumerate(spec["mult_class"], 1)]
         cap = max(len(coeffs) - 1, 1)
         P = MultiSeries(("x",), (cap,),
                         {(j,): c for j, c in enumerate(coeffs)})
         return mult_class_theory(P, d, n_cap, m_cap, variant=variant)
-    if "table" in spec:
-        entries = []
-        for i, row in enumerate(spec["table"], 1):
-            n, m, v = _fields(row, "table row %d" % i, "n", "m", "value")
-            if type(n) is not int:
-                raise ValueError("table row %d: 'n' must be an integer, got %r"
-                                 % (i, n))
-            if type(m) is not list or any(type(x) is not int for x in m):
-                raise ValueError("table row %d: 'm' must be a list of "
-                                 "integers, got %r" % (i, m))
-            v = _spec_rational(v, "table row %d: 'value'" % i)
-            entries.append(((n, tuple(m)), v))
-        return table_theory(entries, d, n_cap, m_cap)
-    raise ValueError("unrecognized theory description %r" % (spec,))
+    entries = []
+    for i, row in enumerate(spec["table"], 1):
+        n, m, v = _fields(row, "table row %d" % i, "n", "m", "value")
+        if type(n) is not int:
+            raise ValueError("table row %d: 'n' must be an integer, got %r"
+                             % (i, n))
+        if type(m) is not list or any(type(x) is not int for x in m):
+            raise ValueError("table row %d: 'm' must be a list of "
+                             "integers, got %r" % (i, m))
+        v = _spec_rational(v, "table row %d: 'value'" % i)
+        entries.append(((n, tuple(m)), v))
+    return table_theory(entries, d, n_cap, m_cap)

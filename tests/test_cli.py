@@ -226,11 +226,30 @@ def test_bad_inputs(capsys):
             ("builtin:ck,k=1.5",
              "builtin theory 'ck': option 'k' must be an integer, got '1.5'"),
             ('{"builtin": "ck", "k": 1.5}',
-             "builtin theory 'ck': option 'k' must be an integer, got 1.5")):
+             "builtin theory 'ck': option 'k' must be an integer, got 1.5"),
+            ("builtin:ck,j=2",
+             "builtin theory 'ck' does not take option 'j'"),
+            ('{"builtin": "ck", "kk": 3}',
+             "builtin theory 'ck' does not take option 'kk'"),
+            ('{"table": [{"n": 1, "m": [1], "value": "2"}], "builtin": "ck"}',
+             "builtin theory 'ck' does not take option 'table'"),
+            ('{"mult_class": ["1", "1"], "table": []}',
+             "mult_class theory does not take option 'table'"),
+            ("builtin:ek,k=-1", "k must be >= 0"),
+            ("builtin:coarse-ek,k=-2", "k must be >= 0")):
         status, out, err = run(capsys, "table", "--theory", theory, "--d", "1",
                                "--max-n", "1", "--max-m", "1")
         assert (status, out) == (2, "")
         assert message in err
+    status, out, err = run(capsys, "table", "--theory", '{"builtin": "dt", '
+                           '"k": 3}', "--d", "3", "--max-n", "1", "--max-m",
+                           "1")
+    assert (status, out) == (2, "")
+    assert "builtin theory 'dt' does not take option 'k'" in err
+    status, out, err = run(capsys, "table", "--theory", "builtin:ck,k=1",
+                           "--d", "-1", "--max-n", "1", "--max-m", "1")
+    assert (status, out) == (2, "")
+    assert "--d must be >= 0, got -1" in err
     good = json.loads(Q22)
     no_variant = {k: v for k, v in good.items() if k != "variant"}
     no_coeff = dict(good, terms=[{"monomial": [[2, [2]]]}])

@@ -59,6 +59,8 @@ def test_ek_values():
     e1 = ek_theory(1, 3, 3, 3)
     assert e1.value(2, (2, 2, 2)) == F(1, 2)
     assert e1.value(2, (2, 2, 1)) == 0
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        ek_theory(-1, 1, 3, 3)
 
 
 def test_coarse_chern_values():
@@ -87,6 +89,8 @@ def test_coarse_euler_values():
     assert e3.value(2, (6,)) == 4       # (n!)^(k-1)
     assert e3.value(3, (9,)) == 36
     assert e3.value(2, (5,)) == 0
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        coarse_curve_theory(-2, "euler", 3, 3)
 
 
 def test_primitive_values_match_composition_oracle():
@@ -351,6 +355,16 @@ def test_table_theory_and_spec():
         theory_from_spec({"builtin": "dt"}, 1, 3, 3)
     with pytest.raises(ValueError):
         theory_from_spec({"builtin": "unknown"}, 1, 3, 3)
+    for spec, message in (
+            ({"builtin": "ck", "kk": 3}, "'ck' does not take option 'kk'"),
+            ({"builtin": "dt", "k": 3}, "'dt' does not take option 'k'"),
+            ({"table": [], "label": "x"}, "table theory does not take "
+                                          "option 'label'"),
+            ({"builtin": "ek", "mult_class": ["1"]},
+             "'ek' does not take option 'mult_class'"),
+            ([1, 2], "unrecognized theory description")):
+        with pytest.raises(ValueError, match=message):
+            theory_from_spec(spec, 3, 3, 3)
 
 
 def test_context_checks():
