@@ -77,11 +77,7 @@ def num_orderings(lam):
 
 
 def _desc_vectors(d, cap):
-    """Weakly decreasing vectors in {0..cap}^d, in graded order.
-
-    >>> _desc_vectors(2, 1)
-    [(0, 0), (1, 0), (1, 1)]
-    """
+    """Weakly decreasing vectors in {0..cap}^d, in graded order."""
     vecs = [tuple(reversed(c)) for c in
             itertools.combinations_with_replacement(range(cap + 1), d)]
     return sorted(vecs, key=lambda v: (sum(v), v))

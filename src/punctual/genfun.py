@@ -152,12 +152,8 @@ def curve_series(e, chi, n_max):
     if e.d != 1:
         raise ContextMismatchError("curve series needs d = 1")
     _require_mult_sep(e)
-    terms = {(0,): Fraction(1)}
-    for n in range(1, n_max + 1):
-        v = e.value(n, (n,))
-        if v:
-            terms[(n,)] = v
-    return MultiSeries(("T",), (n_max,), terms).pow(Fraction(chi))
+    diag = {(n,): e.value(n, (n,)) for n in range(n_max + 1)}
+    return MultiSeries(("T",), (n_max,), diag).pow(Fraction(chi))
 
 
 def gamma_integral_series(e, chern, n_max):
