@@ -1,11 +1,13 @@
 """Linearity of the Hopf structure maps and multiplicativity of the
 coproduct, involutions of the basis changes and the antipode, as Hypothesis
-properties over small sep and nonsep elements; theory_exp inverts
-theory_log on random generator tables."""
+properties over small sep and nonsep elements; n! [Z_n] is integral for
+integer Chern numbers; theory_exp inverts theory_log on random generator
+tables."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -13,7 +15,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from punctual.hopf import HopfElement, TensorElement, sep_to_nonsep, tensor
+from punctual.combinat import partitions_of
+from punctual.hopf import (HopfElement, TensorElement, sep_to_nonsep, tensor,
+                           vertical_element)
+from punctual.symfunc import ChernData
 from punctual.theories import table_theory, theory_exp, theory_log
 
 # few small examples, the same ones every run
@@ -127,6 +132,26 @@ def test_basis_changes_and_antipode_are_involutions(xs):
     assert x.to_p().to_q() == x.to_q()
     assert x.to_q().to_p() == x.to_p()
     assert x.antipode().antipode() == x
+
+
+@st.composite
+def chern_data(draw):
+    """Integer monomial Chern numbers in -5..5 of a d-fold, d <= 3."""
+    d = draw(st.integers(1, 3))
+    return ChernData(d, {lam: draw(st.integers(-5, 5))
+                         for lam in partitions_of(d, d)})
+
+
+@examples
+@given(chern=chern_data(), n_max=st.integers(0, 5),
+       variant=st.sampled_from(("sep", "nonsep")))
+def test_vertical_classes_are_integral_after_n_factorial(chern, n_max,
+                                                         variant):
+    # n! [Z_n] = W_n with W_n = sum_j j L_j (n-1)!/(n-j)! W_(n-j) in the
+    # p basis (sep), and c^n in the q basis (nonsep)
+    for n, z in enumerate(vertical_element(chern, n_max, variant=variant)):
+        assert all((factorial(n) * c).denominator == 1
+                   for c in z.terms.values()), (n, z.terms)
 
 
 @st.composite
