@@ -94,7 +94,7 @@ class Theory:
         self.n_cap = int(n_cap)
         self.m_cap = int(m_cap)
         variables = ("T",) + tuple("U%d" % (i + 1) for i in range(self.d))
-        # no lookup passes a negative cap, so the series stops at 0
+        # a negative cap refuses every lookup; its series stops at 0
         n_top, m_top = max(self.n_cap, 0), max(self.m_cap, 0)
 
         def tabulate(fn, unit):
