@@ -51,18 +51,16 @@ def _theories(d):
 
 
 def _elements():
-    """(d, JSON text) for small sep elements in the q and p bases and nonsep
-    elements, drawn from one seeded stream."""
+    """Small sep elements in the q and p bases and nonsep elements, drawn
+    from one seeded stream."""
     rng = random.Random(20261018)
     out = []
     for d in (1, 2, 3):
         for _ in range(2):
             x = random_element(rng, d, "sep", 4, max_m=2)
-            out.append((d, json.dumps(element_to_obj(x))))
-            out.append((d, json.dumps(element_to_obj(x.to_p()))))
-        for _ in range(2):
-            x = random_element(rng, d, "nonsep", 3, max_m=2)
-            out.append((d, json.dumps(element_to_obj(x))))
+            out += [x, x.to_p()]
+        out += [random_element(rng, d, "nonsep", 3, max_m=2)
+                for _ in range(2)]
     return out
 
 
@@ -74,7 +72,8 @@ def _corpus():
         if json_too:
             runs.append(list(argv) + ["--format", "json"])
 
-    # table: every sep theory at three cap pairs, nonsep classes
+    # table: every sep theory at caps (3, 3), the first two also at (1, 0);
+    # nonsep classes
     for d in (0, 1, 2, 3):
         theories = (["builtin:ck,k=1", "builtin:ek,k=0"] if d == 0
                     else _theories(d))
@@ -89,15 +88,16 @@ def _corpus():
             add("table", "--theory", theory, "--d", str(d), "--max-n", "1",
                 "--max-m", "2", "--variant", "nonsep")
     # element verbs and pairings
-    for i, (d, element) in enumerate(_elements()):
-        nonsep = '"nonsep"' in element
+    for i, x in enumerate(_elements()):
+        element, d = json.dumps(element_to_obj(x)), x.d
         verbs = ("to-p", "to-q", "antipode")
-        if '"q"' in element:
+        if x.basis == "q":
             verbs += ("coproduct",)
         for verb in verbs:
             add(verb, "--element", element, json_too=i % 4 == 0)
         theories = ["builtin:ck,k=2", "mult_class:1,2,1/3", "builtin:ek,k=1"]
-        if not nonsep:
+        if x.variant == "sep":
+            # the table spec, then the d = 1 coarse or d = 3 vertex theories
             theories += _theories(d)[9:]
         for theory in theories:
             add("eval", "--theory", theory, "--element", element,
@@ -237,10 +237,7 @@ def _digest(text):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(list(argv))
-        except SystemExit as exc:       # argparse refusals
-            status = exc.code
+        status = main(list(argv))
     return {"argv": list(argv), "stdout": _digest(out.getvalue()),
             "stderr": _digest(err.getvalue()), "status": status}
 
@@ -248,7 +245,8 @@ def _run(argv):
 def test_cli_outputs_match_golden_digests():
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) > 400
-    changed = [entry["argv"] for entry in golden if _run(entry["argv"]) != entry]
+    changed = [entry["argv"] for entry in golden
+               if _run(entry["argv"]) != entry]
     assert not changed, "%d invocations changed, first: %r" % (len(changed),
                                                                changed[0])
 
