@@ -201,3 +201,54 @@ def primitive_from_table(value_fn, n, m):
                 block += prod
         total += Fraction((-1) ** (k + 1), k) * block
     return total
+
+
+# -- vertical classes and the pairing --------------------------------------
+
+def _dict_mul(a, b):
+    """Product of two {sorted tuple of generators: Fraction} maps."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mon = tuple(sorted(m1 + m2))
+            out[mon] = out.get(mon, Fraction(0)) + c1 * c2
+    return {mon: c for mon, c in out.items() if c}
+
+
+def vertical_classes(d, numbers, n_max):
+    """[Z_0] .. [Z_n_max] in the sep p basis as {monomial: Fraction} maps,
+    from numbers {partition of d: <m_lam>}.
+
+    With the layer L_j = sum_lam <m_lam> p_{j, lam+j-1} (lam padded with
+    zeros to length d), n [Z_n] = sum_{j=1..n} j L_j [Z_(n-j)]: the T
+    derivative of [Z] = exp(sum_j L_j T^j).
+    """
+    layers = {}
+    for j in range(1, n_max + 1):
+        layers[j] = {}
+        for lam, v in numbers.items():
+            row = tuple(lam) + (0,) * (d - len(lam))
+            if v:
+                layers[j][((j, tuple(x + j - 1 for x in row)),)] = Fraction(v)
+    zs = [{(): Fraction(1)}]
+    for n in range(1, n_max + 1):
+        acc = {}
+        for j in range(1, n + 1):
+            for mon, c in _dict_mul(layers[j], zs[n - j]).items():
+                acc[mon] = acc.get(mon, Fraction(0)) + j * c
+        zs.append({mon: c / n for mon, c in acc.items() if c})
+    return zs
+
+
+def pairing(terms, value, primitive):
+    """sum over terms of coeff * prod value(g) over the factors g of the
+    monomial; a primitive functional keeps only monomials of one factor."""
+    total = Fraction(0)
+    for mon, coeff in terms.items():
+        if primitive and len(mon) != 1:
+            continue
+        v = Fraction(coeff)
+        for g in mon:
+            v *= value(g)
+        total += v
+    return total

@@ -1,10 +1,14 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from punctual.cli import main, parse_theory_string
 from punctual.hopf import HopfElement, element_from_obj, element_to_obj
+from punctual.rational import parse_rational
 from punctual.series import MultiSeries
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -63,6 +67,19 @@ def test_vertical_dt(capsys):
                            "--chern", "c3=4,c1c2=24", "--order", "2")
     assert status == 0
     assert out == "1/1 + 20/1*T + 150/1*T^2\n"
+
+
+def test_vertical_dt_rational_chern_numbers(capsys):
+    # both paths, with the lcm of the Chern denominators D = 12 > 1
+    status, out, err = run(capsys, "vertical", "--d", "3",
+                           "--theory", "builtin:dt", "--chern",
+                           "c3=1/2,c1c2=7/3,c1^3=5/4", "--order", "10",
+                           "--format", "json")
+    assert (status, err) == (0, "")
+    coeffs = {t["exponents"][0]: parse_rational(t["coeff"])
+              for t in json.loads(out)["terms"]}
+    expected = oracles.macmahon_neg_power(F(1, 2) - F(7, 3), 10)
+    assert [coeffs.get(n, 0) for n in range(11)] == expected
 
 
 def test_vertical_json_and_determinism(capsys):

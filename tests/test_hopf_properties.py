@@ -1,8 +1,9 @@
 """Linearity of the Hopf structure maps and multiplicativity of the
 coproduct, involutions of the basis changes and the antipode, as Hypothesis
-properties over small sep and nonsep elements; n! [Z_n] is integral for
-integer Chern numbers; theory_exp inverts theory_log on random generator
-tables."""
+properties over small sep and nonsep elements; [Z_n] matches the naive
+recursion of oracles.vertical_classes on rational Chern numbers, and
+n! [Z_n] is integral for integer ones; theory_exp inverts theory_log on
+random generator tables."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,8 @@ from punctual.hopf import (HopfElement, TensorElement, sep_to_nonsep, tensor,
                            vertical_element)
 from punctual.symfunc import ChernData
 from punctual.theories import table_theory, theory_exp, theory_log
+
+import oracles
 
 # few small examples, the same ones every run
 examples = settings(max_examples=50, deadline=None, derandomize=True,
@@ -152,6 +155,27 @@ def test_vertical_classes_are_integral_after_n_factorial(chern, n_max,
     for n, z in enumerate(vertical_element(chern, n_max, variant=variant)):
         assert all((factorial(n) * c).denominator == 1
                    for c in z.terms.values()), (n, z.terms)
+
+
+@st.composite
+def rational_chern_data(draw):
+    """Rational monomial Chern numbers of a d-fold, d <= 3, over mixed
+    denominators, zeros included."""
+    d = draw(st.integers(1, 3))
+    numbers = st.builds(Fraction, st.integers(-4, 4),
+                        st.sampled_from((1, 2, 3, 4, 6, 9)))
+    return ChernData(d, {lam: draw(numbers) for lam in partitions_of(d, d)})
+
+
+@settings(examples, max_examples=30)
+@given(chern=rational_chern_data(), n_max=st.integers(0, 6))
+def test_vertical_classes_match_the_naive_recursion(chern, n_max):
+    expected = oracles.vertical_classes(chern.d, dict(chern.items()), n_max)
+    zs = vertical_element(chern, n_max)
+    assert [z.terms for z in zs] == expected
+    for z in zs:
+        assert (z.d, z.variant, z.basis) == (chern.d, "sep", "p")
+        assert all(type(c) is Fraction for c in z.terms.values())
 
 
 @st.composite

@@ -7,6 +7,10 @@ from a table the test builds from the entries itself, and from
 oracles.poly_log / poly_exp of that table.  The n = 0 rows read 1 on the
 unit of a multiplicative theory and 0 everywhere else, and one step past
 each cap raises CapError.
+
+Theory.pair is checked against the naive loop of oracles.pairing, with the
+generator values read through those lookups: sep elements in both bases
+and nonsep elements, multiplicative and primitive theories.
 """
 
 import itertools
@@ -19,9 +23,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from punctual.hopf import HopfElement
 from punctual.series import MultiSeries
 from punctual.theories import (CapError, ck_theory, dt_vertex_theory,
-                               inertial_theory, table_theory)
+                               eval_theory, inertial_theory, table_theory,
+                               theory_log)
 
 import oracles
 
@@ -159,3 +165,58 @@ def test_dt_vertex_theory_lookups(n_cap, extra):
     prim = {cell: v for cell, v in prim.items()
             if all(x <= c for x, c in zip(cell, caps))}
     check_lookups(e, _exp(prim, caps), prim)
+
+
+@st.composite
+def paired_theories(draw):
+    """A table (either kind), ck, DT vertex, logarithm or nonsep theory."""
+    form = draw(st.sampled_from(("table", "ck", "dt", "log", "nonsep")))
+    if form == "dt":
+        n_cap = draw(st.integers(1, 2))
+        return dt_vertex_theory(n_cap, n_cap + draw(st.integers(0, 1)))
+    d, n_cap, m_cap = draw(st.integers(1, 2)), draw(st.integers(1, 3)), \
+        draw(st.integers(0, 2))
+    variant = "nonsep" if form == "nonsep" else "sep"
+    if draw(st.booleans()):
+        e = ck_theory(draw(st.integers(0, 2)), d, n_cap, m_cap,
+                      variant=variant)
+    else:
+        # sparse, so that many generators have value 0
+        row = st.lists(st.integers(0, m_cap), min_size=d, max_size=d).map(
+            tuple)
+        key = row if variant == "nonsep" else st.tuples(
+            st.integers(1, n_cap), row)
+        kind = "multiplicative" if form == "log" else draw(
+            st.sampled_from(("multiplicative", "primitive")))
+        e = table_theory(draw(st.dictionaries(key, coeffs, max_size=4))
+                         .items(), d, n_cap, m_cap, kind=kind,
+                         variant=variant)
+    return theory_log(e) if form == "log" else e
+
+
+@examples
+@given(data=st.data())
+def test_pair_matches_the_naive_loop(data):
+    e = data.draw(paired_theories())
+    basis = "q" if e.variant == "nonsep" else data.draw(
+        st.sampled_from(("q", "p")))
+    row = st.lists(st.integers(0, e.m_cap), min_size=e.d,
+                   max_size=e.d).map(lambda m: tuple(sorted(m, reverse=True)))
+    factor = row if e.variant == "nonsep" else st.tuples(
+        st.integers(1, e.n_cap), row)
+    mixed = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12))
+    terms = data.draw(st.dictionaries(
+        st.lists(factor, max_size=3).map(lambda mon: tuple(sorted(mon))),
+        mixed, max_size=6))
+    if e.variant == "nonsep":
+        value = e.nonsep_value
+    elif basis == "p":
+        value = lambda g: e.primitive_value(*g)
+    else:
+        value = lambda g: e.value(*g)
+    primitive = e.kind == "primitive"
+    for x in (HopfElement(e.d, e.variant, basis, terms),
+              HopfElement.unit(e.d, e.variant, basis),
+              HopfElement.zero(e.d, e.variant, basis)):
+        expected = oracles.pairing(x.terms, value, primitive)
+        assert e.pair(x) == eval_theory(e, x) == expected
