@@ -33,7 +33,7 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, lcm
 
 from .combinat import (compositions_positive, pad_partition,
                        vector_compositions, vector_splittings)
@@ -489,33 +489,73 @@ def sep_to_nonsep(x):
 
 # -- vertical classes ------------------------------------------------------
 
+def _vertical_sep(chern, n_max):
+    """[Z_0] .. [Z_n_max] in the sep p basis, by an integer recursion.
+
+    With D the lcm of the Chern numbers' denominators and the layer
+    L_j = sum_lam <m_lam> p_{j, lam+j-1}, V_n = n! D^n [Z_n] satisfies
+    V_n = sum_j j (n-1)!/(n-j)! (D^j L_j) V_(n-j), all in integers.  A
+    monomial is a packed multiplicity vector over the generators in sorted
+    order, one field per generator; a generator (j, .) occurs at most n/j
+    times, so a field of n_max.bit_length() bits holds every multiplicity
+    and multiplying by a generator is one int add.
+    """
+    d = chern.d
+    rows = [(pad_partition(lam, d), val) for lam, val in chern.items() if val]
+    den = lcm(*(val.denominator for _, val in rows))
+    gens = sorted((j, tuple(x + j - 1 for x in row))
+                  for j in range(1, n_max + 1) for row, _ in rows)
+    width = n_max.bit_length()
+    shift = {g: 1 << (width * i) for i, g in enumerate(gens)}
+    layers = [None] + [
+        [(shift[j, tuple(x + j - 1 for x in row)],
+          val.numerator * (den ** j // val.denominator)) for row, val in rows]
+        for j in range(1, n_max + 1)]
+    vs = [{0: 1}]
+    for n in range(1, n_max + 1):
+        acc = {}
+        for j in range(1, n + 1):
+            weight = j * factorial(n - 1) // factorial(n - j)
+            for unit, c in layers[j]:
+                c *= weight
+                for mon, x in vs[n - j].items():
+                    mon += unit
+                    acc[mon] = acc.get(mon, 0) + c * x
+        vs.append(acc)
+    mask = (1 << width) - 1
+    zs = []
+    for n, v in enumerate(vs):
+        scale = factorial(n) * den ** n
+        terms = {}
+        for packed, c in v.items():
+            if c:
+                mon = []
+                while packed:
+                    # the lowest nonzero field
+                    i = ((packed & -packed).bit_length() - 1) // width
+                    count = (packed >> (i * width)) & mask
+                    mon += [gens[i]] * count
+                    packed -= count << (i * width)
+                terms[tuple(mon)] = Fraction(c, scale)
+        zs.append(_built(HopfElement, d, "sep", "p", terms))
+    return zs
+
+
 def vertical_element(chern, n_max, variant="sep"):
     """The cycle classes [Z_n] of the symmetric powers, n = 0 .. n_max.
 
     sep variant: coefficients of exp(sum_lam <m_lam> sum_j p_{j, lam+j-1} T^j)
-    as a series in T, returned in the p basis.  nonsep variant: coefficients
-    of exp(T * sum_lam <m_lam> q_lam), in the q basis.
+    as a series in T, returned in the p basis.  They are built over the
+    integers as n! D^n [Z_n], with D the lcm of the Chern numbers'
+    denominators, and returned with Fraction coefficients.  nonsep variant:
+    coefficients of exp(T * sum_lam <m_lam> q_lam), in the q basis.
     """
     d = chern.d
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if variant == "sep":
-        layers = {}
-        for j in range(1, n_max + 1):
-            t = {}
-            for lam, val in chern.items():
-                if val:
-                    g = (j, tuple(x + j - 1 for x in pad_partition(lam, d)))
-                    t[(g,)] = val
-            layers[j] = HopfElement(d, "sep", "p", t)
-        zs = [HopfElement.unit(d, "sep", "p")]
-        for n in range(1, n_max + 1):
-            acc = HopfElement.zero(d, "sep", "p")
-            for j in range(1, n + 1):
-                acc = acc + (layers[j] * zs[n - j]).scaled(j)
-            zs.append(acc.scaled(Fraction(1, n)))
-        return zs
+        return _vertical_sep(chern, n_max)
     if variant == "nonsep":
         c = HopfElement.zero(d, "nonsep", "q")
         for lam, val in chern.items():

@@ -23,7 +23,7 @@ CapError rather than truncating silently.
 import itertools
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, lcm, prod
 
 from .combinat import _desc_vectors
 from .hopf import (UNIT, ZERO, ContextMismatchError, _canonical_nonsep,
@@ -168,28 +168,37 @@ class Theory:
 
     def pair(self, x):
         """<self, x> for a HopfElement x, linear over terms.  A primitive
-        theory vanishes on the unit and on products in either basis."""
+        theory vanishes on the unit and on products in either basis.
+
+        Each distinct generator's value is read once.  With the values over
+        a common denominator E and the coefficients over C, the integer
+        sums S_k over monomials of k factors give sum_k S_k / (C E^k).
+        """
         if x.d != self.d or x.variant != self.variant:
             raise ContextMismatchError("element context (%d, %s) does not "
                                        "match theory (%d, %s)" %
                                        (x.d, x.variant, self.d, self.variant))
         if self.variant == "nonsep":
-            # a nonsep factor is its partition: gather the parts back
-            get = lambda *lam: self.nonsep_value(lam)
+            get = self.nonsep_value
         else:
-            get = self.primitive_value if x.basis == "p" else self.value
-        primitive = self.kind == "primitive"
-        total = _ZERO
-        for mon, coeff in x.terms.items():
-            if primitive and len(mon) != 1:
-                continue
-            v = coeff
-            for g in mon:
-                v *= get(*g)
-                if not v:
-                    break
-            total += v
-        return total
+            lookup = self.primitive_value if x.basis == "p" else self.value
+            get = lambda g: lookup(*g)
+        terms = x.terms
+        if self.kind == "primitive":
+            terms = {mon: c for mon, c in terms.items() if len(mon) == 1}
+        values = {g: Fraction(get(g)) for g in
+                  dict.fromkeys(itertools.chain.from_iterable(terms))}
+        e_den = lcm(*(v.denominator for v in values.values()))
+        c_den = lcm(*{c.denominator for c in terms.values()})
+        ints = {g: v.numerator * (e_den // v.denominator)
+                for g, v in values.items()}
+        sums = {}
+        for mon, c in terms.items():
+            k = len(mon)
+            sums[k] = sums.get(k, 0) + (c.numerator * (c_den // c.denominator)
+                                        * prod(map(ints.__getitem__, mon)))
+        return sum((Fraction(s, c_den * e_den ** k)
+                    for k, s in sums.items()), _ZERO)
 
 
 def eval_theory(e, x):
