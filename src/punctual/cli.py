@@ -81,6 +81,12 @@ def _build_theory(args, d, n_cap, m_cap, variant="sep"):
     return theory_from_spec(spec, d, n_cap, m_cap, variant=variant)
 
 
+def _at_least(flag, value, low):
+    """Refuse a flag's value below low, naming the flag."""
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (flag, low, value))
+
+
 def _need(args, name, flag):
     if getattr(args, name) is None:
         raise ValueError("this verb needs %s" % flag)
@@ -90,12 +96,10 @@ def _need(args, name, flag):
 # -- verbs -----------------------------------------------------------------
 
 def _run_table(args):
-    if args.d < 0:
-        raise ValueError("--d must be >= 0, got %d" % args.d)
-    if args.variant == "sep" and args.max_n < 1:
-        raise ValueError("--max-n must be >= 1, got %d" % args.max_n)
-    if args.max_m < 0:
-        raise ValueError("--max-m must be >= 0, got %d" % args.max_m)
+    _at_least("--d", args.d, 0)
+    if args.variant == "sep":
+        _at_least("--max-n", args.max_n, 1)
+    _at_least("--max-m", args.max_m, 0)
     e = _build_theory(args, args.d, args.max_n, args.max_m,
                       variant=args.variant)
     rows, lines = [], []
@@ -142,6 +146,8 @@ def _run_coproduct(args):
 
 
 def _run_vertical(args):
+    _at_least("--d", args.d, 1)
+    _at_least("--order", args.order, 0)
     chern = parse_chern_arg(args.d, args.chern)
     if args.variant == "nonsep":
         e = _build_theory(args, args.d, args.order, args.d, variant="nonsep")
@@ -153,12 +159,15 @@ def _run_vertical(args):
 
 
 def _run_curve(args):
+    _at_least("--order", args.order, 0)
     e = _build_theory(args, 1, args.order, args.order)
     s = curve_series(e, parse_rational(args.chi), args.order)
     return s.to_obj(), s.pretty(), 0
 
 
 def _run_gamma(args):
+    _at_least("--d", args.d, 1)
+    _at_least("--order", args.order, 0)
     chern = parse_chern_arg(args.d, args.chern)
     e = _build_theory(args, args.d, args.order, args.order - 1 + args.d)
     series, report = gamma_integral_series(e, chern, args.order)
@@ -168,6 +177,7 @@ def _run_gamma(args):
 
 def _run_verify(args):
     name = args.name
+    _at_least("--order", args.order, 0)
     n_max = args.order
     params = {"n_max": n_max}
     if name == "curve-vertical":
@@ -201,11 +211,8 @@ def _run_verify(args):
 
 
 def _run_axioms(args):
-    if args.count < 1:
-        raise ValueError("--count must be >= 1, got %d" % args.count)
-    if args.max_cycle_degree < 0:
-        raise ValueError("--max-cycle-degree must be >= 0, got %d" %
-                         args.max_cycle_degree)
+    _at_least("--count", args.count, 1)
+    _at_least("--max-cycle-degree", args.max_cycle_degree, 0)
     dims = (args.d,) if args.d is not None else (1, 2, 3)
     variants = (("sep", "nonsep") if args.variant == "both"
                 else (args.variant,))

@@ -216,6 +216,24 @@ def test_bad_inputs(capsys):
                            "--d", "1", "--max-n", "2", "--max-m", "-1")
     assert (status, out) == (2, "")
     assert "--max-m must be >= 0" in err
+    for argv, message in (
+            (("vertical", "--theory", "builtin:ek,k=1", "--d", "1",
+              "--chern", "m1=2", "--order", "-1"), "--order must be >= 0"),
+            (("vertical", "--theory", "builtin:ck,k=1", "--d", "1",
+              "--chern", "m1=2", "--order", "-1"), "--order must be >= 0"),
+            (("vertical", "--theory", "builtin:ck,k=1", "--d", "0",
+              "--chern", "", "--order", "3"), "--d must be >= 1, got 0"),
+            (("gamma-integral", "--theory", "builtin:ck,k=1", "--d", "1",
+              "--chern", "m1=2", "--order", "-1"), "--order must be >= 0"),
+            (("gamma-integral", "--theory", "builtin:ck,k=1", "--d", "0",
+              "--chern", "", "--order", "3"), "--d must be >= 1, got 0"),
+            (("curve", "--theory", "builtin:ck,k=1", "--chi", "1",
+              "--order", "-1"), "--order must be >= 0, got -1"),
+            (("verify", "--name", "dt-degree-zero", "--chern", "c3=1",
+              "--order", "-1"), "--order must be >= 0, got -1")):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert message in err
     for flag, value in (("--count", "-1"), ("--count", "0"),
                         ("--max-cycle-degree", "-3")):
         status, out, err = run(capsys, "axioms", "--d", "1", flag, value)
