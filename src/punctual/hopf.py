@@ -503,40 +503,38 @@ def _vertical_sep(chern, n_max):
     d = chern.d
     rows = [(pad_partition(lam, d), val) for lam, val in chern.items() if val]
     den = lcm(*(val.denominator for _, val in rows))
-    gens = sorted((j, tuple(x + j - 1 for x in row))
-                  for j in range(1, n_max + 1) for row, _ in rows)
+    # layers[j - 1] maps each generator of D^j L_j to its integer coefficient
+    layers = [{(j, tuple(x + j - 1 for x in row)): int(val * den ** j)
+               for row, val in rows} for j in range(1, n_max + 1)]
+    gens = sorted(g for layer in layers for g in layer)
     width = n_max.bit_length()
-    shift = {g: 1 << (width * i) for i, g in enumerate(gens)}
-    layers = [None] + [
-        [(shift[j, tuple(x + j - 1 for x in row)],
-          val.numerator * (den ** j // val.denominator)) for row, val in rows]
-        for j in range(1, n_max + 1)]
+    unit = {g: 1 << (width * i) for i, g in enumerate(gens)}
     vs = [{0: 1}]
     for n in range(1, n_max + 1):
         acc = {}
-        for j in range(1, n + 1):
+        for j, layer in enumerate(layers[:n], 1):
             weight = j * factorial(n - 1) // factorial(n - j)
-            for unit, c in layers[j]:
+            for g, c in layer.items():
                 c *= weight
+                u = unit[g]
                 for mon, x in vs[n - j].items():
-                    mon += unit
+                    mon += u
                     acc[mon] = acc.get(mon, 0) + c * x
-        vs.append(acc)
+        vs.append({mon: c for mon, c in acc.items() if c})
     mask = (1 << width) - 1
     zs = []
     for n, v in enumerate(vs):
         scale = factorial(n) * den ** n
         terms = {}
         for packed, c in v.items():
-            if c:
-                mon = []
-                while packed:
-                    # the lowest nonzero field
-                    i = ((packed & -packed).bit_length() - 1) // width
-                    count = (packed >> (i * width)) & mask
-                    mon += [gens[i]] * count
-                    packed -= count << (i * width)
-                terms[tuple(mon)] = Fraction(c, scale)
+            mon = []
+            while packed:
+                # the lowest nonzero field
+                i = ((packed & -packed).bit_length() - 1) // width
+                count = (packed >> (i * width)) & mask
+                mon += [gens[i]] * count
+                packed -= count << (i * width)
+            terms[tuple(mon)] = Fraction(c, scale)
         zs.append(_built(HopfElement, d, "sep", "p", terms))
     return zs
 
