@@ -186,6 +186,7 @@ def _run_verify(args):
         params.update(theory=e, chi=parse_rational(_need(args, "chi", "--chi")))
     elif name == "inertial-power":
         d = _need(args, "d", "--d")
+        _at_least("--d", d, 1)
         coeffs = [parse_rational(c) for c in
                   _need(args, "unit_class", "--class").split(",")]
         cap = max(len(coeffs) - 1, 1)
@@ -201,6 +202,7 @@ def _run_verify(args):
                       m_max=args.m_max if args.m_max is not None else n_max)
     elif name == "gamma-vertical":
         d = _need(args, "d", "--d")
+        _at_least("--d", d, 1)
         _need(args, "theory", "--theory")
         e = _build_theory(args, d, n_max, n_max - 1 + d)
         params.update(theory=e,

@@ -230,7 +230,12 @@ def test_bad_inputs(capsys):
             (("curve", "--theory", "builtin:ck,k=1", "--chi", "1",
               "--order", "-1"), "--order must be >= 0, got -1"),
             (("verify", "--name", "dt-degree-zero", "--chern", "c3=1",
-              "--order", "-1"), "--order must be >= 0, got -1")):
+              "--order", "-1"), "--order must be >= 0, got -1"),
+            (("verify", "--name", "inertial-power", "--d", "0", "--class",
+              "1,1", "--chern", "", "--order", "2"), "--d must be >= 1"),
+            (("verify", "--name", "gamma-vertical", "--d", "0", "--theory",
+              "builtin:ck,k=1", "--chern", "", "--order", "2"),
+             "--d must be >= 1, got 0")):
         status, out, err = run(capsys, *argv)
         assert (status, out) == (2, "")
         assert message in err
