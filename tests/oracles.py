@@ -203,6 +203,27 @@ def primitive_from_table(value_fn, n, m):
     return total
 
 
+# -- sep basis changes and the antipode ------------------------------------
+
+def composition_sum(n, m, weight):
+    """sum_k weight(k) times the sum, over ordered compositions of the row
+    (n, m) into k rows with positive multiplicities, of their monomial: a
+    sorted tuple of (n_i, m_i sorted decreasingly) factors.
+
+    With weight (-1)^(k+1)/k this is p_{n,m} in the q basis, with 1/k! it
+    is q_{n,m} in the p basis, and with (-1)^k it is the antipode of
+    q_{n,m} in the q basis.
+    """
+    acc = {}
+    for k in range(1, n + 1):
+        for ns in compositions(n, k):
+            for ms in vector_splits(tuple(m), k):
+                mon = tuple(sorted((ni, tuple(sorted(mi, reverse=True)))
+                                   for ni, mi in zip(ns, ms)))
+                acc[mon] = acc.get(mon, Fraction(0)) + weight(k)
+    return {mon: c for mon, c in acc.items() if c}
+
+
 # -- vertical classes and the pairing --------------------------------------
 
 def _dict_mul(a, b):

@@ -2,15 +2,20 @@ import json
 import operator
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
+from punctual import hopf
 from punctual.axioms import check_primitive, random_element
 from punctual.hopf import (ContextMismatchError, HopfElement, TensorElement,
                            element_from_obj, element_pretty, element_to_obj,
                            sep_to_nonsep, tensor, tensor_from_obj,
                            tensor_pretty, tensor_to_obj, vertical_element)
 from punctual.symfunc import ChernData
+
+import oracles
 
 
 
@@ -151,6 +156,22 @@ def test_antipode_involutive_on_corpus():
                 s = x.antipode()
                 assert s.antipode() == x
     assert HopfElement.unit(1).antipode() == HopfElement.unit(1)
+
+
+# every canonical row with n <= 4, d <= 3 and entries <= 2, and (5, (2, 2))
+ORACLE_ROWS = [(n, m) for d in range(4) for n in range(1, 5)
+               for m in combinations_with_replacement((2, 1, 0), d)]
+ORACLE_ROWS.append((5, (2, 2)))
+
+
+@pytest.mark.parametrize("expansion, weight", [
+    (hopf._q_in_p, lambda k: F(1, factorial(k))),
+    (hopf._p_in_q, lambda k: F((-1) ** (k + 1), k)),
+    (lambda n, m: q(len(m), n, m).antipode().terms, lambda k: F((-1) ** k)),
+], ids=["q_in_p", "p_in_q", "antipode_in_q"])
+def test_generator_expansions_match_the_composition_oracle(expansion, weight):
+    for n, m in ORACLE_ROWS:
+        assert expansion(n, m) == oracles.composition_sum(n, m, weight), (n, m)
 
 
 def test_grades():

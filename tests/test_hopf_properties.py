@@ -1,9 +1,10 @@
 """Linearity of the Hopf structure maps and multiplicativity of the
-coproduct, involutions of the basis changes and the antipode, as Hypothesis
-properties over small sep and nonsep elements; [Z_n] matches the naive
-recursion of oracles.vertical_classes on rational Chern numbers, and
-n! [Z_n] is integral for integer ones; theory_exp inverts theory_log on
-random generator tables."""
+coproduct, involutions of the basis changes and the antipode, and the sep
+q-basis antipode against the p-basis sign flip, as Hypothesis properties
+over small sep and nonsep elements; [Z_n] matches the naive recursion of
+oracles.vertical_classes on rational Chern numbers, and n! [Z_n] is
+integral for integer ones; theory_exp inverts theory_log on random
+generator tables."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -135,6 +136,18 @@ def test_basis_changes_and_antipode_are_involutions(xs):
     assert x.to_p().to_q() == x.to_q()
     assert x.to_q().to_p() == x.to_p()
     assert x.antipode().antipode() == x
+
+
+@examples
+@given(xs=elements(count=1, variant="sep", basis="q"))
+def test_antipode_matches_the_p_basis_route(xs):
+    # S is -1 on primitives and multiplicative: flip the sign of the
+    # odd-length p-basis monomials
+    x, = xs
+    p = x.to_p()
+    flipped = HopfElement(p.d, "sep", "p", {mon: (-1) ** len(mon) * c
+                                            for mon, c in p.terms.items()})
+    assert x.antipode() == flipped.to_q()
 
 
 @st.composite
