@@ -21,10 +21,13 @@ logarithm of the formal sum of all q_{n,m}:
     p_{n,m} = sum_{k>=1} (-1)^(k+1)/k sum q_{n_1,m_1} ... q_{n_k,m_k}
 
 over ordered compositions of (n, m) into k nonzero rows, and inversely
-q_{n,m} = sum_k 1/k! sum p_{n_1,m_1} ... p_{n_k,m_k}.  The antipode is
-multiplicative and acts by -1 on primitives, so it is computed by a p-basis
-round trip.  Each structure map is _linear, the linear extension of a map
-on monomials; tensors (TensorElement) share HopfElement's linear-space body.
+q_{n,m} = sum_k 1/k! sum p_{n_1,m_1} ... p_{n_k,m_k}.  The formal sum
+Q = sum q_{n,m} T^n U^m (q_{0,0} = 1) is group-like, so the antipode is
+S(Q) = Q^-1, that is S(q_{n,m}) = sum_k (-1)^k sum q_{n_1,m_1} ...
+q_{n_k,m_k} over the same compositions; on primitives S is -1.  The three
+sums share one table of composition counts per canonical row (_layer).
+Each structure map is _linear, the linear extension of a map on monomials;
+tensors (TensorElement) share HopfElement's linear-space body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -35,8 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
 
-from .combinat import (compositions_positive, pad_partition,
-                       vector_compositions, vector_splittings)
+from .combinat import pad_partition, vector_compositions, vector_splittings
 from .rational import format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -256,13 +258,12 @@ class HopfElement:
                               partial(_monomial_coproduct, self.variant)))
 
     def antipode(self):
-        """Multiplicative, -1 on each primitive factor; a sep q-basis
-        element goes through the p basis and back."""
-        sep_q = self.variant == "sep" and self.basis == "q"
-        x = self.to_p() if sep_q else self
-        x = x._like({m: c if len(m) % 2 == 0 else -c
-                     for m, c in x.terms.items()})
-        return x.to_q() if sep_q else x
+        """Multiplicative: -1 on each primitive factor (sep p basis and
+        nonsep), and S(q_{n,m}) = [T^n U^m] Q^-1 on each sep generator."""
+        if self.variant == "sep" and self.basis == "q":
+            return self._like(_substitute(self.terms, _antipode_in_q))
+        return self._like({m: c if len(m) % 2 == 0 else -c
+                           for m, c in self.terms.items()})
 
     # -- basis change ------------------------------------------------------
 
@@ -432,18 +433,37 @@ def _substitute(terms, expander):
     return _linear(terms, image)
 
 
-def _composition_sum(n, m, weight):
-    """sum_k weight(k) times the sum, over ordered compositions of the row
-    (n, m) into k rows with positive multiplicities, of their monomial."""
+@lru_cache(maxsize=None)
+def _layer(k, n, m):
+    """A_k(n, m): the ordered compositions of the canonical row (n, m) into
+    k rows with positive multiplicities, counted by monomial as
+    {monomial: int}.
+
+    A_1(n, m) = {((n, m),): 1}, and peeling off the first row (n1, a),
+    A_k(n, m) = sum over n1 >= 1 and a <= m entrywise of
+    q_{n1, sort a} A_(k-1)(n - n1, sort(m - a)).  Permuting the columns
+    maps compositions to compositions, so A_k depends only on the
+    canonical row and the layers are shared by every row and basis change.
+    """
+    if k == 1:
+        return {((n, m),): 1}
+    splits = [(tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True)))
+              for a, b in vector_splittings(m)]
     acc = {}
-    for k in range(1, n + 1):
-        coeff = weight(k)
-        for nc in compositions_positive(n, k):
-            for mc in vector_compositions(m, k):
-                mon = tuple(sorted((nc[i], tuple(sorted(mc[i], reverse=True)))
-                                   for i in range(k)))
-                acc[mon] = acc.get(mon, _ZERO) + coeff
-    return {mon: c for mon, c in acc.items() if c}
+    for n1 in range(1, n - k + 2):
+        for a, b in splits:
+            g = (n1, a)
+            for mon, c in _layer(k - 1, n - n1, b).items():
+                mon = tuple(sorted(mon + (g,)))
+                acc[mon] = acc.get(mon, 0) + c
+    return acc
+
+
+def _composition_sum(n, m, weight):
+    """sum_k weight(k) A_k(n, m).  Every monomial of A_k has k factors, so
+    no two layers share one and no coefficient cancels."""
+    return {mon: weight(k) * c for k in range(1, n + 1)
+            for mon, c in _layer(k, n, m).items()}
 
 
 @lru_cache(maxsize=None)
@@ -456,6 +476,12 @@ def _p_in_q(n, m):
 def _q_in_p(n, m):
     """q_{n,m} expanded in p monomials (1/k!)."""
     return _composition_sum(n, m, lambda k: Fraction(1, factorial(k)))
+
+
+@lru_cache(maxsize=None)
+def _antipode_in_q(n, m):
+    """S(q_{n,m}) = [T^n U^m] Q^-1 in q monomials (signs (-1)^k)."""
+    return _composition_sum(n, m, lambda k: Fraction((-1) ** k))
 
 
 # -- sep -> nonsep ---------------------------------------------------------

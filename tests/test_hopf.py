@@ -167,7 +167,7 @@ ORACLE_ROWS.append((5, (2, 2)))
 @pytest.mark.parametrize("expansion, weight", [
     (hopf._q_in_p, lambda k: F(1, factorial(k))),
     (hopf._p_in_q, lambda k: F((-1) ** (k + 1), k)),
-    (lambda n, m: q(len(m), n, m).antipode().terms, lambda k: F((-1) ** k)),
+    (hopf._antipode_in_q, lambda k: F((-1) ** k)),
 ], ids=["q_in_p", "p_in_q", "antipode_in_q"])
 def test_generator_expansions_match_the_composition_oracle(expansion, weight):
     for n, m in ORACLE_ROWS:
