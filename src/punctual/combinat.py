@@ -101,13 +101,6 @@ def vector_splittings(v):
     return out
 
 
-def compositions_positive(n, k):
-    """Ordered k-tuples of positive integers summing to n."""
-    if n < k:
-        return []
-    return [tuple(x + 1 for x in c) for c in compositions_nonneg(n - k, k)]
-
-
 def compositions_nonneg(n, k):
     """Ordered k-tuples of non-negative integers summing to n."""
     if k == 0:

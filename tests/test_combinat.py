@@ -3,9 +3,9 @@ from math import comb
 import pytest
 
 from punctual.combinat import (canonical_partition, compositions_nonneg,
-                               compositions_positive, num_orderings,
-                               pad_partition, partitions_of, strip_partition,
-                               vector_compositions, vector_splittings)
+                               num_orderings, pad_partition, partitions_of,
+                               strip_partition, vector_compositions,
+                               vector_splittings)
 
 
 def test_pad_strip():
@@ -44,15 +44,6 @@ def test_vector_splittings():
     assert len(sp) == 6
     assert all(tuple(a + b for a, b in zip(x, y)) == (2, 1) for x, y in sp)
     assert len(set(sp)) == 6
-
-
-def test_compositions_positive():
-    assert compositions_positive(3, 2) == [(1, 2), (2, 1)]
-    assert compositions_positive(3, 0) == []
-    assert compositions_positive(0, 0) == [()]
-    assert compositions_positive(0, 1) == []
-    assert compositions_positive(2, 3) == []
-    assert len(compositions_positive(6, 3)) == comb(5, 2)
 
 
 def test_compositions_nonneg():
