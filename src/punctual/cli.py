@@ -198,8 +198,9 @@ def _run_verify(args):
         params.update(chern=parse_chern_arg(3, _need(args, "chern",
                                                      "--chern")))
     elif name == "ck-bivariate":
-        params.update(k=_need(args, "k", "--k"),
-                      m_max=args.m_max if args.m_max is not None else n_max)
+        m_max = args.m_max if args.m_max is not None else n_max
+        _at_least("--m-max", m_max, 0)
+        params.update(k=_need(args, "k", "--k"), m_max=m_max)
     elif name == "gamma-vertical":
         d = _need(args, "d", "--d")
         _at_least("--d", d, 1)
@@ -215,6 +216,8 @@ def _run_verify(args):
 def _run_axioms(args):
     _at_least("--count", args.count, 1)
     _at_least("--max-cycle-degree", args.max_cycle_degree, 0)
+    if args.d is not None:
+        _at_least("--d", args.d, 0)
     dims = (args.d,) if args.d is not None else (1, 2, 3)
     variants = (("sep", "nonsep") if args.variant == "both"
                 else (args.variant,))

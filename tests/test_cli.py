@@ -235,7 +235,11 @@ def test_bad_inputs(capsys):
               "1,1", "--chern", "", "--order", "2"), "--d must be >= 1"),
             (("verify", "--name", "gamma-vertical", "--d", "0", "--theory",
               "builtin:ck,k=1", "--chern", "", "--order", "2"),
-             "--d must be >= 1, got 0")):
+             "--d must be >= 1, got 0"),
+            (("verify", "--name", "ck-bivariate", "--k", "1", "--m-max",
+              "-1", "--order", "2"), "--m-max must be >= 0, got -1"),
+            (("axioms", "--d", "-1", "--count", "1"),
+             "--d must be >= 0, got -1")):
         status, out, err = run(capsys, *argv)
         assert (status, out) == (2, "")
         assert message in err

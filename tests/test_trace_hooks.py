@@ -1,7 +1,8 @@
 """The benchmark tracer (perfbench/spans.py) wraps each method it names from
-its class's own __dict__ and each function from its module.  A refactor
-that moves one of them elsewhere fails here, not only in the benchmark
-suite.  spans.py is read, never imported or executed."""
+its class's own __dict__ and each function from its module, and reads the
+cache_info() of each hopf cache it names.  A refactor that moves or renames
+one of them fails here, not only in the benchmark suite.  spans.py is read,
+never imported or executed."""
 
 import ast
 import importlib
@@ -35,3 +36,10 @@ def test_traced_functions_exist():
     for span, (module, attr) in _table("FUNCTIONS").items():
         assert callable(getattr(importlib.import_module("punctual." + module),
                                 attr, None)), span
+
+
+def test_counted_hopf_caches_exist():
+    hopf = importlib.import_module("punctual.hopf")
+    for attr in _table("HOPF_CACHES"):
+        assert callable(getattr(getattr(hopf, attr, None), "cache_info",
+                                None)), attr
