@@ -224,6 +224,17 @@ def composition_sum(n, m, weight):
     return {mon: c for mon, c in acc.items() if c}
 
 
+def sep_generator_image(n, m):
+    """The nonsep image of q_{n,m}: 1/n! times the sum, over ordered
+    splittings of m into n nonnegative columns, of the product of the
+    nonsep generators q_(column sorted decreasingly)."""
+    acc = {}
+    for cols in vector_splits(tuple(m), n):
+        mon = tuple(sorted(tuple(sorted(c, reverse=True)) for c in cols))
+        acc[mon] = acc.get(mon, Fraction(0)) + Fraction(1, factorial(n))
+    return acc
+
+
 # -- vertical classes and the pairing --------------------------------------
 
 def _dict_mul(a, b):

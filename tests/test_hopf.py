@@ -203,6 +203,12 @@ def test_sep_to_nonsep_images():
         HopfElement.nonsep_generator(2, (2, 0))
 
 
+def test_sep_generator_images_match_the_oracle():
+    for n, m in ORACLE_ROWS:
+        img = sep_to_nonsep(HopfElement.generator(len(m), n, m))
+        assert img.terms == oracles.sep_generator_image(n, m), (n, m)
+
+
 def test_sep_to_nonsep_kills_higher_primitives():
     assert sep_to_nonsep(p(1, 2, (2,))).is_zero()
     assert sep_to_nonsep(p(2, 3, (3, 2))).is_zero()
