@@ -1,4 +1,4 @@
-"""Integer partitions, entrywise vector splittings, ordered compositions.
+"""Integer partitions and entrywise vector splittings.
 
 Partitions are weakly decreasing tuples of non-negative integers.  When a
 dimension d is in scope the canonical form pads with trailing zeros to
@@ -100,35 +100,3 @@ def vector_splittings(v):
         out.append((a, b))
     return out
 
-
-def compositions_nonneg(n, k):
-    """Ordered k-tuples of non-negative integers summing to n."""
-    if k == 0:
-        return [()] if n == 0 else []
-    out = []
-
-    def descend(remaining, slots, prefix):
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for first in range(0, remaining + 1):
-            descend(remaining - first, slots - 1, prefix + [first])
-
-    descend(n, k, [])
-    return out
-
-
-def vector_compositions(v, k):
-    """Ordered k-tuples of non-negative vectors with entrywise sum v.
-
-    Coordinates split independently, so the count is
-    prod_j binom(v_j + k - 1, k - 1).
-    """
-    v = tuple(int(x) for x in v)
-    per_coord = [compositions_nonneg(x, k) for x in v]
-    out = []
-    for choice in itertools.product(*per_coord):
-        parts = tuple(tuple(choice[j][i] for j in range(len(v)))
-                      for i in range(k))
-        out.append(parts)
-    return out

@@ -25,7 +25,9 @@ q_{n,m} = sum_k 1/k! sum p_{n_1,m_1} ... p_{n_k,m_k}.  The formal sum
 Q = sum q_{n,m} T^n U^m (q_{0,0} = 1) is group-like, so the antipode is
 S(Q) = Q^-1, that is S(q_{n,m}) = sum_k (-1)^k sum q_{n_1,m_1} ...
 q_{n_k,m_k} over the same compositions; on primitives S is -1.  The three
-sums share one table of composition counts per canonical row (_layer).
+sums share one table of composition counts per canonical row (_layer), and
+so does the sep-to-nonsep map, which reads the layer of n rows of
+multiplicity 1 as the splittings of m into n columns.
 Each structure map is _linear, the linear extension of a map on monomials;
 tensors (TensorElement) share HopfElement's linear-space body.
 
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
 
-from .combinat import pad_partition, vector_compositions, vector_splittings
+from .combinat import pad_partition, vector_splittings
 from .rational import format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -49,34 +51,21 @@ class ContextMismatchError(ValueError):
     pass
 
 
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-#: canonical_generator results for the two degenerate index rows
-UNIT = _Sentinel("UNIT")
-ZERO = _Sentinel("ZERO")
-
-
 def canonical_generator(n, m):
-    """Canonical form of a sep index row: sorts m, folds in the unit/zero rule.
+    """The sep monomial of the index row (n, m): sorts m and folds in the
+    unit/zero rule.
 
-    Returns the pair (n, m sorted decreasingly), or UNIT for (0, 0), or ZERO
-    for n = 0 with m nonzero.
+    Returns the one-factor monomial ((n, m sorted decreasingly),) for
+    n >= 1, the empty monomial () (the unit) for (0, 0), and None (the
+    zero element, which has no monomial) for n = 0 with m nonzero.
     """
     n = int(n)
     m = tuple(map(int, m))
     if n < 0 or min(m, default=0) < 0:
         raise ValueError("negative entry in generator index")
     if n == 0:
-        return UNIT if not any(m) else ZERO
-    return (n, tuple(sorted(m, reverse=True)))
+        return None if any(m) else ()
+    return ((n, tuple(sorted(m, reverse=True))),)
 
 
 def _canonical_nonsep(lam, d):
@@ -159,12 +148,8 @@ class HopfElement:
         if len(tuple(m)) != d:
             raise ValueError("exponent vector has length %d, expected %d" %
                              (len(tuple(m)), d))
-        g = canonical_generator(n, m)
-        if g is UNIT:
-            return cls.unit(d, "sep", basis)
-        if g is ZERO:
-            return cls.zero(d, "sep", basis)
-        return cls(d, "sep", basis, {(g,): Fraction(1)})
+        mon = canonical_generator(n, m)
+        return cls(d, "sep", basis, None if mon is None else {mon: _ONE})
 
     @classmethod
     def nonsep_generator(cls, d, lam):
@@ -369,17 +354,15 @@ def _built(cls, d, variant, basis, terms):
 
 @lru_cache(maxsize=None)
 def _generator_coproduct(n, m):
-    """Splitting list for one sep generator: pairs of factor-or-None."""
+    """Splitting list for one sep generator: pairs of monomials."""
     out = []
     for n1 in range(n + 1):
         n2 = n - n1
         for a, b in vector_splittings(m):
             left = canonical_generator(n1, a)
             right = canonical_generator(n2, b)
-            if left is ZERO or right is ZERO:
-                continue
-            out.append((None if left is UNIT else left,
-                        None if right is UNIT else right))
+            if left is not None and right is not None:
+                out.append((left, right))
     return tuple(out)
 
 
@@ -391,12 +374,11 @@ def _monomial_coproduct(variant, mon):
         if variant == "sep":
             opts = _generator_coproduct(g[0], g[1])
         else:
-            opts = ((g, None), (None, g))
+            opts = (((g,), ()), ((), (g,)))
         nxt = {}
         for (l, r), c in pairs.items():
             for gl, gr in opts:
-                key = (l if gl is None else tuple(sorted(l + (gl,))),
-                       r if gr is None else tuple(sorted(r + (gr,))))
+                key = (tuple(sorted(l + gl)), tuple(sorted(r + gr)))
                 nxt[key] = nxt.get(key, _ZERO) + c
         pairs = nxt
     return pairs
@@ -489,13 +471,11 @@ def _antipode_in_q(n, m):
 @lru_cache(maxsize=None)
 def _sep_gen_image(n, m):
     """Image of the sep generator q_{n,m}: 1/n! times the sum over ordered
-    splittings of m into n columns of the product of nonsep generators."""
-    acc = {}
-    coeff = Fraction(1, factorial(n))
-    for parts in vector_compositions(m, n):
-        mon = tuple(sorted(tuple(sorted(p, reverse=True)) for p in parts))
-        acc[mon] = acc.get(mon, _ZERO) + coeff
-    return acc
+    splittings of m into n columns of the product of nonsep generators.
+    Those splittings are the compositions of (n, m) into n rows of
+    multiplicity 1, so A_n(n, m) counts them with the columns as factors."""
+    return {tuple(a for _, a in mon): Fraction(c, factorial(n))
+            for mon, c in _layer(n, n, m).items()}
 
 
 def sep_to_nonsep(x):

@@ -26,8 +26,8 @@ from functools import partial
 from math import factorial, lcm, prod
 
 from .combinat import _desc_vectors
-from .hopf import (UNIT, ZERO, ContextMismatchError, _canonical_nonsep,
-                   _fields, canonical_generator)
+from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
+                   canonical_generator)
 from .rational import parse_rational
 from .series import MultiSeries, _macmahon_neg
 
@@ -396,11 +396,11 @@ def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
             if len(m) != d:
                 raise ValueError("table entry %r: exponent vector of length "
                                  "%d, expected %d" % (key, len(m), d))
-            g = canonical_generator(n, m)
-            if g is UNIT or g is ZERO:
+            mon = canonical_generator(n, m)
+            if not mon:
                 raise ValueError("table entry %r: multiplicity n must be >= 1"
                                  % (key,))
-            key = g
+            key, = mon
         else:
             key = (_canonical_nonsep(key, d),)
         table[key] = Fraction(v)

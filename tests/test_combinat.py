@@ -1,10 +1,7 @@
-from math import comb
-
 import pytest
 
-from punctual.combinat import (canonical_partition, compositions_nonneg,
-                               num_orderings, pad_partition, partitions_of,
-                               strip_partition, vector_compositions,
+from punctual.combinat import (canonical_partition, num_orderings,
+                               pad_partition, partitions_of, strip_partition,
                                vector_splittings)
 
 
@@ -45,17 +42,3 @@ def test_vector_splittings():
     assert all(tuple(a + b for a, b in zip(x, y)) == (2, 1) for x, y in sp)
     assert len(set(sp)) == 6
 
-
-def test_compositions_nonneg():
-    assert sorted(compositions_nonneg(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert len(compositions_nonneg(5, 3)) == comb(7, 2)
-
-
-def test_vector_compositions():
-    vc = vector_compositions((1, 1), 2)
-    assert len(vc) == 4
-    for parts in vc:
-        total = tuple(sum(p[j] for p in parts) for j in range(2))
-        assert total == (1, 1)
-    # d = 0 edge: one empty splitting regardless of k
-    assert vector_compositions((), 3) == [((), (), ())]
