@@ -18,25 +18,19 @@ from functools import lru_cache
 
 from .combinat import canonical_partition, pad_partition, partitions_of
 from .rational import format_rational, parse_rational
+from .series import MultiSeries
 
 
 def _expand_e_monomial(mu, d):
-    """Full expansion of e_mu in d variables: ordered exponent -> int."""
-    poly = {(0,) * d: 1}
+    """Full expansion of e_mu in d variables x0..x(d-1), as a MultiSeries."""
+    xs = ["x%d" % i for i in range(d)]
+    caps = (len(mu),) * d
+    poly = MultiSeries.one(xs, caps)
     for k in mu:
         # e_k = sum over k-subsets of the variables
-        ek = {}
-        for subset in itertools.combinations(range(d), k):
-            e = [0] * d
-            for i in subset:
-                e[i] = 1
-            ek[tuple(e)] = 1
-        nxt = {}
-        for e1, c1 in poly.items():
-            for e2, c2 in ek.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        poly = nxt
+        poly = poly * MultiSeries(xs, caps, {
+            tuple(int(i in subset) for i in range(d)): 1
+            for subset in itertools.combinations(range(d), k)})
     return poly
 
 
@@ -49,7 +43,7 @@ def _m_to_e_table(d):
     mat = []
     for mu in mus:
         poly = _expand_e_monomial(mu, d)
-        mat.append([Fraction(poly.get(pad_partition(lam, d), 0)) for lam in lams])
+        mat.append([poly.coefficient(pad_partition(lam, d)) for lam in lams])
     # invert by Gauss elimination: columns of inv give m_lam = sum c_mu e_mu
     n = len(mus)
     aug = [[mat[j][i] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
