@@ -90,6 +90,18 @@ def _check_nonsep_factor(g, d):
         raise ValueError("bad nonsep factor %r for d=%d" % (g, d))
 
 
+def _context(d, variant, basis):
+    """The dimension d as an int, once (d, variant, basis) is checked."""
+    d = int(d)
+    if d < 0:
+        raise ValueError("dimension must be >= 0")
+    if variant not in ("sep", "nonsep"):
+        raise ValueError("variant must be 'sep' or 'nonsep'")
+    if basis not in ("q", "p"):
+        raise ValueError("basis must be 'q' or 'p'")
+    return d
+
+
 def monomial_cycle_degree(mon, variant):
     if variant == "sep":
         return sum(g[0] for g in mon)
@@ -108,29 +120,28 @@ class HopfElement:
     __slots__ = ("d", "variant", "basis", "terms")
 
     def __init__(self, d, variant, basis, terms=None):
-        d = int(d)
-        if d < 0:
-            raise ValueError("dimension must be >= 0")
-        if variant not in ("sep", "nonsep"):
-            raise ValueError("variant must be 'sep' or 'nonsep'")
-        if basis not in ("q", "p"):
-            raise ValueError("basis must be 'q' or 'p'")
-        self.d = d
+        self.d = _context(d, variant, basis)
         self.variant = variant
         self.basis = basis
         kept = {}
-        check = _check_sep_factor if variant == "sep" else _check_nonsep_factor
-        for mon, coeff in (terms or {}).items():
-            mon = tuple(sorted(tuple(g) if variant == "nonsep" else
-                               (g[0], tuple(g[1])) for g in mon))
-            for g in mon:
-                check(g, d)
-            c = kept.get(mon, _ZERO) + Fraction(coeff)
+        for key, coeff in (terms or {}).items():
+            key = self._canonical(key)
+            c = kept.get(key, _ZERO) + Fraction(coeff)
             if c:
-                kept[mon] = c
-            elif mon in kept:
-                del kept[mon]
+                kept[key] = c
+            elif key in kept:
+                del kept[key]
         self.terms = kept
+
+    def _canonical(self, mon):
+        """mon as a sorted tuple of factors, each checked for this context."""
+        check = (_check_sep_factor if self.variant == "sep"
+                 else _check_nonsep_factor)
+        mon = tuple(sorted(tuple(g) if self.variant == "nonsep" else
+                           (g[0], tuple(g[1])) for g in mon))
+        for g in mon:
+            check(g, self.d)
+        return mon
 
     # -- constructors ------------------------------------------------------
 
@@ -288,15 +299,18 @@ class HopfElement:
 
 class TensorElement:
     """An element of the two-fold tensor product, sparse over monomial pairs,
-    with HopfElement's linear-space body (which keeps the two types apart)."""
+    with HopfElement's constructor checks and linear-space body (which keeps
+    the two types apart)."""
 
     __slots__ = ("d", "variant", "basis", "terms")
 
-    def __init__(self, d, variant, basis, terms=None):
-        self.d = d
-        self.variant = variant
-        self.basis = basis
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+    __init__ = HopfElement.__init__
+
+    def _canonical(self, pair):
+        """A (left, right) pair of monomials, each canonical and checked."""
+        left, right = pair
+        return (HopfElement._canonical(self, left),
+                HopfElement._canonical(self, right))
 
     _like = HopfElement._like
     _check_context = HopfElement._check_context
@@ -600,17 +614,45 @@ def _fields(obj, what, *keys):
     return [obj[key] for key in keys]
 
 
-def _monomial_from_obj(obj, variant, d):
-    try:
-        rows = [(int(n), tuple(int(x) for x in m)) for n, m in obj]
-    except (TypeError, ValueError):
-        raise ValueError("monomial %r is not a list of [n, [m_1, ..., m_d]] "
-                         "factors" % (obj,)) from None
+def _monomial_from_obj(obj, variant, where):
+    """The monomial read from obj, a JSON list of [n, [m_1, ..., m_d]]
+    factors with integer entries; where names the field in messages."""
+    if type(obj) is not list or any(type(f) is not list or len(f) != 2
+                                    for f in obj):
+        raise ValueError("%s %r is not a list of [n, [m_1, ..., m_d]] "
+                         "factors" % (where, obj))
+    for n, m in obj:
+        if type(n) is not int:
+            raise ValueError("%s 'n' must be an integer, got %r" % (where, n))
+        if type(m) is not list or any(type(x) is not int for x in m):
+            raise ValueError("%s 'm' must be a list of integers, got %r" %
+                             (where, m))
     if variant == "sep":
-        return tuple(sorted(rows))
-    if any(n != 1 for n, _ in rows):
+        return tuple((n, tuple(m)) for n, m in obj)
+    if any(n != 1 for n, _ in obj):
         raise ValueError("nonsep factors must carry multiplicity 1")
-    return tuple(sorted(m for _, m in rows))
+    return tuple(tuple(m) for _, m in obj)
+
+
+def _context_and_terms(obj, what, *sides):
+    """The context and the summed term map of obj, the JSON form of an
+    element (sides "monomial") or a tensor (sides "left", "right"), each
+    field checked; the constructor then sorts and checks every factor."""
+    d, variant, basis, rows = _fields(obj, what, "d", "variant", "basis",
+                                      "terms")
+    if type(d) is not int:
+        raise ValueError("%s: 'd' must be an integer, got %r" % (what, d))
+    if type(rows) is not list:
+        raise ValueError("%s: 'terms' must be a list, got %r" % (what, rows))
+    _context(d, variant, basis)
+    terms = {}
+    for i, row in enumerate(rows, 1):
+        where = "%s term %d" % (what, i)
+        *mons, coeff = _fields(row, where, *sides, "coeff")
+        key = tuple(_monomial_from_obj(mon, variant, "%s: %s" % (where, side))
+                    for side, mon in zip(sides, mons))
+        terms[key] = terms.get(key, _ZERO) + parse_rational(coeff)
+    return d, variant, basis, terms
 
 
 def element_to_obj(x):
@@ -625,15 +667,9 @@ def element_to_obj(x):
 
 
 def element_from_obj(obj):
-    d, variant, basis, rows = _fields(obj, "element", "d", "variant",
-                                      "basis", "terms")
-    d = int(d)
-    terms = {}
-    for i, row in enumerate(rows, 1):
-        mon, coeff = _fields(row, "element term %d" % i, "monomial", "coeff")
-        mon = _monomial_from_obj(mon, variant, d)
-        terms[mon] = terms.get(mon, _ZERO) + parse_rational(coeff)
-    return HopfElement(d, variant, basis, terms)
+    d, variant, basis, terms = _context_and_terms(obj, "element", "monomial")
+    return HopfElement(d, variant, basis,
+                       {mon: c for (mon,), c in terms.items()})
 
 
 def tensor_to_obj(t):
@@ -651,17 +687,7 @@ def tensor_to_obj(t):
 
 
 def tensor_from_obj(obj):
-    d, variant, basis, rows = _fields(obj, "tensor", "d", "variant",
-                                      "basis", "terms")
-    d = int(d)
-    terms = {}
-    for i, row in enumerate(rows, 1):
-        left, right, coeff = _fields(row, "tensor term %d" % i, "left",
-                                     "right", "coeff")
-        key = (_monomial_from_obj(left, variant, d),
-               _monomial_from_obj(right, variant, d))
-        terms[key] = terms.get(key, _ZERO) + parse_rational(coeff)
-    return _built(TensorElement, d, variant, basis, terms)
+    return TensorElement(*_context_and_terms(obj, "tensor", "left", "right"))
 
 
 def _factor_pretty(g, variant, basis):

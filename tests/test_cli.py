@@ -304,7 +304,23 @@ def test_bad_inputs(capsys):
             (json.dumps(no_coeff), "element term 1 has no 'coeff' key"),
             ("[1,2]", "element must be a JSON object, got list"),
             (json.dumps(flat_monomial), "monomial [2, [2]] is not a list"),
-            (json.dumps(number_coeff), "rational 1 is not a num/den string")):
+            (json.dumps(number_coeff), "rational 1 is not a num/den string"),
+            (json.dumps(dict(good, d=1.5)),
+             "element: 'd' must be an integer, got 1.5"),
+            (json.dumps(dict(good, d=True)),
+             "element: 'd' must be an integer, got True"),
+            (json.dumps(dict(good, terms={})),
+             "element: 'terms' must be a list, got {}"),
+            (json.dumps(dict(good, terms=[{"monomial": [[1.9, [1]]],
+                                           "coeff": "1"}])),
+             "element term 1: monomial 'n' must be an integer, got 1.9"),
+            (json.dumps(dict(good, terms=[{"monomial": [[True, [2.7]]],
+                                           "coeff": "1"}])),
+             "element term 1: monomial 'n' must be an integer, got True"),
+            (json.dumps(dict(good, terms=[{"monomial": [[1, [2.7]]],
+                                           "coeff": "1"}])),
+             "element term 1: monomial 'm' must be a list of integers, "
+             "got [2.7]")):
         status, out, err = run(capsys, "eval", "--theory", "builtin:ck,k=1",
                                "--element", element)
         assert (status, out) == (2, "")

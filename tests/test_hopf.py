@@ -312,6 +312,25 @@ def test_tensor_from_obj_names_bad_shape():
         tensor_from_obj(dict(obj, terms=[{"left": [], "coeff": "1"}]))
     with pytest.raises(ValueError, match="tensor must be a JSON object"):
         tensor_from_obj([obj])
+    for bad, message in (
+            (dict(obj, variant="bogus", basis="z"), "variant must be"),
+            (dict(obj, basis="z"), "basis must be"),
+            (dict(obj, d=1.5), "tensor: 'd' must be an integer, got 1.5"),
+            (dict(obj, terms={}), "tensor: 'terms' must be a list"),
+            (dict(obj, terms=[{"left": [[0, [0, 0]]], "right": [],
+                               "coeff": "1"}]), "multiplicity >= 1"),
+            (dict(obj, terms=[{"left": [[1, [1]]], "right": [[1, [1, 0]]],
+                               "coeff": "1"}]), "bad exponent vector"),
+            (dict(obj, d=2, terms=[{"left": [], "right": [[1, [0, 1]]],
+                                    "coeff": "1"}]), "bad exponent vector"),
+            (dict(obj, terms=[{"left": [[True, [1]]], "right": [],
+                               "coeff": "1"}]),
+             "tensor term 1: left 'n' must be an integer, got True"),
+            (dict(obj, terms=[{"left": [], "right": [[1, [1.5]]],
+                               "coeff": "1"}]),
+             r"tensor term 1: right 'm' must be a list of integers")):
+        with pytest.raises(ValueError, match=message):
+            tensor_from_obj(bad)
 
 
 def test_pretty():
