@@ -3,8 +3,10 @@ coproduct, involutions of the basis changes and the antipode, and the sep
 q-basis antipode against the p-basis sign flip, as Hypothesis properties
 over small sep and nonsep elements; [Z_n] matches the naive recursion of
 oracles.vertical_classes on rational Chern numbers, and n! [Z_n] is
-integral for integer ones; theory_exp inverts theory_log on random
-generator tables."""
+integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
+the pair route of vertical_series equals the naive pairing of those classes
+for theories with fractional primitive values; theory_exp inverts
+theory_log on random generator tables."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -18,10 +20,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from punctual.combinat import partitions_of
+from punctual.genfun import vertical_series
 from punctual.hopf import (HopfElement, TensorElement, sep_to_nonsep, tensor,
                            vertical_element)
 from punctual.symfunc import ChernData
-from punctual.theories import table_theory, theory_exp, theory_log
+from punctual.theories import (ck_theory, dt_vertex_theory, table_theory,
+                               theory_exp, theory_log)
 
 import oracles
 
@@ -189,6 +193,56 @@ def test_vertical_classes_match_the_naive_recursion(chern, n_max):
     for z in zs:
         assert (z.d, z.variant, z.basis) == (chern.d, "sep", "p")
         assert all(type(c) is Fraction for c in z.terms.values())
+
+
+@examples
+@given(chern=rational_chern_data(), n_max=st.integers(0, 5))
+def test_nonsep_vertical_classes_are_the_scaled_powers(chern, n_max):
+    # [Z_n] = c^n / n! with c = sum_lam <m_lam> q_lam
+    d = chern.d
+    c = HopfElement(d, "nonsep", "q", {(lam + (0,) * (d - len(lam)),): v
+                                       for lam, v in chern.items()})
+    power = HopfElement.unit(d, "nonsep", "q")
+    for n, z in enumerate(vertical_element(chern, n_max, variant="nonsep")):
+        assert z == power.scaled(Fraction(1, factorial(n)))
+        assert all(type(x) is Fraction for x in z.terms.values())
+        power = power * c
+
+
+@lru_cache(maxsize=None)
+def _vertical_theory(form, d, n_max):
+    """The c^2 or DT vertex theory at the caps the vertical series reads."""
+    if form == "dt":
+        return dt_vertex_theory(n_max, n_max + 2)
+    return ck_theory(2, d, n_max, n_max - 1 + d)
+
+
+@st.composite
+def vertical_theories(draw, d, n_max):
+    """c^2, the DT vertex theory (d = 3) or a sparse random table, all with
+    primitive values over denominators > 1."""
+    form = draw(st.sampled_from(("ck", "table", "dt") if d == 3 else
+                                ("ck", "table")))
+    if form != "table":
+        return _vertical_theory(form, d, n_max)
+    m_cap = n_max - 1 + d
+    keys = st.tuples(st.integers(1, max(n_max, 1)), st.lists(
+        st.integers(0, max(m_cap, 0)), min_size=d, max_size=d).map(tuple))
+    entries = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
+    return table_theory(entries.items(), d, n_max, m_cap)
+
+
+@settings(examples, max_examples=40)
+@given(chern=rational_chern_data(), n_max=st.integers(0, 7),
+       data=st.data())
+def test_paired_vertical_series_matches_the_naive_pairing(chern, n_max,
+                                                          data):
+    e = data.draw(vertical_theories(chern.d, n_max))
+    series = vertical_series(e, chern, n_max, path="pair")
+    value = lambda g: e.primitive_value(*g)
+    expected = [oracles.pairing(z, value, False) for z in
+                oracles.vertical_classes(chern.d, dict(chern.items()), n_max)]
+    assert [series.coefficient((n,)) for n in range(n_max + 1)] == expected
 
 
 @st.composite
