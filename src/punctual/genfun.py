@@ -2,9 +2,10 @@
 
 The vertical series of a multiplicative theory e against Chern data of a
 d-fold is sum_n <e, [Z_n]> T^n.  It is computed here along two independent
-paths and their agreement is asserted on every call: once by pairing e with
-the vertical classes in the p basis, and once by exponentiating the paired
-primitive series sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+n-1}>.
+paths and their agreement is asserted on every call: once by evaluating e
+term by term on the integer vertical classes n! D^n [Z_n] in the p basis,
+and once by exponentiating the paired primitive series
+sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+n-1}>.
 
 The gamma-integral form recovers the same logarithm from the raw generator
 table: substituting T -> T*g1...gd turns the Laurent expansion into an
@@ -14,10 +15,10 @@ dropping below zero after the shift) is checked term by term.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .combinat import pad_partition
-from .hopf import ContextMismatchError, _canonical_nonsep, vertical_element
+from .hopf import ContextMismatchError, _canonical_nonsep, _vertical_ints
 from .series import MultiSeries, _macmahon_neg
 from .symfunc import ChernData
 from .theories import (Theory, _table_series, ck_theory, dt_vertex_theory,
@@ -85,11 +86,14 @@ class IdentityReport:
         ])
 
 
-def _require_mult_sep(e):
+def _require_mult_sep(e, chern=None):
     if e.variant != "sep":
         raise ContextMismatchError("expected a sep-variant theory")
     if e.kind != "multiplicative":
         raise ValueError("expected a multiplicative theory")
+    if chern is not None and e.d != chern.d:
+        raise ContextMismatchError("theory is for d=%d, Chern data for d=%d" %
+                                   (e.d, chern.d))
 
 
 def _chern_paired(chern, n_max, value):
@@ -108,28 +112,44 @@ def _chern_paired(chern, n_max, value):
 
 def paired_primitive_series(e, chern, n_max):
     """sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+(n-1)}>."""
-    _require_mult_sep(e)
-    if e.d != chern.d:
-        raise ContextMismatchError("theory is for d=%d, Chern data for d=%d" %
-                                   (e.d, chern.d))
+    _require_mult_sep(e, chern)
     return _chern_paired(chern, n_max, e.primitive_value)
 
 
 def vertical_series(e, chern, n_max, path="both"):
     """sum_n <e, [Z_n]> T^n for a multiplicative sep theory e.
 
-    path selects the evaluation route: "pair" evaluates e on the vertical
-    classes, "exp" exponentiates the paired primitive series, and "both"
-    (the default) runs the two and insists they agree.
+    path selects the evaluation route: "pair" evaluates e on every term of
+    the vertical classes, "exp" exponentiates the paired primitive series,
+    and "both" (the default) runs the two and insists they agree.
+
+    The pair route reads the integer classes V_n = n! D^n [Z_n] of
+    hopf._vertical_ints and each generator's primitive value e_g once,
+    scaled to the integer F_g = e_g E^j, with E the lcm of the values'
+    denominators and j the T-degree of g.  Every monomial of V_n has
+    T-degree n, so <e, [Z_n]> = (sum c prod F) / (n! D^n E^n) over the
+    terms c of V_n, each product being its parent's times one F.
     """
-    _require_mult_sep(e)
+    _require_mult_sep(e, chern)
     if path not in ("both", "pair", "exp"):
         raise ValueError("path must be 'both', 'pair' or 'exp'")
     paired = expd = None
     if path in ("both", "pair"):
-        classes = vertical_element(chern, n_max, variant="sep")
-        paired = MultiSeries(("T",), (n_max,),
-                             {(n,): e.pair(z) for n, z in enumerate(classes)})
+        gens, lowest, vs, den = _vertical_ints(chern, n_max)
+        values = [Fraction(e.primitive_value(*g)) for g in gens]
+        big = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (big ** g[0] // v.denominator)
+                for g, v in zip(gens, values)]
+        prods, terms = {0: 1}, {}
+        for n, v in enumerate(vs):
+            total = 0
+            for packed, c in v.items():
+                if packed:
+                    i, u = lowest[packed & -packed]
+                    prods[packed] = prods[packed - u] * ints[i]
+                total += c * prods[packed]
+            terms[n,] = Fraction(total, factorial(n) * (den * big) ** n)
+        paired = MultiSeries(("T",), (n_max,), terms)
     if path in ("both", "exp"):
         expd = paired_primitive_series(e, chern, n_max).exp()
     if path == "both" and paired != expd:
@@ -163,11 +183,8 @@ def gamma_integral_series(e, chern, n_max):
     Returns (series in T, GammaReport).  Raises PoleCancellationError when
     a shifted exponent stays negative, listing the offending terms.
     """
-    _require_mult_sep(e)
+    _require_mult_sep(e, chern)
     d = e.d
-    if d != chern.d:
-        raise ContextMismatchError("theory is for d=%d, Chern data for d=%d" %
-                                   (d, chern.d))
     if d < 1:
         raise ValueError("gamma integral needs d >= 1")
     cap = n_max - 1 + d

@@ -509,23 +509,39 @@ def sep_to_nonsep(x):
 
 # -- vertical classes ------------------------------------------------------
 
-def _vertical_sep(chern, n_max):
-    """[Z_0] .. [Z_n_max] in the sep p basis, by an integer recursion.
+def _vertical_ints(chern, n_max, variant="sep"):
+    """V_n = n! D^n [Z_n], n = 0 .. n_max, by an integer recursion.
 
-    With D the lcm of the Chern numbers' denominators and the layer
-    L_j = sum_lam <m_lam> p_{j, lam+j-1}, V_n = n! D^n [Z_n] satisfies
-    V_n = sum_j j (n-1)!/(n-j)! (D^j L_j) V_(n-j), all in integers.  A
-    monomial is a packed multiplicity vector over the generators in sorted
+    With D the lcm of the Chern numbers' denominators and the sep layer
+    L_j = sum_lam <m_lam> p_{j, lam+j-1},
+    V_n = sum_j j (n-1)!/(n-j)! (D^j L_j) V_(n-j), all in integers.  The
+    nonsep classes are the same recursion with the single layer
+    L_1 = sum_lam <m_lam> q_lam, since there V_n = D L_1 V_(n-1).
+
+    A monomial is a packed multiplicity vector over the generators in sorted
     order, one field per generator; a generator (j, .) occurs at most n/j
     times, so a field of n_max.bit_length() bits holds every multiplicity
     and multiplying by a generator is one int add.
+
+    Returns the sorted generators gens, the map lowest, the list of
+    {monomial: int} maps V_n, and D.  A nonzero monomial whose lowest set
+    bit b has lowest[b] = (i, u) is gens[i] times its parent, monomial - u.
+    No coefficient of the exponential vanishes, so the parent is in an
+    earlier V.
     """
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if variant not in ("sep", "nonsep"):
+        raise ValueError("variant must be 'sep' or 'nonsep'")
     d = chern.d
     rows = [(pad_partition(lam, d), val) for lam, val in chern.items() if val]
     den = lcm(*(val.denominator for _, val in rows))
     # layers[j - 1] maps each generator of D^j L_j to its integer coefficient
-    layers = [{(j, tuple(x + j - 1 for x in row)): int(val * den ** j)
-               for row, val in rows} for j in range(1, n_max + 1)]
+    layers = ([{(j, tuple(x + j - 1 for x in row)): int(val * den ** j)
+                for row, val in rows} for j in range(1, n_max + 1)]
+              if variant == "sep" else [{row: int(val * den)
+                                         for row, val in rows}])
     gens = sorted(g for layer in layers for g in layer)
     width = n_max.bit_length()
     unit = {g: 1 << (width * i) for i, g in enumerate(gens)}
@@ -541,51 +557,34 @@ def _vertical_sep(chern, n_max):
                     mon += u
                     acc[mon] = acc.get(mon, 0) + c * x
         vs.append({mon: c for mon, c in acc.items() if c})
-    mask = (1 << width) - 1
-    zs = []
-    for n, v in enumerate(vs):
-        scale = factorial(n) * den ** n
-        terms = {}
-        for packed, c in v.items():
-            mon = []
-            while packed:
-                # the lowest nonzero field
-                i = ((packed & -packed).bit_length() - 1) // width
-                count = (packed >> (i * width)) & mask
-                mon += [gens[i]] * count
-                packed -= count << (i * width)
-            terms[tuple(mon)] = Fraction(c, scale)
-        zs.append(_built(HopfElement, d, "sep", "p", terms))
-    return zs
+    lowest = {unit[g] << t: (i, unit[g]) for i, g in enumerate(gens)
+              for t in range(width)}
+    return gens, lowest, vs, den
 
 
 def vertical_element(chern, n_max, variant="sep"):
     """The cycle classes [Z_n] of the symmetric powers, n = 0 .. n_max.
 
     sep variant: coefficients of exp(sum_lam <m_lam> sum_j p_{j, lam+j-1} T^j)
-    as a series in T, returned in the p basis.  They are built over the
-    integers as n! D^n [Z_n], with D the lcm of the Chern numbers'
-    denominators, and returned with Fraction coefficients.  nonsep variant:
-    coefficients of exp(T * sum_lam <m_lam> q_lam), in the q basis.
+    as a series in T, returned in the p basis.  nonsep variant:
+    coefficients of exp(T * sum_lam <m_lam> q_lam), in the q basis.  Both
+    are built over the integers as n! D^n [Z_n], with D the lcm of the
+    Chern numbers' denominators, and returned with Fraction coefficients.
     """
-    d = chern.d
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if variant == "sep":
-        return _vertical_sep(chern, n_max)
-    if variant == "nonsep":
-        c = HopfElement.zero(d, "nonsep", "q")
-        for lam, val in chern.items():
-            if val:
-                c = c + HopfElement.nonsep_generator(d, lam).scaled(val)
-        zs = [HopfElement.unit(d, "nonsep", "q")]
-        power = HopfElement.unit(d, "nonsep", "q")
-        for n in range(1, n_max + 1):
-            power = power * c
-            zs.append(power.scaled(Fraction(1, factorial(n))))
-        return zs
-    raise ValueError("variant must be 'sep' or 'nonsep'")
+    gens, lowest, vs, den = _vertical_ints(chern, n_max, variant)
+    mons = {0: ()}
+    zs = []
+    for n, v in enumerate(vs):
+        scale = factorial(n) * den ** n
+        terms = {}
+        for packed, c in v.items():
+            if packed:
+                i, u = lowest[packed & -packed]
+                mons[packed] = (gens[i],) + mons[packed - u]
+            terms[mons[packed]] = Fraction(c, scale)
+        zs.append(_built(HopfElement, chern.d, variant,
+                         "p" if variant == "sep" else "q", terms))
+    return zs
 
 
 # -- serialization ---------------------------------------------------------
