@@ -247,7 +247,9 @@ class HopfElement:
         return self.terms.get((), _ZERO)
 
     def coproduct(self):
-        if self.basis != "q":
+        """On sep elements in the q basis, and on nonsep elements in either
+        basis: the nonsep generators are primitive, so p is a relabelling."""
+        if self.variant == "sep" and self.basis != "q":
             raise ValueError("coproduct expects the q basis, convert first")
         return _built(TensorElement, self.d, self.variant, self.basis,
                       _linear(self.terms,

@@ -164,6 +164,23 @@ def test_coproduct(capsys):
                            json.dumps(p_obj))
     assert status == 2
     assert "q basis" in err
+    # nonsep generators are primitive: to-p only relabels, and coproduct
+    # takes its output
+    x = json.dumps(element_to_obj(
+        HopfElement.nonsep_generator(2, (1, 1)) *
+        HopfElement.nonsep_generator(2, (2,))))
+    status, p_out, err = run(capsys, "to-p", "--element", x, "--format",
+                             "json")
+    assert (status, json.loads(p_out)["basis"]) == (0, "p")
+    outs = {}
+    for basis, element in (("q", x), ("p", p_out)):
+        status, out, err = run(capsys, "coproduct", "--element", element,
+                               "--format", "json")
+        assert (status, err) == (0, "")
+        outs[basis] = json.loads(out)
+        assert outs[basis]["basis"] == basis
+        assert len(outs[basis]["terms"]) == 4
+    assert outs["q"]["terms"] == outs["p"]["terms"]
 
 
 def test_curve(capsys):
