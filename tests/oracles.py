@@ -6,7 +6,7 @@ only run at test scale.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 import itertools
 
 
@@ -156,6 +156,45 @@ def eval_poly(p, point):
 def vertex_log_coeff(n):
     """(-1)^n [T^n] log M(T) = (-1)^n sigma2(n)/n."""
     return Fraction((-1) ** n * sigma2(n), n)
+
+
+def macmahon_product(cap):
+    """Coefficients [T^0 .. T^cap] of prod_{n>=1} (1-T^n)^(-n) as integers,
+    multiplying out (1-T^n)^(-n) = sum_k C(n+k-1, k) T^(nk) factor by
+    factor."""
+    out = [1] + [0] * cap
+    for n in range(1, cap + 1):
+        factor = [0] * (cap + 1)
+        for k in range(cap // n + 1):
+            factor[n * k] = comb(n + k - 1, k)
+        out = [sum(out[i] * factor[j - i] for i in range(j + 1))
+               for j in range(cap + 1)]
+    return out
+
+
+def dt_vertex_primitive(n_cap, m_cap):
+    """The primitive values of the DT vertex theory as {(n, m1, m2, m3):
+    value}: -E'(U) sum_n a_n (U1 U2 U3 T)^n divided by U1 U2 U3, with
+    E'(U) = (U1+U2)(U2+U3)(U3+U1) and a_n = [T^n] log M(-T), cells beyond
+    the caps dropped.  M(-T) comes from macmahon_product and its log from
+    poly_log, never from sigma2."""
+    neg = {(n,): Fraction((-1) ** n * c)
+           for n, c in enumerate(macmahon_product(n_cap))}
+    log_m = poly_log(neg, (n_cap,))
+    # wide enough U caps that nothing below m_cap is lost before dividing
+    caps = (n_cap,) + (n_cap + 2,) * 3
+    a = {(n,) * 4: c for (n,), c in log_m.items()}
+    e = {(0,) * 4: Fraction(1)}
+    for pair in ((1, 2), (2, 3), (3, 1)):
+        e = poly_mul(e, {tuple(int(i == j) for i in range(4)): Fraction(1)
+                         for j in pair}, caps)
+    out = {}
+    for cell, c in poly_mul(e, a, caps).items():
+        assert min(cell[1:]) >= 1, "not divisible by U1 U2 U3"
+        cell = (cell[0],) + tuple(x - 1 for x in cell[1:])
+        if max(cell[1:]) <= m_cap:
+            out[cell] = -c
+    return out
 
 
 # -- exhaustive theory values ----------------------------------------------

@@ -109,6 +109,15 @@ def test_table_text(capsys):
     ]
 
 
+def test_table_ck_large_k(capsys):
+    # (1+x)^k is read only to x^max_m, so a huge k costs nothing
+    status, out, err = run(capsys, "table", "--theory",
+                           "builtin:ck,k=1000000", "--d", "1",
+                           "--max-n", "2", "--max-m", "2")
+    assert (status, err) == (0, "")
+    assert "q_{1,(2)}: 499999500000/1" in out.splitlines()
+
+
 def test_table_nonsep(capsys):
     status, out, err = run(capsys, "table", "--theory", "builtin:ck,k=1",
                            "--d", "2", "--max-n", "1", "--max-m", "1",

@@ -124,6 +124,9 @@ def test_pow_additive_in_exponent():
 def test_macmahon_series():
     m = macmahon_series(6)
     assert [m.coefficient((n,)) for n in range(7)] == [1, 1, 3, 6, 13, 24, 48]
+    for cap in range(21):
+        assert macmahon_series(cap).terms == {
+            (n,): c for n, c in enumerate(oracles.macmahon_product(cap))}
 
 
 def test_macmahon_log_is_sigma2_over_n():

@@ -178,6 +178,18 @@ def test_dt_vertex_frozen_values():
         assert dt.primitive_value(n, (n + 2, n, n)) == 0
 
 
+def test_dt_vertex_primitives_match_the_generating_function():
+    # every primitive cell against -E'(U) log M(-U1 U2 U3 T) / (U1 U2 U3)
+    for n_cap in range(1, 9):
+        for m_cap in (n_cap - 1, n_cap, n_cap + 2):
+            dt = dt_vertex_theory(n_cap, m_cap)
+            want = oracles.dt_vertex_primitive(n_cap, m_cap)
+            for cell in itertools.product(range(1, n_cap + 1),
+                                          *[range(m_cap + 1)] * 3):
+                assert dt.primitive_value(cell[0], cell[1:]) == \
+                    want.get(cell, 0), cell
+
+
 def test_dt_needs_room():
     with pytest.raises(ValueError):
         dt_vertex_theory(6, 3)
