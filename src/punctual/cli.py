@@ -17,8 +17,8 @@ from .combinat import _desc_vectors
 from .genfun import (IDENTITY_NAMES, _PathsDisagreeError, curve_series,
                      gamma_integral_series, nonsep_vertical_series,
                      verify_identity, vertical_series)
-from .hopf import (element_from_obj, element_pretty, element_to_obj,
-                   tensor_pretty, tensor_to_obj)
+from .hopf import (_factor_pretty, element_from_obj, element_pretty,
+                   element_to_obj, tensor_pretty, tensor_to_obj)
 from .rational import format_rational, parse_rational
 from .series import MultiSeries
 from .symfunc import parse_chern_arg
@@ -108,14 +108,13 @@ def _run_table(args):
             for m in _desc_vectors(args.d, args.max_m):
                 v = format_rational(e.value(n, m))
                 rows.append({"n": n, "m": list(m), "value": v})
-                lines.append("q_{%d,(%s)}: %s" %
-                             (n, ",".join(str(x) for x in m), v))
+                lines.append("%s: %s" % (_factor_pretty((n, m), "sep", "q"),
+                                         v))
     else:
         for lam in _desc_vectors(args.d, args.max_m):
             v = format_rational(e.nonsep_value(lam))
             rows.append({"lambda": list(lam), "value": v})
-            lines.append("q_{(%s)}: %s" %
-                         (",".join(str(x) for x in lam), v))
+            lines.append("%s: %s" % (_factor_pretty(lam, "nonsep", "q"), v))
     obj = {"d": args.d, "variant": args.variant, "theory": e.label,
            "values": rows}
     return obj, "\n".join(lines), 0

@@ -225,8 +225,6 @@ class MultiSeries:
         return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -235,8 +233,6 @@ class MultiSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if not c:
-                return MultiSeries.zero(self.variables, self.caps, self.total_cap)
             return self._like({e: c0 * c for e, c0 in self.terms.items()})
         self._check_compatible(other)
         packing = self._packing()
@@ -360,7 +356,12 @@ class MultiSeries:
 
 
 def macmahon_series(cap):
-    """MacMahon's plane partition series prod_{n>=1} (1-T^n)^(-n), to T^cap.
+    """MacMahon's plane partition series M = prod_{n>=1} (1-T^n)^(-n), to
+    T^cap, as the exp of its logarithm
+
+        log M = sum_n -n log(1-T^n) = sum_n sigma_2(n)/n T^n,
+
+    sigma_2(n) the sum of the squares of the divisors of n.
 
     >>> [macmahon_series(4).coefficient((k,)) for k in range(5)]
     [Fraction(1, 1), Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(13, 1)]
@@ -368,12 +369,9 @@ def macmahon_series(cap):
     cap = int(cap)
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    out = MultiSeries.one(("T",), (cap,))
-    for n in range(1, cap + 1):
-        factor = MultiSeries.one(("T",), (cap,)) - \
-            MultiSeries.monomial(("T",), (cap,), (n,))
-        out = out * factor.pow(Fraction(-n))
-    return out
+    log_m = {(n,): Fraction(sum(j * j for j in range(1, n + 1) if n % j == 0),
+                            n) for n in range(1, cap + 1)}
+    return MultiSeries(("T",), (cap,), log_m).exp()
 
 
 def _macmahon_neg(cap):

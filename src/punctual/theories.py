@@ -23,11 +23,11 @@ CapError rather than truncating silently.
 import itertools
 from fractions import Fraction
 from functools import partial
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .combinat import _desc_vectors
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
-                   canonical_generator)
+                   _monomial_from_obj, canonical_generator)
 from .rational import parse_rational
 from .series import MultiSeries, _macmahon_neg
 
@@ -240,8 +240,7 @@ def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
     1/n! times prod_i [x^(m_i)] P(x)^n.  Requires P(0) = 1."""
     if P.constant_term() != 1:
         raise ValueError("multiplicative class needs P(0) = 1")
-    base = MultiSeries(("x",), (m_cap,),
-                       {e: c for e, c in P.terms.items() if e[0] <= m_cap})
+    base = MultiSeries(("x",), (m_cap,), P.terms)
     powers = [MultiSeries.one(("x",), (m_cap,))]
 
     def coeff(n, j):
@@ -269,10 +268,10 @@ def ck_theory(k, d, n_cap, m_cap, variant="sep"):
     k = int(k)
     if k < 0:
         raise ValueError("k must be >= 0")
-    one = MultiSeries.one(("x",), (m_cap,))
-    x = MultiSeries.var(("x",), (m_cap,), "x")
-    return mult_class_theory((one + x) ** k, d, n_cap, m_cap,
-                             label="c^%d" % k, variant=variant)
+    P = MultiSeries(("x",), (m_cap,),
+                    {(j,): comb(k, j) for j in range(min(k, m_cap) + 1)})
+    return mult_class_theory(P, d, n_cap, m_cap, label="c^%d" % k,
+                             variant=variant)
 
 
 def ek_theory(k, d, n_cap, m_cap):
@@ -333,7 +332,8 @@ def inertial_theory(P, d, n_cap, m_cap, label=None):
     """
     if P.constant_term() != 1:
         raise ValueError("inertial theory needs P(0) = 1")
-    t = _one_var_coeffs(P, m_cap)
+    # every m_i is at most max(m_cap, 0), and so is every index j below
+    t = _one_var_coeffs(P, max(m_cap, 0))
 
     def prim_fn(n, m):
         v = Fraction(1, n)
@@ -341,7 +341,7 @@ def inertial_theory(P, d, n_cap, m_cap, label=None):
             j = x - (n - 1)
             if j < 0:
                 return _ZERO
-            v *= t[j] if j < len(t) else _ZERO
+            v *= t[j]
             if not v:
                 break
         return v
@@ -358,29 +358,23 @@ def dt_vertex_theory(n_cap, m_cap):
         sum <e, q_{n,m}> T^n U^m = exp(-E(U) log M(-U1 U2 U3 T)),
         E(U) = (U1+U2)(U2+U3)(U3+U1) / (U1 U2 U3),
 
-    with M the MacMahon series.  The division by U1 U2 U3 is exact because
-    the T^n coefficient of log M(-sT) is divisible by s^n; this is asserted
-    term by term, never approximated.
+    with M the MacMahon series.  The numerator of E expands as
+    2 U1 U2 U3 plus the six orderings of U1^2 U2, so with
+    a_n = [T^n] log M(-T) the primitive value is -2 a_n at (n; n, n, n),
+    -a_n at each ordering of (n; n+1, n, n-1) and zero elsewhere.
     """
     n_cap = int(n_cap)
     m_cap = int(m_cap)
     if m_cap < n_cap - 1:
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
-    log_m_neg = _macmahon_neg(n_cap).log()
-    variables, caps = ("T", "U1", "U2", "U3"), (n_cap,) + (m_cap + 1,) * 3
-    # log M(-U1 U2 U3 T), truncated at the caps
-    a_series = MultiSeries(variables, caps, {(n,) * 4: c for (n,), c
-                                             in log_m_neg.terms.items()})
-    u1, u2, u3 = (MultiSeries.var(variables, caps, v) for v in variables[1:])
-    b_series = -((u1 + u2) * (u2 + u3) * (u3 + u1) * a_series)
-    for e in b_series.terms:
-        if min(e[1:]) < 1:
-            raise ArithmeticError("vertex exponent series is not divisible "
-                                  "by U1 U2 U3 at %r" % (e,))
-    prim = MultiSeries(variables, (n_cap,) + (m_cap,) * 3,
-                       {(e[0],) + tuple(x - 1 for x in e[1:]): c
-                        for e, c in b_series.terms.items()})
+    prim = {}
+    for (n,), a in _macmahon_neg(n_cap).log().terms.items():
+        prim[n, n, n, n] = -2 * a
+        for m in itertools.permutations((n + 1, n, n - 1)):
+            prim[(n,) + m] = -a
+    # the constructor drops the cells beyond the caps
+    prim = MultiSeries(("T", "U1", "U2", "U3"), (n_cap,) + (m_cap,) * 3, prim)
     return Theory(3, "multiplicative", "e_DT", n_cap, m_cap, prim_fn=prim)
 
 
@@ -469,12 +463,6 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
     entries = []
     for i, row in enumerate(spec["table"], 1):
         n, m, v = _fields(row, "table row %d" % i, "n", "m", "value")
-        if type(n) is not int:
-            raise ValueError("table row %d: 'n' must be an integer, got %r"
-                             % (i, n))
-        if type(m) is not list or any(type(x) is not int for x in m):
-            raise ValueError("table row %d: 'm' must be a list of "
-                             "integers, got %r" % (i, m))
-        v = _spec_rational(v, "table row %d: 'value'" % i)
-        entries.append(((n, tuple(m)), v))
+        key, = _monomial_from_obj([[n, m]], "sep", "table row %d:" % i)
+        entries.append((key, _spec_rational(v, "table row %d: 'value'" % i)))
     return table_theory(entries, d, n_cap, m_cap)
