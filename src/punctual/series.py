@@ -232,8 +232,7 @@ class MultiSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return self._like({e: c0 * c for e, c0 in self.terms.items()})
+            return self._like({e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
         packing = self._packing()
         da, a = packing.encode(self.terms)

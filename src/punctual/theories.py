@@ -368,13 +368,13 @@ def dt_vertex_theory(n_cap, m_cap):
     if m_cap < n_cap - 1:
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
-    prim = {}
+    cells = {}
     for (n,), a in _macmahon_neg(n_cap).log().terms.items():
-        prim[n, n, n, n] = -2 * a
+        cells[n, n, n, n] = -2 * a
         for m in itertools.permutations((n + 1, n, n - 1)):
-            prim[(n,) + m] = -a
+            cells[(n,) + m] = -a
     # the constructor drops the cells beyond the caps
-    prim = MultiSeries(("T", "U1", "U2", "U3"), (n_cap,) + (m_cap,) * 3, prim)
+    prim = MultiSeries(("T", "U1", "U2", "U3"), (n_cap,) + (m_cap,) * 3, cells)
     return Theory(3, "multiplicative", "e_DT", n_cap, m_cap, prim_fn=prim)
 
 
