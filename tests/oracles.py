@@ -263,6 +263,52 @@ def composition_sum(n, m, weight):
     return {mon: c for mon, c in acc.items() if c}
 
 
+def monomial_coproduct(variant, mon):
+    """The coproduct of a monomial as {(left, right): count}, multiplied
+    out factor by factor.  A sep factor (n, m) splits as the ordered pairs
+    of rows summing to the row (n, m) (vector_splits into two), where a
+    row (0, 0) is the unit and a row (0, m) with m nonzero is zero; a
+    nonsep factor goes to one side or the other."""
+    options = []
+    for g in mon:
+        if variant == "nonsep":
+            options.append([((g,), ()), ((), (g,))])
+            continue
+        splits = []
+        for rows in vector_splits((g[0],) + tuple(g[1]), 2):
+            if any(row[0] == 0 and any(row[1:]) for row in rows):
+                continue
+            splits.append(tuple(
+                () if row[0] == 0 else
+                ((row[0], tuple(sorted(row[1:], reverse=True))),)
+                for row in rows))
+        options.append(splits)
+    acc = {}
+    for choice in itertools.product(*options):
+        key = tuple(tuple(sorted(f for sides in choice for f in sides[i]))
+                    for i in (0, 1))
+        acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def linear(terms, image):
+    """sum coeff * image(key) over the items of terms, in Fractions."""
+    out = {}
+    for key, coeff in terms.items():
+        for k, c in image(key).items():
+            out[k] = out.get(k, Fraction(0)) + Fraction(coeff) * c
+    return {k: c for k, c in out.items() if c}
+
+
+def substitute(mon, expansion):
+    """The product over the factors g of mon of expansion(*g), each a
+    {monomial: Fraction} map."""
+    out = {(): Fraction(1)}
+    for g in mon:
+        out = _dict_mul(out, expansion(*g))
+    return out
+
+
 def sep_generator_image(n, m):
     """The nonsep image of q_{n,m}: 1/n! times the sum, over ordered
     splittings of m into n nonnegative columns, of the product of the

@@ -174,6 +174,31 @@ def test_generator_expansions_match_the_composition_oracle(expansion, weight):
         assert expansion(n, m) == oracles.composition_sum(n, m, weight), (n, m)
 
 
+# sep monomials of one or two factors over the rows with n <= 3, d <= 2 and
+# entries <= 2, and a few with three; nonsep monomials of up to three
+# factors over the partitions with d <= 2 and parts <= 2
+_SEP_FACTORS = {d: [(n, m) for n in range(1, 4)
+                    for m in combinations_with_replacement((2, 1, 0), d)]
+                for d in range(3)}
+COPRODUCT_MONOMIALS = [("sep", tuple(sorted(mon))) for d in range(3)
+                       for k in (1, 2)
+                       for mon in combinations_with_replacement(
+                           _SEP_FACTORS[d], k)]
+COPRODUCT_MONOMIALS += [
+    ("sep", ((1, (1,)),) * 3), ("sep", ((1, (1, 0)), (1, (1, 0)), (2, (1, 1)))),
+    ("sep", ((1, ()), (2, ()), (3, ())))]
+COPRODUCT_MONOMIALS += [("nonsep", mon) for d in (1, 2) for k in (1, 2, 3)
+                        for mon in combinations_with_replacement(
+                            sorted(combinations_with_replacement(
+                                (2, 1, 0), d)), k)]
+
+
+def test_monomial_coproducts_match_the_splitting_oracle():
+    for variant, mon in COPRODUCT_MONOMIALS:
+        assert hopf._monomial_coproduct(variant, mon) == \
+            oracles.monomial_coproduct(variant, mon), (variant, mon)
+
+
 def test_grades():
     (cyc, hom, tot, comp), = q(2, 2, (3, 1)).grade()
     assert (cyc, hom, tot) == (2, 8, 0)

@@ -1,7 +1,9 @@
 """Linearity of the Hopf structure maps and multiplicativity of the
 coproduct, involutions of the basis changes and the antipode, and the sep
 q-basis antipode against the p-basis sign flip, as Hypothesis properties
-over small sep and nonsep elements; [Z_n] matches the naive recursion of
+over small sep and nonsep elements; the coproduct, basis changes and
+antipode of elements with mixed coefficient denominators equal the
+Fraction oracles; [Z_n] matches the naive recursion of
 oracles.vertical_classes on rational Chern numbers, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 the pair route of vertical_series equals the naive pairing of those classes
@@ -9,7 +11,7 @@ for theories with fractional primitive values; theory_exp inverts
 theory_log on random generator tables."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -152,6 +154,40 @@ def test_antipode_matches_the_p_basis_route(xs):
     flipped = HopfElement(p.d, "sep", "p", {mon: (-1) ** len(mon) * c
                                             for mon, c in p.terms.items()})
     assert x.antipode() == flipped.to_q()
+
+
+# coefficients over several distinct denominators, so that no common
+# denominator of an element is one of its coefficients' own
+mixed_coeffs = st.sampled_from((Fraction(1, 2), Fraction(2, 3), Fraction(5, 7),
+                                Fraction(-3, 4), Fraction(7, 5),
+                                Fraction(-11, 6), Fraction(13, 9)))
+
+# map name -> (variant, basis of the argument, the composition weight of
+# one sep generator's image, None for the coproduct)
+_REFERENCES = {
+    "coproduct": (None, "q", None),
+    "to_p": ("sep", "q", lambda k: Fraction(1, factorial(k))),
+    "to_q": ("sep", "p", lambda k: Fraction((-1) ** (k + 1), k)),
+    "antipode": ("sep", "q", lambda k: Fraction((-1) ** k)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+@examples
+@given(data=st.data())
+def test_structure_maps_match_the_fraction_oracles(name, data):
+    variant, basis, weight = _REFERENCES[name]
+    d, variant, basis = data.draw(contexts(variant, basis))
+    x = HopfElement(d, variant, basis, data.draw(st.dictionaries(
+        monomials(d, variant), mixed_coeffs, min_size=2, max_size=4)))
+    if weight is None:
+        image = partial(oracles.monomial_coproduct, variant)
+    else:
+        image = partial(oracles.substitute, expansion=lambda n, m:
+                        oracles.composition_sum(n, m, weight))
+    y = getattr(x, name)()
+    assert y.terms == oracles.linear(x.terms, image)
+    assert all(type(c) is Fraction for c in y.terms.values())
 
 
 @st.composite
