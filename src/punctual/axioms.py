@@ -6,7 +6,8 @@ indices from a seeded random stream, so runs are reproducible.
 
 from fractions import Fraction
 
-from .hopf import HopfElement, _linear, _monomial_coproduct, tensor
+from .hopf import HopfElement, _linear, _monomial_coproduct, _poly_mul, tensor
+from .rational import _numerators
 
 _COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
            Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(5)]
@@ -39,9 +40,9 @@ def _coproduct_in_slot(t, slot):
     """(coproduct ox id) for slot 0, (id ox coproduct) for slot 1, applied
     to a TensorElement: a map (a, b, c) -> coeff."""
     def image(pair):
-        return {pair[:slot] + ab + pair[slot + 1:]: c for ab, c in
-                _monomial_coproduct(t.variant, pair[slot]).items()}
-    return {k: v for k, v in _linear(t.terms, image).items() if v}
+        return 1, {pair[:slot] + ab + pair[slot + 1:]: c for ab, c in
+                   _monomial_coproduct(t.variant, pair[slot]).items()}
+    return _linear(t.terms, image)
 
 
 def check_coassociative(x):
@@ -69,12 +70,13 @@ def check_bialgebra(x, y):
 
 
 def check_antipode(x):
-    """mul (S ox id) coproduct = counit * unit."""
-    acc = HopfElement.zero(x.d, x.variant, x.basis)
-    for (l, r), c in x.coproduct().terms.items():
-        left = HopfElement(x.d, x.variant, x.basis, {l: Fraction(1)})
-        right = HopfElement(x.d, x.variant, x.basis, {r: Fraction(1)})
-        acc = acc + (left.antipode() * right).scaled(c)
+    """mul (S ox id) coproduct = counit * unit, in one linear pass over
+    the coproduct's terms."""
+    def image(pair):
+        left, right = pair
+        den, s = _numerators(x._like({left: Fraction(1)}).antipode().terms)
+        return den, _poly_mul(s, {right: 1})
+    acc = x._like(_linear(x.coproduct().terms, image))
     return acc == HopfElement.unit(x.d, x.variant, x.basis).scaled(x.counit())
 
 

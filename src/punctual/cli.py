@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from .axioms import run_axiom_suite
 from .combinat import _desc_vectors
@@ -130,18 +131,11 @@ def _run_eval(args):
     return {"value": v}, v, 0
 
 
-def _element_verb(method):
+def _element_verb(method, to_obj=element_to_obj, pretty=element_pretty):
     def run(args):
-        x = element_from_obj(_load_json_arg(args.element))
-        y = getattr(x, method)()
-        return element_to_obj(y), element_pretty(y), 0
+        y = getattr(element_from_obj(_load_json_arg(args.element)), method)()
+        return to_obj(y), pretty(y), 0
     return run
-
-
-def _run_coproduct(args):
-    x = element_from_obj(_load_json_arg(args.element))
-    t = x.coproduct()
-    return tensor_to_obj(t), tensor_pretty(t), 0
 
 
 def _run_vertical(args):
@@ -235,6 +229,7 @@ def _run_axioms(args):
 
 # -- wiring ----------------------------------------------------------------
 
+@lru_cache(maxsize=1)  # built once per process; parsing leaves no state
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="punctual",
@@ -262,14 +257,14 @@ def _build_parser():
                    help="inline JSON, @file, or - for stdin")
     p.add_argument("--d", type=int)
 
-    for verb, method, blurb in (("to-p", "to_p", "rewrite in the p basis"),
-                                ("to-q", "to_q", "rewrite in the q basis"),
-                                ("antipode", "antipode", "apply the antipode")):
-        p = add(verb, _element_verb(method), help=blurb)
+    for verb, method, blurb, *printers in (
+            ("to-p", "to_p", "rewrite in the p basis"),
+            ("to-q", "to_q", "rewrite in the q basis"),
+            ("antipode", "antipode", "apply the antipode"),
+            ("coproduct", "coproduct", "coproduct of a q-basis element",
+             tensor_to_obj, tensor_pretty)):
+        p = add(verb, _element_verb(method, *printers), help=blurb)
         p.add_argument("--element", required=True)
-
-    p = add("coproduct", _run_coproduct, help="coproduct of a q-basis element")
-    p.add_argument("--element", required=True)
 
     p = add("vertical", _run_vertical, help="invariant series of the "
                                             "symmetric-power classes")
@@ -320,18 +315,18 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         obj, text, status = args.func(args)
+        payload = (json.dumps(obj, indent=2) if args.format == "json"
+                   else text) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
     except (ValueError, KeyError, TypeError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except _PathsDisagreeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    payload = (json.dumps(obj, indent=2) if args.format == "json" else text)
-    payload += "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
+    if not args.output:
         sys.stdout.write(payload)
     return status
 

@@ -28,8 +28,9 @@ q_{n_k,m_k} over the same compositions; on primitives S is -1.  The three
 sums share one table of composition counts per canonical row (_layer), and
 so does the sep-to-nonsep map, which reads the layer of n rows of
 multiplicity 1 as the splittings of m into n columns.
-Each structure map is _linear, the linear extension of a map on monomials;
-tensors (TensorElement) share HopfElement's linear-space body.
+Each structure map is _linear, the linear extension of a map on monomials
+in integer numerators over one denominator (a generator's image is over n!,
+lcm(1..n), 1 or n!); tensors (TensorElement) share HopfElement's body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -37,11 +38,11 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, lcm
 
 from .combinat import pad_partition, vector_splittings
-from .rational import format_rational, parse_rational
+from .rational import _numerators, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -223,7 +224,9 @@ class HopfElement:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check_context(other)
-        return self._like(_poly_mul(self.terms, other.terms))
+        den, b = _numerators(other.terms)
+        return self._like(_linear(self.terms,
+                                  lambda m1: (den, _poly_mul({m1: 1}, b))))
 
     __rmul__ = __mul__
 
@@ -252,8 +255,8 @@ class HopfElement:
         if self.variant == "sep" and self.basis != "q":
             raise ValueError("coproduct expects the q basis, convert first")
         return _built(TensorElement, self.d, self.variant, self.basis,
-                      _linear(self.terms,
-                              partial(_monomial_coproduct, self.variant)))
+                      _linear(self.terms, lambda mon: (
+                          1, _monomial_coproduct(self.variant, mon))))
 
     def antipode(self):
         """Multiplicative: -1 on each primitive factor (sep p basis and
@@ -330,12 +333,10 @@ class TensorElement:
     def __mul__(self, other):
         """Componentwise product (a ox b)(c ox d) = ac ox bd."""
         self._check_context(other)
-        acc = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))
-                acc[key] = acc.get(key, _ZERO) + c1 * c2
-        return self._like(acc)
+        den, b = _numerators(other.terms)
+        return self._like(_linear(self.terms, lambda lr: (den, {
+            (tuple(sorted(lr[0] + l)), tuple(sorted(lr[1] + r))): c
+            for (l, r), c in b.items()})))
 
     def swap(self):
         return self._like({(r, l): c for (l, r), c in self.terms.items()})
@@ -344,7 +345,7 @@ class TensorElement:
         """Apply the counit to the left slot, landing back in the algebra."""
         return _built(HopfElement, self.d, self.variant, self.basis,
                       _linear(self.terms,
-                              lambda lr: {} if lr[0] else {lr[1]: _ONE}))
+                              lambda lr: (1, {} if lr[0] else {lr[1]: 1})))
 
     def right_counit(self):
         return self.swap().left_counit()
@@ -353,9 +354,10 @@ class TensorElement:
 def tensor(a, b):
     """The simple tensor a ox b of two elements in the same context."""
     a._check_context(b)
+    den, nums = _numerators(b.terms)
     return _built(TensorElement, a.d, a.variant, a.basis,
-                  _linear(a.terms, lambda m1: {(m1, m2): c for m2, c
-                                               in b.terms.items()}))
+                  _linear(a.terms, lambda m1: (den, {(m1, m2): c for m2, c
+                                                     in nums.items()})))
 
 
 def _built(cls, d, variant, basis, terms):
@@ -384,8 +386,8 @@ def _generator_coproduct(n, m):
 
 @lru_cache(maxsize=None)
 def _monomial_coproduct(variant, mon):
-    """Coproduct of a monomial as a map (left mono, right mono) -> coeff."""
-    pairs = {((), ()): Fraction(1)}
+    """Coproduct of a monomial as a map (left mono, right mono) -> count."""
+    pairs = {((), ()): 1}
     for g in mon:
         if variant == "sep":
             opts = _generator_coproduct(g[0], g[1])
@@ -395,39 +397,46 @@ def _monomial_coproduct(variant, mon):
         for (l, r), c in pairs.items():
             for gl, gr in opts:
                 key = (tuple(sorted(l + gl)), tuple(sorted(r + gr)))
-                nxt[key] = nxt.get(key, _ZERO) + c
+                nxt[key] = nxt.get(key, 0) + c
         pairs = nxt
     return pairs
 
 
 def _poly_mul(a, b):
-    """Product of two monomial -> coefficient maps."""
+    """Product of two monomial -> integer numerator maps."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             mon = tuple(sorted(m1 + m2))
-            out[mon] = out.get(mon, _ZERO) + c1 * c2
+            out[mon] = out.get(mon, 0) + c1 * c2
     return out
 
 
 def _linear(terms, image):
-    """sum coeff * image(key) over the items of terms, where image(key) is a
-    key -> coefficient map; the linear extension of image."""
+    """sum coeff * image(key) over the items of terms, the linear extension
+    of image(key) = (e, {key: int}), numerators over e.  The sum runs in
+    integer numerators over the lcm of every coeff's denominator times e."""
+    parts = [(coeff.numerator, coeff.denominator * e, img) for coeff, (e, img)
+             in zip(terms.values(), map(image, terms))]
+    den = lcm(*(e for _, e, _ in parts))
     acc = {}
-    for key, coeff in terms.items():
-        for k, c in image(key).items():
-            acc[k] = acc.get(k, _ZERO) + coeff * c
-    return acc
+    for num, e, img in parts:
+        num *= den // e
+        for k, c in img.items():
+            acc[k] = acc.get(k, 0) + num * c
+    return {k: Fraction(c, den) for k, c in acc.items() if c}
 
 
 def _substitute(terms, expander):
-    """Replace each factor g of every monomial by the map expander(*g) and
-    multiply out; returns the accumulated monomial -> coefficient map."""
+    """Replace each factor g of every monomial by expander(*g), integer
+    numerators (e, {monomial: int}) over e, and multiply out: the products
+    of the numerators over the products of the e, summed by _linear."""
     def image(mon):
-        prod = {(): _ONE}
+        den, prod = 1, {(): 1}
         for g in mon:
-            prod = _poly_mul(prod, expander(*g))
-        return prod
+            e, img = expander(*g)
+            den, prod = den * e, _poly_mul(prod, img)
+        return den, prod
     return _linear(terms, image)
 
 
@@ -457,29 +466,32 @@ def _layer(k, n, m):
     return acc
 
 
-def _composition_sum(n, m, weight):
-    """sum_k weight(k) A_k(n, m).  Every monomial of A_k has k factors, so
-    no two layers share one and no coefficient cancels."""
-    return {mon: weight(k) * c for k in range(1, n + 1)
-            for mon, c in _layer(k, n, m).items()}
+def _composition_sum(n, m, den, weight):
+    """(den, sum_k weight(k) A_k(n, m)), the weights integer numerators
+    over den.  Every monomial of A_k has k factors, so no two layers share
+    one and no coefficient cancels."""
+    return den, {mon: weight(k) * c for k in range(1, n + 1)
+                 for mon, c in _layer(k, n, m).items()}
 
 
 @lru_cache(maxsize=None)
 def _p_in_q(n, m):
-    """p_{n,m} expanded in q monomials (log signs (-1)^(k+1)/k)."""
-    return _composition_sum(n, m, lambda k: Fraction((-1) ** (k + 1), k))
+    """p_{n,m} in q monomials (signs (-1)^(k+1)/k), over lcm(1..n)."""
+    den = lcm(*range(1, n + 1))
+    return _composition_sum(n, m, den, lambda k: (-1) ** (k + 1) * den // k)
 
 
 @lru_cache(maxsize=None)
 def _q_in_p(n, m):
-    """q_{n,m} expanded in p monomials (1/k!)."""
-    return _composition_sum(n, m, lambda k: Fraction(1, factorial(k)))
+    """q_{n,m} expanded in p monomials (1/k!), over n!."""
+    den = factorial(n)
+    return _composition_sum(n, m, den, lambda k: den // factorial(k))
 
 
 @lru_cache(maxsize=None)
 def _antipode_in_q(n, m):
     """S(q_{n,m}) = [T^n U^m] Q^-1 in q monomials (signs (-1)^k)."""
-    return _composition_sum(n, m, lambda k: Fraction((-1) ** k))
+    return _composition_sum(n, m, 1, lambda k: (-1) ** k)
 
 
 # -- sep -> nonsep ---------------------------------------------------------
@@ -489,9 +501,9 @@ def _sep_gen_image(n, m):
     """Image of the sep generator q_{n,m}: 1/n! times the sum over ordered
     splittings of m into n columns of the product of nonsep generators.
     Those splittings are the compositions of (n, m) into n rows of
-    multiplicity 1, so A_n(n, m) counts them with the columns as factors."""
-    return {tuple(a for _, a in mon): Fraction(c, factorial(n))
-            for mon, c in _layer(n, n, m).items()}
+    multiplicity 1, so A_n(n, m) over n! counts them, columns as factors."""
+    return factorial(n), {tuple(a for _, a in mon): c
+                          for mon, c in _layer(n, n, m).items()}
 
 
 def sep_to_nonsep(x):
@@ -505,7 +517,7 @@ def sep_to_nonsep(x):
     if x.variant != "sep":
         raise ContextMismatchError("sep_to_nonsep expects the sep variant")
     image = (_sep_gen_image if x.basis == "q"
-             else lambda n, m: {(m,): _ONE} if n == 1 else {})
+             else lambda n, m: (1, {(m,): 1} if n == 1 else {}))
     return _built(HopfElement, x.d, "nonsep", "q", _substitute(x.terms, image))
 
 

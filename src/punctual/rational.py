@@ -4,11 +4,13 @@ Every coefficient in this package is a ``fractions.Fraction``: arbitrary
 precision, automatically in lowest terms, positive denominator.  No floating
 point is used anywhere.  The two helpers below fix the one serialization
 format, "num/den" with the denominator always written (possibly "/1"), so
-that output is byte-identical across runs.
+that output is byte-identical across runs; _numerators puts a coefficient
+map over one denominator for the integer kernels.
 """
 
 import re
 from fractions import Fraction
+from math import lcm
 
 Rational = Fraction
 
@@ -45,3 +47,11 @@ def parse_rational(text):
     if den == 0:
         raise ValueError("malformed rational %r, zero denominator" % (text,))
     return Fraction(num, den)
+
+
+def _numerators(terms):
+    """(D, {key: int}): the Fraction values of terms as integer numerators
+    over D, the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}

@@ -32,9 +32,9 @@ Fraction normalisation per product term.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .rational import format_rational, parse_rational
+from .rational import _numerators, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -62,9 +62,8 @@ class _Packing:
 
     def encode(self, terms):
         """(D, {packed e: D*c_e}), D the lcm of the denominators."""
-        den = lcm(*(c.denominator for c in terms.values()))
-        return den, {self.pack(e): c.numerator * (den // c.denominator)
-                     for e, c in terms.items()}
+        den, nums = _numerators(terms)
+        return den, {self.pack(e): c for e, c in nums.items()}
 
     def scaled_layers(self, terms):
         """(D, {k: {packed e: D^k*c_e}}) over the terms of degree k >= 1."""
@@ -354,26 +353,30 @@ class MultiSeries:
         return " + ".join(parts)
 
 
+def _macmahon_log(cap, sign=1):
+    """log M(sign*T) to T^cap, M the MacMahon series: the sum of
+    sign^n sigma_2(n)/n T^n, sigma_2(n) the sum of the squares of the
+    divisors of n."""
+    cap = int(cap)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    return MultiSeries(("T",), (cap,), {(n,): Fraction(sign ** n * sum(
+        j * j for j in range(1, n + 1) if n % j == 0), n)
+        for n in range(1, cap + 1)})
+
+
 def macmahon_series(cap):
     """MacMahon's plane partition series M = prod_{n>=1} (1-T^n)^(-n), to
     T^cap, as the exp of its logarithm
 
-        log M = sum_n -n log(1-T^n) = sum_n sigma_2(n)/n T^n,
-
-    sigma_2(n) the sum of the squares of the divisors of n.
+        log M = sum_n -n log(1-T^n) = sum_n sigma_2(n)/n T^n.
 
     >>> [macmahon_series(4).coefficient((k,)) for k in range(5)]
     [Fraction(1, 1), Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(13, 1)]
     """
-    cap = int(cap)
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    log_m = {(n,): Fraction(sum(j * j for j in range(1, n + 1) if n % j == 0),
-                            n) for n in range(1, cap + 1)}
-    return MultiSeries(("T",), (cap,), log_m).exp()
+    return _macmahon_log(cap).exp()
 
 
 def _macmahon_neg(cap):
-    """M(-T) to T^cap: the T^n coefficient of M times (-1)^n."""
-    return MultiSeries(("T",), (cap,), {(n,): (-1) ** n * c for (n,), c
-                                        in macmahon_series(cap).terms.items()})
+    """M(-T) to T^cap, the exp of log M(-T)."""
+    return _macmahon_log(cap, -1).exp()

@@ -23,13 +23,13 @@ CapError rather than truncating silently.
 import itertools
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from .combinat import _desc_vectors
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
-from .rational import parse_rational
-from .series import MultiSeries, _macmahon_neg
+from .rational import _numerators, parse_rational
+from .series import MultiSeries, _macmahon_log
 
 _ZERO = Fraction(0)
 
@@ -188,15 +188,11 @@ class Theory:
             terms = {mon: c for mon, c in terms.items() if len(mon) == 1}
         values = {g: Fraction(get(g)) for g in
                   dict.fromkeys(itertools.chain.from_iterable(terms))}
-        e_den = lcm(*(v.denominator for v in values.values()))
-        c_den = lcm(*{c.denominator for c in terms.values()})
-        ints = {g: v.numerator * (e_den // v.denominator)
-                for g, v in values.items()}
+        (e_den, ints), (c_den, nums) = _numerators(values), _numerators(terms)
         sums = {}
-        for mon, c in terms.items():
+        for mon, c in nums.items():
             k = len(mon)
-            sums[k] = sums.get(k, 0) + (c.numerator * (c_den // c.denominator)
-                                        * prod(map(ints.__getitem__, mon)))
+            sums[k] = sums.get(k, 0) + c * prod(map(ints.__getitem__, mon))
         return sum((Fraction(s, c_den * e_den ** k)
                     for k, s in sums.items()), _ZERO)
 
@@ -369,7 +365,7 @@ def dt_vertex_theory(n_cap, m_cap):
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
     cells = {}
-    for (n,), a in _macmahon_neg(n_cap).log().terms.items():
+    for (n,), a in _macmahon_log(n_cap, -1).terms.items():
         cells[n, n, n, n] = -2 * a
         for m in itertools.permutations((n + 1, n, n - 1)):
             cells[(n,) + m] = -a

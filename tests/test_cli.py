@@ -385,6 +385,37 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "1/1\n"
 
 
+@pytest.mark.parametrize("argv, target", [
+    (("axioms", "--d", "1", "--count", "1"), "missing/x"),
+    (("table", "--theory", "builtin:ck,k=1", "--d", "1", "--max-n", "1",
+      "--max-m", "1"), "."),
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
+    # a missing parent directory, and a directory in place of a file
+    status, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a failed parse, a refused input
+    # and a JSON run leave nothing behind for the next call
+    verb = ("to-p", "--element", Q22)
+    first = run(capsys, *verb)
+    with pytest.raises(SystemExit) as exc:
+        main(["to-p", "--element", Q22, "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    status, out, err = run(capsys, "table", "--theory", "builtin:ck,k=2",
+                           "--d", "1", "--max-n", "0", "--max-m", "3")
+    assert (status, out) == (2, "") and err.startswith("error: ")
+    assert run(capsys, *verb) == first
+    assert first[0] == 0 and first[2] == ""
+    status, out, err = run(capsys, *verb, "--format", "json")
+    assert json.loads(out)["basis"] == "p"
+    assert run(capsys, *verb) == first
+
+
 def test_element_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "elt.json"
     path.write_text(Q22)

@@ -3,7 +3,7 @@ import operator
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -164,14 +164,20 @@ ORACLE_ROWS = [(n, m) for d in range(4) for n in range(1, 5)
 ORACLE_ROWS.append((5, (2, 2)))
 
 
-@pytest.mark.parametrize("expansion, weight", [
-    (hopf._q_in_p, lambda k: F(1, factorial(k))),
-    (hopf._p_in_q, lambda k: F((-1) ** (k + 1), k)),
-    (hopf._antipode_in_q, lambda k: F((-1) ** k)),
+@pytest.mark.parametrize("expansion, den, weight", [
+    (hopf._q_in_p, factorial, lambda k: F(1, factorial(k))),
+    (hopf._p_in_q, lambda n: lcm(*range(1, n + 1)),
+     lambda k: F((-1) ** (k + 1), k)),
+    (hopf._antipode_in_q, lambda n: 1, lambda k: F((-1) ** k)),
 ], ids=["q_in_p", "p_in_q", "antipode_in_q"])
-def test_generator_expansions_match_the_composition_oracle(expansion, weight):
+def test_generator_expansions_match_the_composition_oracle(expansion, den,
+                                                           weight):
+    # each expansion is a map of integer numerators over one denominator
     for n, m in ORACLE_ROWS:
-        assert expansion(n, m) == oracles.composition_sum(n, m, weight), (n, m)
+        e, nums = expansion(n, m)
+        assert e == den(n) and all(type(c) is int for c in nums.values())
+        assert {mon: F(c, e) for mon, c in nums.items()} == \
+            oracles.composition_sum(n, m, weight), (n, m)
 
 
 # sep monomials of one or two factors over the rows with n <= 3, d <= 2 and
