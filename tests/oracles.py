@@ -369,3 +369,97 @@ def pairing(terms, value, primitive):
             v *= value(g)
         total += v
     return total
+
+
+# -- printers --------------------------------------------------------------
+# The element and tensor printers as they stood before their one-pass
+# rewrite: every term formats its coefficient, factors and sort key afresh.
+
+def _format_rational(x):
+    x = Fraction(x)
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _monomial_key(mon, variant):
+    if variant == "sep":
+        return (sum(g[0] for g in mon), 2 * sum(sum(g[1]) for g in mon), mon)
+    return (len(mon), 2 * sum(sum(g) for g in mon), mon)
+
+
+def _monomial_to_obj(mon, variant):
+    if variant == "sep":
+        return [[g[0], list(g[1])] for g in mon]
+    return [[1, list(g)] for g in mon]
+
+
+def _factor_pretty(g, variant, basis):
+    letter = "p" if basis == "p" else "q"
+    if variant == "sep":
+        return "%s_{%d,(%s)}" % (letter, g[0], ",".join(str(x) for x in g[1]))
+    return "q_{(%s)}" % ",".join(str(x) for x in g)
+
+
+def _factors_pretty(mon, variant, basis):
+    out = []
+    i = 0
+    while i < len(mon):
+        j = i
+        while j < len(mon) and mon[j] == mon[i]:
+            j += 1
+        f = _factor_pretty(mon[i], variant, basis)
+        out.append(f if j - i == 1 else "%s^%d" % (f, j - i))
+        i = j
+    return out
+
+
+def element_to_obj(x):
+    """The JSON object of a HopfElement x, terms in (cycle degree,
+    homological degree, monomial) order."""
+    mons = sorted(x.terms, key=lambda mon: _monomial_key(mon, x.variant))
+    return {
+        "d": x.d,
+        "variant": x.variant,
+        "basis": x.basis,
+        "terms": [{"monomial": _monomial_to_obj(mon, x.variant),
+                   "coeff": _format_rational(x.terms[mon])} for mon in mons],
+    }
+
+
+def tensor_to_obj(t):
+    """The JSON object of a TensorElement t, terms ordered by the left
+    then the right monomial's key."""
+    keys = sorted(t.terms, key=lambda p: (_monomial_key(p[0], t.variant),
+                                          _monomial_key(p[1], t.variant)))
+    return {
+        "d": t.d,
+        "variant": t.variant,
+        "basis": t.basis,
+        "terms": [{"left": _monomial_to_obj(l, t.variant),
+                   "right": _monomial_to_obj(r, t.variant),
+                   "coeff": _format_rational(t.terms[(l, r)])}
+                  for (l, r) in keys],
+    }
+
+
+def element_pretty(x):
+    """x as "c*f*g^k + ..." in key order, "0" when empty."""
+    if not x.terms:
+        return "0"
+    return " + ".join(
+        "*".join([_format_rational(x.terms[mon])] +
+                 _factors_pretty(mon, x.variant, x.basis))
+        for mon in sorted(x.terms, key=lambda m: _monomial_key(m, x.variant)))
+
+
+def tensor_pretty(t):
+    """t as "c*left(x)right + ...", the unit monomial written 1."""
+    if not t.terms:
+        return "0"
+
+    def side(mon):
+        return "*".join(_factors_pretty(mon, t.variant, t.basis)) or "1"
+
+    keys = sorted(t.terms, key=lambda p: (_monomial_key(p[0], t.variant),
+                                          _monomial_key(p[1], t.variant)))
+    return " + ".join("%s*%s(x)%s" % (_format_rational(t.terms[(l, r)]),
+                                      side(l), side(r)) for (l, r) in keys)

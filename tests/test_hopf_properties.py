@@ -8,8 +8,10 @@ oracles.vertical_classes on rational Chern numbers, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 the pair route of vertical_series equals the naive pairing of those classes
 for theories with fractional primitive values; theory_exp inverts
-theory_log on random generator tables."""
+theory_log on random generator tables; the element and tensor printers,
+text and JSON, give the bytes of oracles' reference printers."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -23,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from punctual.combinat import partitions_of
 from punctual.genfun import vertical_series
-from punctual.hopf import (HopfElement, TensorElement, sep_to_nonsep, tensor,
-                           vertical_element)
+from punctual.hopf import (HopfElement, TensorElement, element_pretty,
+                           element_to_obj, sep_to_nonsep, tensor,
+                           tensor_pretty, tensor_to_obj, vertical_element)
 from punctual.symfunc import ChernData
 from punctual.theories import (ck_theory, dt_vertex_theory, table_theory,
                                theory_exp, theory_log)
@@ -300,3 +303,45 @@ def test_theory_exp_inverts_theory_log(table):
     for n in range(1, n_cap + 1):
         for m in combinations_with_replacement(range(m_cap, -1, -1), d):
             assert back.value(n, m) == e.value(n, m)
+
+
+@lru_cache(maxsize=None)
+def runs(d, variant):
+    """Monomials of up to three runs of one factor each, a run up to three
+    long, so that f^k and the unit monomial both occur."""
+    factor = rows(d) if variant == "nonsep" else st.tuples(st.integers(1, 3),
+                                                           rows(d))
+    return st.lists(st.tuples(factor, st.integers(1, 3)), max_size=3).map(
+        lambda rs: tuple(sorted(g for g, k in rs for _ in range(k))))
+
+
+# signed coefficients over several denominators, whole numbers among them
+printed_coeffs = st.builds(Fraction, st.integers(-7, 7).filter(bool),
+                           st.sampled_from((1, 2, 3, 4, 6, 9)))
+
+
+@pytest.mark.parametrize("kind", ["element", "tensor"])
+@settings(examples, max_examples=80)
+@given(data=st.data())
+def test_printers_match_the_reference_printers(kind, data):
+    d, variant, basis = data.draw(contexts())
+    mons = runs(d, variant)
+    if kind == "element":
+        x = HopfElement(d, variant, basis, data.draw(
+            st.dictionaries(mons, printed_coeffs, max_size=6)))
+        printers = element_pretty, element_to_obj
+        references = oracles.element_pretty, oracles.element_to_obj
+    else:
+        terms = data.draw(st.dictionaries(st.tuples(mons, mons),
+                                          printed_coeffs, max_size=6))
+        # the unit monomial on the left and on the right
+        mon, c = data.draw(mons), data.draw(printed_coeffs)
+        terms[(), mon] = terms[mon, ()] = c
+        x = TensorElement(d, variant, basis, terms)
+        printers = tensor_pretty, tensor_to_obj
+        references = oracles.tensor_pretty, oracles.tensor_to_obj
+    pretty, to_obj = printers
+    ref_pretty, ref_to_obj = references
+    assert pretty(x) == ref_pretty(x)
+    assert (json.dumps(to_obj(x), indent=2) ==
+            json.dumps(ref_to_obj(x), indent=2))
