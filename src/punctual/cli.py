@@ -2,16 +2,18 @@
 
 Every verb reads typed flags, runs one computation, and emits canonical
 structured text (or JSON with --format json); identical invocations give
-byte-identical output.  Exit status: 0 on success and passing checks, 1
-when a verification fails (a failing verify, or the two vertical-series
-paths disagreeing), 2 on bad input.
+byte-identical output.  A verb returns its JSON object and its text as
+zero-argument callables, and main builds only the one --format asks for.
+Exit status: 0 on success and passing checks, 1 when a verification fails
+(a failing verify, or the two vertical-series paths disagreeing), 2 on bad
+input or an output that cannot be written.
 """
 
 import argparse
 import json
 import random
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .axioms import run_axiom_suite
 from .combinat import _desc_vectors
@@ -103,22 +105,19 @@ def _run_table(args):
     _at_least("--max-m", args.max_m, 0)
     e = _build_theory(args, args.d, args.max_n, args.max_m,
                       variant=args.variant)
-    rows, lines = [], []
     if args.variant == "sep":
-        for n in range(1, args.max_n + 1):
-            for m in _desc_vectors(args.d, args.max_m):
-                v = format_rational(e.value(n, m))
-                rows.append({"n": n, "m": list(m), "value": v})
-                lines.append("%s: %s" % (_factor_pretty((n, m), "sep", "q"),
-                                         v))
+        cells = [((n, m), {"n": n, "m": list(m)}, e.value(n, m))
+                 for n in range(1, args.max_n + 1)
+                 for m in _desc_vectors(args.d, args.max_m)]
     else:
-        for lam in _desc_vectors(args.d, args.max_m):
-            v = format_rational(e.nonsep_value(lam))
-            rows.append({"lambda": list(lam), "value": v})
-            lines.append("%s: %s" % (_factor_pretty(lam, "nonsep", "q"), v))
-    obj = {"d": args.d, "variant": args.variant, "theory": e.label,
-           "values": rows}
-    return obj, "\n".join(lines), 0
+        cells = [(lam, {"lambda": list(lam)}, e.nonsep_value(lam))
+                 for lam in _desc_vectors(args.d, args.max_m)]
+    return (lambda: {"d": args.d, "variant": args.variant, "theory": e.label,
+                     "values": [dict(index, value=format_rational(v))
+                                for _, index, v in cells]},
+            lambda: "\n".join("%s: %s" % (_factor_pretty(g, args.variant, "q"),
+                                          format_rational(v))
+                              for g, _, v in cells), 0)
 
 
 def _run_eval(args):
@@ -128,14 +127,16 @@ def _run_eval(args):
     n_cap, m_cap = _element_caps(x)
     e = _build_theory(args, x.d, n_cap, m_cap, variant=x.variant)
     v = format_rational(eval_theory(e, x))
-    return {"value": v}, v, 0
+    return (lambda: {"value": v}), (lambda: v), 0
 
 
-def _element_verb(method, to_obj=element_to_obj, pretty=element_pretty):
-    def run(args):
-        y = getattr(element_from_obj(_load_json_arg(args.element)), method)()
-        return to_obj(y), pretty(y), 0
-    return run
+def _run_element(args):
+    """to-p, to-q, antipode and coproduct: the element method of that name."""
+    x = element_from_obj(_load_json_arg(args.element))
+    y = getattr(x, args.verb.replace("-", "_"))()
+    if args.verb == "coproduct":
+        return partial(tensor_to_obj, y), partial(tensor_pretty, y), 0
+    return partial(element_to_obj, y), partial(element_pretty, y), 0
 
 
 def _run_vertical(args):
@@ -148,14 +149,14 @@ def _run_vertical(args):
     else:
         e = _build_theory(args, args.d, args.order, args.order - 1 + args.d)
         s = vertical_series(e, chern, args.order, path=args.path)
-    return s.to_obj(), s.pretty(), 0
+    return s.to_obj, s.pretty, 0
 
 
 def _run_curve(args):
     _at_least("--order", args.order, 0)
     e = _build_theory(args, 1, args.order, args.order)
     s = curve_series(e, parse_rational(args.chi), args.order)
-    return s.to_obj(), s.pretty(), 0
+    return s.to_obj, s.pretty, 0
 
 
 def _run_gamma(args):
@@ -164,8 +165,8 @@ def _run_gamma(args):
     chern = parse_chern_arg(args.d, args.chern)
     e = _build_theory(args, args.d, args.order, args.order - 1 + args.d)
     series, report = gamma_integral_series(e, chern, args.order)
-    obj = {"series": series.to_obj(), "report": report.to_obj()}
-    return obj, series.pretty() + "\n" + report.pretty(), 0
+    return (lambda: {"series": series.to_obj(), "report": report.to_obj()},
+            lambda: series.pretty() + "\n" + report.pretty(), 0)
 
 
 def _run_verify(args):
@@ -203,7 +204,7 @@ def _run_verify(args):
                       chern=parse_chern_arg(d, _need(args, "chern",
                                                      "--chern")))
     report = verify_identity(name, **params)
-    return report.to_obj(), report.pretty(), 0 if report.passed else 1
+    return report.to_obj, report.pretty, 0 if report.passed else 1
 
 
 def _run_axioms(args):
@@ -220,11 +221,12 @@ def _run_axioms(args):
                                  count=args.count,
                                  max_cycle_degree=args.max_cycle_degree)
     except AssertionError as exc:
-        return ({"passed": False, "detail": str(exc)},
-                "passed: false\n%s" % exc, 1)
-    lines = ["passed: true"]
-    lines += ["%s: %d" % (k, v) for k, v in counts.items()]
-    return {"passed": True, "checks": counts}, "\n".join(lines), 0
+        detail = str(exc)  # the except clause unbinds exc on exit
+        return (lambda: {"passed": False, "detail": detail},
+                lambda: "passed: false\n" + detail, 1)
+    lines = ["passed: true"] + ["%s: %d" % kv for kv in counts.items()]
+    return (lambda: {"passed": True, "checks": counts},
+            lambda: "\n".join(lines), 0)
 
 
 # -- wiring ----------------------------------------------------------------
@@ -257,13 +259,11 @@ def _build_parser():
                    help="inline JSON, @file, or - for stdin")
     p.add_argument("--d", type=int)
 
-    for verb, method, blurb, *printers in (
-            ("to-p", "to_p", "rewrite in the p basis"),
-            ("to-q", "to_q", "rewrite in the q basis"),
-            ("antipode", "antipode", "apply the antipode"),
-            ("coproduct", "coproduct", "coproduct of a q-basis element",
-             tensor_to_obj, tensor_pretty)):
-        p = add(verb, _element_verb(method, *printers), help=blurb)
+    for verb, blurb in (("to-p", "rewrite in the p basis"),
+                        ("to-q", "rewrite in the q basis"),
+                        ("antipode", "apply the antipode"),
+                        ("coproduct", "coproduct of a q-basis element")):
+        p = add(verb, _run_element, help=blurb)
         p.add_argument("--element", required=True)
 
     p = add("vertical", _run_vertical, help="invariant series of the "
@@ -315,19 +315,20 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         obj, text, status = args.func(args)
-        payload = (json.dumps(obj, indent=2) if args.format == "json"
-                   else text) + "\n"
+        payload = (json.dumps(obj(), indent=2) if args.format == "json"
+                   else text()) + "\n"
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(payload)
+        else:  # flushed here, so that a full or closed stdout exits 2
+            sys.stdout.write(payload)
+            sys.stdout.flush()
     except (ValueError, KeyError, TypeError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except _PathsDisagreeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if not args.output:
-        sys.stdout.write(payload)
     return status
 
 

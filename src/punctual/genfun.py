@@ -19,7 +19,7 @@ from math import factorial, lcm
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _canonical_nonsep, _vertical_ints
-from .series import MultiSeries, _macmahon_neg
+from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
 from .theories import (Theory, _table_series, ck_theory, dt_vertex_theory,
                        inertial_theory)
@@ -291,7 +291,7 @@ def verify_identity(name, **params):
         lhs = vertical_series(e, chern, n_max)
         # <c3 - c1 c2> = -2 <m_111> - <m_21>
         exponent = -2 * chern.value((1, 1, 1)) - chern.value((2, 1))
-        rhs = _macmahon_neg(n_max).pow(exponent)
+        rhs = (_macmahon_log(n_max, -1) * exponent).exp()
         return IdentityReport(name, lhs, rhs)
     if name == "ck-bivariate":
         k = int(params["k"])

@@ -39,6 +39,7 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import factorial, lcm
 
 from .combinat import pad_partition, vector_splittings
@@ -710,37 +711,43 @@ def _factor_pretty(g, variant, basis):
     return "q_{(%s)}" % ",".join(str(x) for x in g)
 
 
-def _factors_pretty(mon, variant, basis):
-    """The factors of a sorted monomial, a run of k equal ones as f^k."""
-    out = []
-    i = 0
-    while i < len(mon):
-        j = i
-        while j < len(mon) and mon[j] == mon[i]:
-            j += 1
-        f = _factor_pretty(mon[i], variant, basis)
-        out.append(f if j - i == 1 else "%s^%d" % (f, j - i))
-        i = j
-    return out
+def _printer(variant, basis):
+    """info(mon) -> (_monomial_key(mon), text) for one print call, the text
+    a sorted monomial's factors joined by "*", a run of k equal ones as f^k,
+    the unit as "1".  Each distinct monomial and factor is worked out once,
+    in caches that die with the call."""
+    factors, seen = {}, {}
+
+    def info(mon):
+        out = seen.get(mon)
+        if out is None:
+            parts = []
+            for g, run in groupby(mon):
+                f = factors.get(g)
+                if f is None:
+                    f = factors[g] = _factor_pretty(g, variant, basis)
+                k = len(tuple(run))
+                parts.append(f if k == 1 else "%s^%d" % (f, k))
+            out = seen[mon] = (_monomial_key(mon, variant),
+                               "*".join(parts) or "1")
+        return out
+    return info
 
 
 def element_pretty(x):
     if not x.terms:
         return "0"
+    info = _printer(x.variant, x.basis)
     return " + ".join(
-        "*".join([format_rational(x.terms[mon])] +
-                 _factors_pretty(mon, x.variant, x.basis))
-        for mon in sorted(x.terms, key=lambda m: _monomial_key(m, x.variant)))
+        format_rational(c) + "*" + info(mon)[1] if mon else format_rational(c)
+        for mon, c in sorted(x.terms.items(), key=lambda mc: info(mc[0])[0]))
 
 
 def tensor_pretty(t):
     if not t.terms:
         return "0"
-
-    def side(mon):
-        return "*".join(_factors_pretty(mon, t.variant, t.basis)) or "1"
-
-    keys = sorted(t.terms, key=lambda p: (_monomial_key(p[0], t.variant),
-                                          _monomial_key(p[1], t.variant)))
-    return " + ".join("%s*%s(x)%s" % (format_rational(t.terms[(l, r)]),
-                                      side(l), side(r)) for (l, r) in keys)
+    info = _printer(t.variant, t.basis)
+    return " + ".join(
+        "%s*%s(x)%s" % (format_rational(c), info(l)[1], info(r)[1])
+        for (l, r), c in sorted(t.terms.items(), key=lambda lrc: (
+            info(lrc[0][0])[0], info(lrc[0][1])[0])))

@@ -25,7 +25,8 @@ def format_rational(x):
     >>> format_rational(5)
     '5/1'
     """
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 

@@ -375,8 +375,3 @@ def macmahon_series(cap):
     [Fraction(1, 1), Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(13, 1)]
     """
     return _macmahon_log(cap).exp()
-
-
-def _macmahon_neg(cap):
-    """M(-T) to T^cap, the exp of log M(-T)."""
-    return _macmahon_log(cap, -1).exp()

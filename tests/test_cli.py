@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 from fractions import Fraction as F
 
@@ -397,6 +399,41 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, method):
+    # a stdout on a full device, failing on write or on flush
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    stdout = io.StringIO()
+    monkeypatch.setattr(stdout, method, full)
+    monkeypatch.setattr("sys.stdout", stdout)
+    status = main(["table", "--theory", "builtin:ck,k=1", "--d", "1",
+                   "--max-n", "1", "--max-m", "1"])
+    err = capsys.readouterr().err
+    assert (status, err) == (2, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("fmt, builders", [
+    ("text", ("cli.element_to_obj", "cli.tensor_to_obj",
+              "hopf._monomial_to_obj")),
+    ("json", ("cli.element_pretty", "cli.tensor_pretty",
+              "hopf._factor_pretty")),
+], ids=["text", "json"])
+def test_only_the_requested_format_is_built(capsys, monkeypatch, fmt,
+                                            builders):
+    # the builders of the other format, and the helper they share, raise
+    jobs = [(verb, "--element", Q22, "--format", fmt)
+            for verb in ("to-p", "coproduct")]
+    expected = [run(capsys, *argv) for argv in jobs]
+    assert [status for status, _, _ in expected] == [0, 0]
+
+    def refuse(*args):
+        raise AssertionError("built the format --format did not ask for")
+    for name in builders:
+        monkeypatch.setattr("punctual." + name, refuse)
+    assert [run(capsys, *argv) for argv in jobs] == expected
+
+
 def test_one_parser_serves_every_call(capsys):
     # the parser is built once per process; a failed parse, a refused input
     # and a JSON run leave nothing behind for the next call
@@ -425,7 +462,6 @@ def test_element_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert status == 0
     assert out == "1/1\n"
 
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(Q22))
     status, out, err = run(capsys, "eval", "--theory",
                            "builtin:coarse-ek,k=1", "--element", "-")

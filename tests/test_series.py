@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from punctual.series import MultiSeries, _macmahon_neg, macmahon_series
+from punctual.series import MultiSeries, _macmahon_log, macmahon_series
 
 import oracles
 
@@ -138,12 +138,15 @@ def test_macmahon_log_is_sigma2_over_n():
 def test_macmahon_negated_power():
     want = oracles.macmahon_neg_power(1, 6)
     assert want == [1, -1, 3, -6, 13, -24, 48]
-    assert [_macmahon_neg(6).coefficient((n,)) for n in range(7)] == want
+    assert [_macmahon_log(6, -1).exp().coefficient((n,))
+            for n in range(7)] == want
     mneg = MultiSeries(("T",), (6,), {(n,): c for n, c in enumerate(want)})
-    s = mneg.pow(F(-20))
-    assert [s.coefficient((n,)) for n in range(3)] == [1, 20, 150]
-    assert [s.coefficient((n,)) for n in range(7)] == \
-        oracles.macmahon_neg_power(-20, 6)
+    # M(-T)^a as exp(a log M(-T)), the right side of dt-degree-zero, and
+    # through pow
+    for s in ((_macmahon_log(6, -1) * -20).exp(), mneg.pow(F(-20))):
+        assert [s.coefficient((n,)) for n in range(3)] == [1, 20, 150]
+        assert [s.coefficient((n,)) for n in range(7)] == \
+            oracles.macmahon_neg_power(-20, 6)
 
 
 def test_serialization_roundtrip():
