@@ -197,6 +197,49 @@ def dt_vertex_primitive(n_cap, m_cap):
     return out
 
 
+# -- the gamma integral from the generator table ---------------------------
+
+def gamma_route(value, d, numbers, n_max):
+    """The gamma integral computed from the raw generator table.
+
+    value(n, m) is read for 1 <= n <= n_max and every weakly decreasing m
+    in {0..cap}^d, cap = n_max - 1 + d: n outer, m in graded order (total,
+    then the vector), so a lookup past a theory's caps fails at the first
+    index that tabulating would reach.  The log of 1 + the table (every
+    ordering of m) comes from poly_log at caps (n_max, cap, ..., cap), and
+    its coefficient at (n; lam + n - 1) is paired against numbers
+    {lam: <m_lam>}.
+
+    Returns (offenders, series, (n_max, cap, terms checked)): offenders are
+    the log terms (exponent, coefficient) with some m_i < n - 1, in graded
+    order, and series is {(n,): coefficient}.
+    """
+    cap = n_max - 1 + d
+    rows = sorted((m for m in itertools.product(range(cap + 1), repeat=d)
+                   if list(m) == sorted(m, reverse=True)),
+                  key=lambda m: (sum(m), m))
+    table = {(0,) * (d + 1): Fraction(1)}
+    for n in range(1, n_max + 1):
+        for m in rows:
+            v = Fraction(value(n, m))
+            if v:
+                for p in set(itertools.permutations(m)):
+                    table[(n,) + p] = v
+    log = poly_log(table, (n_max,) + (cap,) * d)
+    offenders = [(e, c) for e, c in
+                 sorted(log.items(), key=lambda ec: (sum(ec[0]), ec[0]))
+                 if min(e[1:]) < e[0] - 1]
+    series = {}
+    for n in range(1, n_max + 1):
+        total = Fraction(0)
+        for lam, w in numbers.items():
+            row = tuple(lam) + (0,) * (d - len(lam))
+            total += w * log.get((n,) + tuple(x + n - 1 for x in row), 0)
+        if total:
+            series[n,] = total
+    return offenders, series, (n_max, cap, len(log))
+
+
 # -- exhaustive theory values ----------------------------------------------
 
 def compositions(n, k):

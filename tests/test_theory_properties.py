@@ -8,6 +8,9 @@ oracles.poly_log / poly_exp of that table.  The n = 0 rows read 1 on the
 unit of a multiplicative theory and 0 everywhere else, and one step past
 each cap raises CapError.
 
+The primitive side of a class theory is checked against the log of its
+generator table.
+
 Theory.pair is checked against the naive loop of oracles.pairing, with the
 generator values read through those lookups: sep elements in both bases
 and nonsep elements, multiplicative and primitive theories.
@@ -26,8 +29,8 @@ from hypothesis import given, settings, strategies as st
 from punctual.hopf import HopfElement
 from punctual.series import MultiSeries
 from punctual.theories import (CapError, ck_theory, dt_vertex_theory,
-                               eval_theory, inertial_theory, table_theory,
-                               theory_log)
+                               ek_theory, eval_theory, inertial_theory,
+                               mult_class_theory, table_theory, theory_log)
 
 import oracles
 
@@ -165,6 +168,26 @@ def test_dt_vertex_theory_lookups(n_cap, extra):
     prim = {cell: v for cell, v in prim.items()
             if all(x <= c for x, c in zip(cell, caps))}
     check_lookups(e, _exp(prim, caps), prim)
+
+
+@examples
+@given(form=st.sampled_from(("mult_class", "ck", "ek")),
+       t=st.lists(coeffs, max_size=3), k=st.integers(0, 3),
+       d=st.integers(1, 3), n_cap=st.integers(-1, 3), m_cap=st.integers(-1, 3))
+def test_class_primitive_side_is_the_log_of_the_table(form, t, k, d, n_cap,
+                                                      m_cap):
+    # a class theory's table is exp(T P(U1)...P(Ud)); the primitive side
+    # must be its log at the same caps
+    if form == "ek":
+        e = ek_theory(k, d, n_cap, m_cap)
+    elif form == "ck":
+        # unit classes refuse a negative m_cap
+        e = ck_theory(k, d, n_cap, max(m_cap, 0))
+    else:
+        t = [Fraction(1)] + t
+        P = MultiSeries(("x",), (len(t),), {(j,): c for j, c in enumerate(t)})
+        e = mult_class_theory(P, d, n_cap, max(m_cap, 0))
+    assert e._series(True) == e._gen.log()
 
 
 @st.composite
