@@ -7,11 +7,13 @@ term by term on the integer vertical classes n! D^n [Z_n] in the p basis,
 and once by exponentiating the paired primitive series
 sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+n-1}>.
 
-The gamma-integral form recovers the same logarithm from the raw generator
-table: substituting T -> T*g1...gd turns the Laurent expansion into an
-honest polynomial one, the logarithm is taken there, and the substitution
-is undone on exponents.  Cancellation of all would-be poles (exponents
-dropping below zero after the shift) is checked term by term.
+The gamma-integral form recovers the same logarithm from the generator
+table F: substituting T -> T*g1...gd turns the Laurent expansion into an
+honest polynomial one, whose logarithm is log F, and the substitution is
+undone on exponents.  log F is the theory's primitive side, given or
+derived once (see theories), so it is read there, not recomputed.
+Cancellation of all would-be poles (exponents dropping below zero after
+the shift) is checked term by term.
 """
 
 from fractions import Fraction
@@ -180,23 +182,37 @@ def gamma_integral_series(e, chern, n_max):
     """The logarithm of the vertical series, recovered from the generator
     table by the gamma-integral formula.
 
-    Returns (series in T, GammaReport).  Raises PoleCancellationError when
-    a shifted exponent stays negative, listing the offending terms.
+    The shifted logarithm is the theory's primitive side log F, its terms
+    T^n g^m with 1 <= n <= n_max and every m_i <= n_max - 1 + d; a request
+    past the theory's caps raises CapError.  Returns (series in T,
+    GammaReport).  Raises PoleCancellationError when a shifted exponent
+    stays negative, listing the offending terms.
     """
     _require_mult_sep(e, chern)
     d = e.d
     if d < 1:
         raise ValueError("gamma integral needs d >= 1")
     cap = n_max - 1 + d
-    variables = ("T",) + tuple("g%d" % (i + 1) for i in range(d))
-    shifted_log = _table_series(e.value, variables, n_max, cap).log()
-    offenders = [(exps, c) for exps, c in shifted_log.sorted_terms()
-                 if min(exps[1:]) < exps[0] - 1]
+    if n_max > 0:
+        # a request past the theory's caps fails at the first generator
+        # that tabulating the table to (n_max, cap), n outer and m in
+        # graded order, would read: in row n = 1 the first m past m_cap
+        # (every m when n_cap < 1), else the first row past n_cap
+        first = 0 if e.n_cap < 1 else max(e.m_cap + 1, 0)
+        if first <= cap:
+            e._exponent(1, (first,) + (0,) * (d - 1))
+        if e.n_cap < n_max:
+            e._exponent(e.n_cap + 1, (0,) * d)
+    shifted_log = {exps: c for exps, c in e._series(True).terms.items()
+                   if 1 <= exps[0] <= n_max and max(exps[1:]) <= cap}
+    offenders = sorted(((exps, c) for exps, c in shifted_log.items()
+                        if min(exps[1:]) < exps[0] - 1),
+                       key=lambda ec: (sum(ec[0]), ec[0]))
     if offenders:
         raise PoleCancellationError(offenders)
     series = _chern_paired(
-        chern, n_max, lambda n, m: shifted_log.coefficient((n,) + m))
-    return series, GammaReport(n_max, cap, len(shifted_log.terms))
+        chern, n_max, lambda n, m: shifted_log.get((n,) + m, _ZERO))
+    return series, GammaReport(n_max, cap, len(shifted_log))
 
 
 def nonsep_vertical_series(e_values, chern, n_max):
@@ -263,6 +279,11 @@ def verify_identity(name, **params):
                      exp(T (1+U)^k).
     gamma-vertical   params: theory, chern, n_max
                      gamma_integral_series vs log of vertical_series.
+                     Both read the theory's primitive side: the lhs pairs
+                     its shifted coefficients directly, and the rhs is
+                     the pairing with the integer classes [Z_n], which
+                     the "both" path checks against the exp of the
+                     paired primitive series.
     """
     if name == "curve-vertical":
         e = params["theory"]

@@ -15,22 +15,25 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .combinat import canonical_partition, pad_partition, partitions_of
 from .rational import format_rational, parse_rational
-from .series import MultiSeries
 
 
 def _expand_e_monomial(mu, d):
-    """Full expansion of e_mu in d variables x0..x(d-1), as a MultiSeries."""
-    xs = ["x%d" % i for i in range(d)]
-    caps = (len(mu),) * d
-    poly = MultiSeries.one(xs, caps)
+    """Full expansion of e_mu in d variables, as {exponent vector: count}."""
+    poly = {(0,) * d: 1}
     for k in mu:
         # e_k = sum over k-subsets of the variables
-        poly = poly * MultiSeries(xs, caps, {
-            tuple(int(i in subset) for i in range(d)): 1
-            for subset in itertools.combinations(range(d), k)})
+        subsets = [tuple(int(i in subset) for i in range(d))
+                   for subset in itertools.combinations(range(d), k)]
+        product = {}
+        for e, c in poly.items():
+            for s in subsets:
+                key = tuple(map(add, e, s))
+                product[key] = product.get(key, 0) + c
+        poly = product
     return poly
 
 
@@ -43,7 +46,7 @@ def _m_to_e_table(d):
     mat = []
     for mu in mus:
         poly = _expand_e_monomial(mu, d)
-        mat.append([poly.coefficient(pad_partition(lam, d)) for lam in lams])
+        mat.append([poly.get(pad_partition(lam, d), 0) for lam in lams])
     # invert by Gauss elimination: columns of inv give m_lam = sum c_mu e_mu
     n = len(mus)
     aug = [[mat[j][i] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]

@@ -14,10 +14,12 @@ with a p-basis monomial as the product of its primitive values.
 A Theory holds each side as its generating series, a MultiSeries in T and
 U1..Ud truncated at the declared caps n <= n_cap, m_i <= m_cap: F on the
 generator side, whose constant term is the value on the unit, and log F on
-the primitive side.  The side a theory is built from is tabulated once, at
-construction; the other side is derived whole, by log or exp, on its first
-lookup.  A lookup reads one coefficient; evaluating outside the caps raises
-CapError rather than truncating silently.
+the primitive side.  A theory may be given either side or both; a given
+side is tabulated once, at construction, and a side not given is derived
+whole, by log or exp, on its first lookup.  Class theories are given both,
+since log F = T P(U1)...P(Ud) in closed form.  A lookup reads one
+coefficient; evaluating outside the caps raises CapError rather than
+truncating silently.
 """
 
 import itertools
@@ -64,13 +66,14 @@ class Theory:
     """A functional held as the generating series of its generator values
     and of its primitive values.
 
-    Exactly one of gen_fn / prim_fn may be omitted; primitive and nonsep
-    theories take gen_fn alone.  A given side is a MultiSeries in T, U1..Ud
-    with caps (n_cap, m_cap, ..., m_cap), or a function of (n, m) called at
-    construction for every n in 1..n_cap and weakly decreasing m within the
-    caps.  The other side is derived whole, by exp or log, on its first
-    lookup.  For the nonsep variant gen_fn takes a padded partition lam,
-    whose value sits at T U^lam.
+    Either of gen_fn / prim_fn may be omitted, not both; primitive and
+    nonsep theories take gen_fn alone.  A given side is a MultiSeries in T,
+    U1..Ud with caps (n_cap, m_cap, ..., m_cap), or a function of (n, m)
+    called at construction for every n in 1..n_cap and weakly decreasing m
+    within the caps.  A side not given is derived whole, by exp or log, on
+    its first lookup; given both, the caller vouches that prim is log gen.
+    For the nonsep variant gen_fn takes a padded partition lam, whose value
+    sits at T U^lam.
     """
 
     __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap", "_gen",
@@ -231,9 +234,25 @@ def _one_var_coeffs(P, m_cap):
     return [P.coefficient((j,)) for j in range(m_cap + 1)]
 
 
+def _class_primitive(P, d, n_cap, m_cap):
+    """T P(U1) ... P(Ud) for a series P in one variable, at caps (n_cap,
+    m_cap, ..., m_cap), a negative cap read as 0."""
+    variables = ("T",) + tuple("U%d" % (i + 1) for i in range(d))
+    caps = (max(n_cap, 0),) + (max(m_cap, 0),) * d
+    prim = MultiSeries.var(variables, caps, "T")
+    for i in range(d):
+        prim = prim * MultiSeries(variables, caps, {
+            (0,) * (i + 1) + e + (0,) * (d - 1 - i): c
+            for e, c in P.terms.items()})
+    return prim
+
+
 def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
     """The multiplicative class theory of P: on q_{n,m} the value is
-    1/n! times prod_i [x^(m_i)] P(x)^n.  Requires P(0) = 1."""
+    1/n! times prod_i [x^(m_i)] P(x)^n.  Requires P(0) = 1.
+
+    Its table is F = exp(T P(U1)...P(Ud)), so a sep theory is given both
+    sides: the table, and the closed form T P(U1)...P(Ud) of log F."""
     if P.constant_term() != 1:
         raise ValueError("multiplicative class needs P(0) = 1")
     base = MultiSeries(("x",), (m_cap,), P.terms)
@@ -252,10 +271,13 @@ def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
                 break
         return v
 
+    sep = variant == "sep"
     # a nonsep generator q_lam takes the sep rule at n = 1
     return Theory(d, "multiplicative", label or "class(%s)" % P.pretty(),
                   n_cap, m_cap, variant=variant,
-                  gen_fn=gen_fn if variant == "sep" else partial(gen_fn, 1))
+                  gen_fn=gen_fn if sep else partial(gen_fn, 1),
+                  prim_fn=_class_primitive(base, d, n_cap, m_cap) if sep
+                  else None)
 
 
 def ck_theory(k, d, n_cap, m_cap, variant="sep"):
@@ -272,8 +294,9 @@ def ck_theory(k, d, n_cap, m_cap, variant="sep"):
 
 def ek_theory(k, d, n_cap, m_cap):
     """The k-th Euler power theory, class x^k: the value on q_{n,m} is 1/n!
-    if every m_i = k n and zero otherwise.  (Not a unit class, so this does
-    not factor through mult_class_theory.)"""
+    if every m_i = k n and zero otherwise.  Its table is
+    F = exp(T (U1...Ud)^k), and it is given both sides like a class theory.
+    (Not a unit class, so this does not factor through mult_class_theory.)"""
     k = int(k)
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -281,7 +304,9 @@ def ek_theory(k, d, n_cap, m_cap):
     def gen_fn(n, m):
         return Fraction(1, factorial(n)) if all(x == k * n for x in m) else _ZERO
 
-    return Theory(d, "multiplicative", "e^%d" % k, n_cap, m_cap, gen_fn=gen_fn)
+    x_k = MultiSeries.monomial(("x",), (k,), (k,))
+    return Theory(d, "multiplicative", "e^%d" % k, n_cap, m_cap, gen_fn=gen_fn,
+                  prim_fn=_class_primitive(x_k, d, n_cap, m_cap))
 
 
 def coarse_curve_theory(k, kind, n_cap, m_cap):

@@ -218,9 +218,11 @@ def _count_series_calls(monkeypatch):
 
 
 def test_derived_side_is_built_once(monkeypatch):
-    # the lookups include keys whose derived value is 0: c^1 has
-    # F = exp(T(1+U)), so its primitive values vanish for n >= 2, and the
-    # generator tables of inertial(1) and of the vertex vanish off a band
+    # the lookups include keys whose derived value is 0: the table
+    # F = 1 + T U has log F = sum (-1)^(k+1) (T U)^k / k, so its primitive
+    # values vanish off the diagonal, and the generator tables of
+    # inertial(1) and of the vertex vanish off a band
+    table = table_theory([((1, (1,)), 1)], 1, 4, 4)
     ck = ck_theory(1, 1, 4, 4)
     inertial = inertial_theory(MultiSeries.one(("U",), (2,)), 2, 3, 4)
     dt = dt_vertex_theory(3, 4)
@@ -228,8 +230,17 @@ def test_derived_side_is_built_once(monkeypatch):
     keys = [(n, (m,)) for n in range(1, 5) for m in range(5)]
     for _ in range(2):
         for n, m in keys:
+            table.primitive_value(n, m)
+    assert table.primitive_value(3, (2,)) == 0
+    assert table.primitive_value(3, (3,)) == F(1, 3)
+    assert calls == {"log": 1, "exp": 0}
+    # a class theory is given both sides: c^1 has F = exp(T(1+U)), and
+    # its primitive values, 0 for n >= 2, are read without a log
+    for _ in range(2):
+        for n, m in keys:
             ck.primitive_value(n, m)
     assert ck.primitive_value(3, (2,)) == 0
+    assert ck.primitive_value(1, (1,)) == 1
     assert calls == {"log": 1, "exp": 0}
     keys = [(n, (a, b)) for n in range(1, 4) for a in range(5)
             for b in range(a + 1)]
