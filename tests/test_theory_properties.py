@@ -1,15 +1,16 @@
 """Every lookup of a Theory against naive oracles, as Hypothesis properties.
 
-For random generator tables of both kinds and for the ck, inertial and
-vertex theories at small caps, value and primitive_value are checked at
-every key within the caps, with m in every order.  The expected values come
+For random generator tables of both kinds and for the class (ck,
+multiplicative class and Euler power), inertial and vertex theories at
+small caps, value and primitive_value are checked at every key within the
+caps, with m in every order.  The expected values come
 from a table the test builds from the entries itself, and from
 oracles.poly_log / poly_exp of that table.  The n = 0 rows read 1 on the
 unit of a multiplicative theory and 0 everywhere else, and one step past
 each cap raises CapError.
 
-The primitive side of a class theory is checked against the log of its
-generator table.
+A class theory of P is checked against the table 1/n! prod_i [x^(m_i)] P^n,
+with P^n multiplied out naively, and against the log of that table.
 
 Theory.pair is checked against the naive loop of oracles.pairing, with the
 generator values read through those lookups: sep elements in both bases
@@ -118,16 +119,31 @@ def test_table_theory_lookups(table):
 
 
 @examples
-@given(k=st.integers(0, 3), d=st.integers(1, 2), n_cap=st.integers(1, 3),
-       m_cap=st.integers(0, 3))
-def test_ck_theory_lookups(k, d, n_cap, m_cap):
-    e = ck_theory(k, d, n_cap, m_cap)
+@given(form=st.sampled_from(("ck", "mult_class", "ek")),
+       t=st.lists(coeffs, max_size=3), k=st.integers(0, 3),
+       d=st.integers(1, 2), n_cap=st.integers(0, 3), m_cap=st.integers(0, 3))
+def test_ck_theory_lookups(form, t, k, d, n_cap, m_cap):
+    # a class theory of P has the table 1/n! prod_i [x^(m_i)] P^n, with P^n
+    # multiplied out here, and the log of that table as its primitive side
+    if form == "ck":
+        P = {(j,): Fraction(comb(k, j)) for j in range(k + 1)}
+        e = ck_theory(k, d, n_cap, m_cap)
+    elif form == "ek":
+        P = {(k,): Fraction(1)}
+        e = ek_theory(k, d, n_cap, m_cap)
+    else:
+        P = dict(((j,), c) for j, c in enumerate([Fraction(1)] + t))
+        e = mult_class_theory(MultiSeries(("x",), (len(t),), P), d, n_cap,
+                              m_cap)
+    powers = [{(0,): Fraction(1)}]
+    for _ in range(n_cap):
+        powers.append(oracles.poly_mul(powers[-1], P, (m_cap,)))
     caps = _caps(e)
     gen = {}
     for cell in _cells(caps):
         v = Fraction(1, factorial(cell[0]))
         for x in cell[1:]:
-            v *= comb(k * cell[0], x)
+            v *= powers[cell[0]].get((x,), 0)
         if v:
             gen[cell] = v
     check_lookups(e, gen, _log(gen, caps))
@@ -168,26 +184,6 @@ def test_dt_vertex_theory_lookups(n_cap, extra):
     prim = {cell: v for cell, v in prim.items()
             if all(x <= c for x, c in zip(cell, caps))}
     check_lookups(e, _exp(prim, caps), prim)
-
-
-@examples
-@given(form=st.sampled_from(("mult_class", "ck", "ek")),
-       t=st.lists(coeffs, max_size=3), k=st.integers(0, 3),
-       d=st.integers(1, 3), n_cap=st.integers(-1, 3), m_cap=st.integers(-1, 3))
-def test_class_primitive_side_is_the_log_of_the_table(form, t, k, d, n_cap,
-                                                      m_cap):
-    # a class theory's table is exp(T P(U1)...P(Ud)); the primitive side
-    # must be its log at the same caps
-    if form == "ek":
-        e = ek_theory(k, d, n_cap, m_cap)
-    elif form == "ck":
-        # unit classes refuse a negative m_cap
-        e = ck_theory(k, d, n_cap, max(m_cap, 0))
-    else:
-        t = [Fraction(1)] + t
-        P = MultiSeries(("x",), (len(t),), {(j,): c for j, c in enumerate(t)})
-        e = mult_class_theory(P, d, n_cap, max(m_cap, 0))
-    assert e._series(True) == e._gen.log()
 
 
 @st.composite
