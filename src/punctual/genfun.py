@@ -17,13 +17,13 @@ the shift) is checked term by term.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _canonical_nonsep, _vertical_ints
 from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
-from .theories import (Theory, _table_series, ck_theory, dt_vertex_theory,
+from .theories import (Theory, _table_series, dt_vertex_theory,
                        inertial_theory)
 
 _ZERO = Fraction(0)
@@ -275,8 +275,8 @@ def verify_identity(name, **params):
                      vertical series of the vertex theory vs
                      M(-T)^(<c3-c1c2,[X]>).
     ck-bivariate     params: k, n_max, m_max (d=1)
-                     the table series sum <c^k, q_{n,m}> T^n U^m vs
-                     exp(T (1+U)^k).
+                     the table series sum <c^k, q_{n,m}> T^n U^m, from
+                     the closed form 1/n! C(k n, m), vs exp(T (1+U)^k).
     gamma-vertical   params: theory, chern, n_max
                      gamma_integral_series vs log of vertical_series.
                      Both read the theory's primitive side: the lhs pairs
@@ -318,8 +318,13 @@ def verify_identity(name, **params):
         k = int(params["k"])
         n_max = int(params["n_max"])
         m_max = int(params.get("m_max", n_max))
-        e = ck_theory(k, 1, n_max, m_max)
-        lhs = _table_series(e.value, ("T", "U"), n_max, m_max)
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        # the binomial closed form, not ck_theory's table: that is the exp
+        # of T (1+U)^k, the same route as the rhs
+        lhs = _table_series(lambda n, m: Fraction(comb(k * n, m[0]),
+                                                  factorial(n)),
+                            ("T", "U"), n_max, m_max)
         variables, caps = lhs.variables, lhs.caps
         t = MultiSeries.var(variables, caps, "T")
         u = MultiSeries.var(variables, caps, "U")

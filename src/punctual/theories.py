@@ -14,17 +14,17 @@ with a p-basis monomial as the product of its primitive values.
 A Theory holds each side as its generating series, a MultiSeries in T and
 U1..Ud truncated at the declared caps n <= n_cap, m_i <= m_cap: F on the
 generator side, whose constant term is the value on the unit, and log F on
-the primitive side.  A theory may be given either side or both; a given
-side is tabulated once, at construction, and a side not given is derived
-whole, by log or exp, on its first lookup.  Class theories are given both,
-since log F = T P(U1)...P(Ud) in closed form.  A lookup reads one
-coefficient; evaluating outside the caps raises CapError rather than
-truncating silently.
+the primitive side.  A theory is given one side, tabulated once at
+construction; the other is derived whole, by log or exp, on its first
+lookup.  Class, Euler power and inertial theories are given their primitive
+side in closed form, log F = first * P(U1)...P(Ud) with first = T for a
+class, and the DT vertex is given its own.  A lookup reads one coefficient;
+evaluating outside the caps raises CapError rather than truncating
+silently.
 """
 
 import itertools
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, prod
 
 from .combinat import _desc_vectors
@@ -66,14 +66,13 @@ class Theory:
     """A functional held as the generating series of its generator values
     and of its primitive values.
 
-    Either of gen_fn / prim_fn may be omitted, not both; primitive and
-    nonsep theories take gen_fn alone.  A given side is a MultiSeries in T,
-    U1..Ud with caps (n_cap, m_cap, ..., m_cap), or a function of (n, m)
-    called at construction for every n in 1..n_cap and weakly decreasing m
-    within the caps.  A side not given is derived whole, by exp or log, on
-    its first lookup; given both, the caller vouches that prim is log gen.
-    For the nonsep variant gen_fn takes a padded partition lam, whose value
-    sits at T U^lam.
+    Exactly one of gen_fn / prim_fn is given; primitive and nonsep theories
+    take gen_fn.  The given side is a MultiSeries in T, U1..Ud with caps
+    (n_cap, m_cap, ..., m_cap), or a function of (n, m) called at
+    construction for every n in 1..n_cap and weakly decreasing m within the
+    caps.  The other side is derived whole, by exp or log, on its first
+    lookup.  For the nonsep variant gen_fn takes a padded partition lam,
+    whose value sits at T U^lam.  A negative cap refuses every lookup.
     """
 
     __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap", "_gen",
@@ -85,8 +84,9 @@ class Theory:
             raise ValueError("kind must be multiplicative or primitive")
         if variant not in ("sep", "nonsep"):
             raise ValueError("variant must be 'sep' or 'nonsep'")
-        if gen_fn is None and prim_fn is None:
-            raise ValueError("need a generator table or a primitive table")
+        if (gen_fn is None) == (prim_fn is None):
+            raise ValueError("need exactly one of a generator table and a "
+                             "primitive table")
         if prim_fn is not None and (kind, variant) != ("multiplicative",
                                                          "sep"):
             raise ValueError("primitive and nonsep theories take gen_fn only")
@@ -227,57 +227,37 @@ def theory_exp(p):
 
 # -- constructions ---------------------------------------------------------
 
-def _one_var_coeffs(P, m_cap):
-    """Coefficient list of a 1-variable series, zero-extended to m_cap."""
+def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
+    """The multiplicative theory whose primitive side is, in closed form,
+    first * P(U1) ... P(Ud) for a series P in one variable; first is a term
+    mapping in T, U1..Ud and defaults to T.  A nonsep generator q_lam takes
+    the value prod_i [x^(lam_i)] P of q_{1,lam}."""
     if len(P.variables) != 1:
         raise ValueError("expected a series in one variable")
-    return [P.coefficient((j,)) for j in range(m_cap + 1)]
-
-
-def _class_primitive(P, d, n_cap, m_cap):
-    """T P(U1) ... P(Ud) for a series P in one variable, at caps (n_cap,
-    m_cap, ..., m_cap), a negative cap read as 0."""
+    if variant == "nonsep":
+        return Theory(d, "multiplicative", label, n_cap, m_cap,
+                      variant=variant, gen_fn=lambda lam: prod(
+                          P.coefficient((x,)) for x in lam))
     variables = ("T",) + tuple("U%d" % (i + 1) for i in range(d))
+    # a negative cap refuses every lookup; the series stops at 0
     caps = (max(n_cap, 0),) + (max(m_cap, 0),) * d
-    prim = MultiSeries.var(variables, caps, "T")
+    prim = MultiSeries(variables, caps,
+                       {(1,) + (0,) * d: 1} if first is None else first)
     for i in range(d):
         prim = prim * MultiSeries(variables, caps, {
             (0,) * (i + 1) + e + (0,) * (d - 1 - i): c
             for e, c in P.terms.items()})
-    return prim
+    return Theory(d, "multiplicative", label, n_cap, m_cap, prim_fn=prim)
 
 
 def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
-    """The multiplicative class theory of P: on q_{n,m} the value is
-    1/n! times prod_i [x^(m_i)] P(x)^n.  Requires P(0) = 1.
-
-    Its table is F = exp(T P(U1)...P(Ud)), so a sep theory is given both
-    sides: the table, and the closed form T P(U1)...P(Ud) of log F."""
+    """The multiplicative class theory of P: its table is
+    F = exp(T P(U1)...P(Ud)), so the value on q_{n,m} is 1/n! times
+    prod_i [x^(m_i)] P(x)^n.  Requires P(0) = 1."""
     if P.constant_term() != 1:
         raise ValueError("multiplicative class needs P(0) = 1")
-    base = MultiSeries(("x",), (m_cap,), P.terms)
-    powers = [MultiSeries.one(("x",), (m_cap,))]
-
-    def coeff(n, j):
-        while len(powers) <= n:
-            powers.append(powers[-1] * base)
-        return powers[n].coefficient((j,))
-
-    def gen_fn(n, m):
-        v = Fraction(1, factorial(n))
-        for x in m:
-            v *= coeff(n, x)
-            if not v:
-                break
-        return v
-
-    sep = variant == "sep"
-    # a nonsep generator q_lam takes the sep rule at n = 1
-    return Theory(d, "multiplicative", label or "class(%s)" % P.pretty(),
-                  n_cap, m_cap, variant=variant,
-                  gen_fn=gen_fn if sep else partial(gen_fn, 1),
-                  prim_fn=_class_primitive(base, d, n_cap, m_cap) if sep
-                  else None)
+    return _class_theory(P, d, n_cap, m_cap, label or "class(%s)" % P.pretty(),
+                         variant=variant)
 
 
 def ck_theory(k, d, n_cap, m_cap, variant="sep"):
@@ -286,27 +266,24 @@ def ck_theory(k, d, n_cap, m_cap, variant="sep"):
     k = int(k)
     if k < 0:
         raise ValueError("k must be >= 0")
-    P = MultiSeries(("x",), (m_cap,),
-                    {(j,): comb(k, j) for j in range(min(k, m_cap) + 1)})
+    # (1+x)^k is read only to x^m_cap
+    cap = max(m_cap, 0)
+    P = MultiSeries(("x",), (cap,),
+                    {(j,): comb(k, j) for j in range(min(k, cap) + 1)})
     return mult_class_theory(P, d, n_cap, m_cap, label="c^%d" % k,
                              variant=variant)
 
 
 def ek_theory(k, d, n_cap, m_cap):
-    """The k-th Euler power theory, class x^k: the value on q_{n,m} is 1/n!
-    if every m_i = k n and zero otherwise.  Its table is
-    F = exp(T (U1...Ud)^k), and it is given both sides like a class theory.
-    (Not a unit class, so this does not factor through mult_class_theory.)"""
+    """The k-th Euler power theory, class x^k: its table is
+    F = exp(T (U1...Ud)^k), so the value on q_{n,m} is 1/n! if every
+    m_i = k n and zero otherwise.  (Not a unit class, so this does not
+    factor through mult_class_theory.)"""
     k = int(k)
     if k < 0:
         raise ValueError("k must be >= 0")
-
-    def gen_fn(n, m):
-        return Fraction(1, factorial(n)) if all(x == k * n for x in m) else _ZERO
-
-    x_k = MultiSeries.monomial(("x",), (k,), (k,))
-    return Theory(d, "multiplicative", "e^%d" % k, n_cap, m_cap, gen_fn=gen_fn,
-                  prim_fn=_class_primitive(x_k, d, n_cap, m_cap))
+    return _class_theory(MultiSeries.monomial(("x",), (k,), (k,)), d, n_cap,
+                         m_cap, "e^%d" % k)
 
 
 def coarse_curve_theory(k, kind, n_cap, m_cap):
@@ -319,8 +296,10 @@ def coarse_curve_theory(k, kind, n_cap, m_cap):
     if k < 0:
         raise ValueError("k must be >= 0")
     if kind == "chern":
-        one = MultiSeries.one(("x",), (m_cap,))
-        x = MultiSeries.var(("x",), (m_cap,), "x")
+        # a negative m_cap refuses every lookup, so no row is read
+        cap = (max(m_cap, 0),)
+        one = MultiSeries.one(("x",), cap)
+        x = MultiSeries.var(("x",), cap, "x")
         rows = [one]
 
         def gen_fn(n, m):
@@ -349,26 +328,14 @@ def inertial_theory(P, d, n_cap, m_cap, label=None):
         <P_, p_{n,m}> = 1/n [U^(m - (n-1))] P(U_1) ... P(U_d)
                       = 1/n t_{m_1-n+1} ... t_{m_d-n+1}
 
-    with t_0 = 1, zero whenever some m_i < n - 1.
+    with t_0 = 1, zero whenever some m_i < n - 1: its primitive side is
+    sum_n T^n (U1...Ud)^(n-1) / n times P(U1) ... P(Ud).
     """
     if P.constant_term() != 1:
         raise ValueError("inertial theory needs P(0) = 1")
-    # every m_i is at most max(m_cap, 0), and so is every index j below
-    t = _one_var_coeffs(P, max(m_cap, 0))
-
-    def prim_fn(n, m):
-        v = Fraction(1, n)
-        for x in m:
-            j = x - (n - 1)
-            if j < 0:
-                return _ZERO
-            v *= t[j]
-            if not v:
-                break
-        return v
-
-    return Theory(d, "multiplicative", label or "inertial(%s)" % P.pretty(),
-                  n_cap, m_cap, prim_fn=prim_fn)
+    first = {(n,) + (n - 1,) * d: Fraction(1, n) for n in range(1, n_cap + 1)}
+    return _class_theory(P, d, n_cap, m_cap,
+                         label or "inertial(%s)" % P.pretty(), first)
 
 
 def dt_vertex_theory(n_cap, m_cap):
@@ -389,13 +356,15 @@ def dt_vertex_theory(n_cap, m_cap):
     if m_cap < n_cap - 1:
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
+    # a negative cap refuses every lookup; the series stops at 0
+    caps = (max(n_cap, 0),) + (max(m_cap, 0),) * 3
     cells = {}
-    for (n,), a in _macmahon_log(n_cap, -1).terms.items():
+    for (n,), a in _macmahon_log(caps[0], -1).terms.items():
         cells[n, n, n, n] = -2 * a
         for m in itertools.permutations((n + 1, n, n - 1)):
             cells[(n,) + m] = -a
     # the constructor drops the cells beyond the caps
-    prim = MultiSeries(("T", "U1", "U2", "U3"), (n_cap,) + (m_cap,) * 3, cells)
+    prim = MultiSeries(("T", "U1", "U2", "U3"), caps, cells)
     return Theory(3, "multiplicative", "e_DT", n_cap, m_cap, prim_fn=prim)
 
 

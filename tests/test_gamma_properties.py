@@ -54,12 +54,9 @@ def gamma_cases(draw, form):
     n_cap = n_max + draw(offset)
     m_cap = n_max - 1 + d + draw(offset)
     if form == "dt":
-        # the vertex needs n_cap >= 0 and m_cap >= n_cap - 1
-        n_cap = max(n_cap, 0)
+        # the vertex needs m_cap >= n_cap - 1; like every theory, it takes
+        # a negative cap and refuses every lookup
         m_cap = max(m_cap, n_cap - 1)
-    if form in ("ck", "mult_class", "coarse", "dt"):
-        # these refuse a negative m_cap
-        m_cap = max(m_cap, 0)
     if form == "table":
         # small m at n >= 2 leaves poles
         keys = st.tuples(st.integers(1, max(n_cap, 0) + 1), st.lists(

@@ -5,8 +5,10 @@ from math import comb, factorial
 
 import pytest
 
+from punctual.genfun import gamma_integral_series, vertical_series
 from punctual.hopf import HopfElement
 from punctual.series import MultiSeries
+from punctual.symfunc import ChernData
 from punctual.theories import (CapError, Theory, ck_theory,
                                coarse_curve_theory, dt_vertex_theory,
                                ek_theory, eval_theory, inertial_theory,
@@ -205,6 +207,57 @@ def test_cap_errors():
         e.value(1, (0, 0))
 
 
+def test_a_negative_cap_refuses_every_lookup():
+    # one rule for every constructor: a negative cap is accepted and every
+    # lookup raises CapError; only the vertex refuses m_cap < n_cap - 1
+    P = MultiSeries(("x",), (2,), {(0,): 1, (1,): 2, (2,): F(1, 3)})
+    builders = {
+        "ck": lambda d, n, m: ck_theory(2, d, n, m),
+        "ck nonsep": lambda d, n, m: ck_theory(2, d, n, m, variant="nonsep"),
+        "class": lambda d, n, m: mult_class_theory(P, d, n, m),
+        "class nonsep": lambda d, n, m: mult_class_theory(
+            P, d, n, m, variant="nonsep"),
+        "ek": lambda d, n, m: ek_theory(1, d, n, m),
+        "coarse chern": lambda d, n, m: coarse_curve_theory(2, "chern", n, m),
+        "coarse euler": lambda d, n, m: coarse_curve_theory(2, "euler", n, m),
+        "inertial": lambda d, n, m: inertial_theory(P, d, n, m),
+        "table": lambda d, n, m: table_theory([((1, (1,) * d), 2)], d, n, m),
+        "table nonsep": lambda d, n, m: table_theory(
+            [((1,) * d, 2)], d, n, m, variant="nonsep"),
+        "dt": lambda d, n, m: dt_vertex_theory(n, m),
+    }
+    for name, build in builders.items():
+        for d in ((1,) if name.startswith("coarse") else (3,) if name == "dt"
+                  else (1, 2)):
+            for n_cap, m_cap in itertools.product(range(-2, 2), repeat=2):
+                if min(n_cap, m_cap) >= 0:
+                    continue
+                if name == "dt" and m_cap < n_cap - 1:
+                    with pytest.raises(ValueError, match="at least n_cap"):
+                        build(d, n_cap, m_cap)
+                    continue
+                e = build(d, n_cap, m_cap)
+                lookups = [e.value, e.primitive_value]
+                if e.variant == "nonsep":
+                    # a nonsep generator q_lam has no n, so only m_cap counts
+                    lookups = [lambda n, m: e.nonsep_value(m)] * (m_cap < 0)
+                for lookup in lookups:
+                    for n in range(3):
+                        for m in itertools.product(range(3), repeat=d):
+                            with pytest.raises(CapError):
+                                lookup(n, m)
+
+
+def test_class_theories_need_a_series_in_one_variable():
+    P = MultiSeries(("x", "y"), (1, 1), {(0, 0): 1, (1, 1): 2})
+    for build in (mult_class_theory, inertial_theory):
+        with pytest.raises(ValueError,
+                           match="^expected a series in one variable$"):
+            build(P, 1, 2, 2)
+    with pytest.raises(ValueError, match="^expected a series in one variable"):
+        mult_class_theory(P, 1, 2, 2, variant="nonsep")
+
+
 def _count_series_calls(monkeypatch):
     calls = {"log": 0, "exp": 0}
     for name in calls:
@@ -234,8 +287,9 @@ def test_derived_side_is_built_once(monkeypatch):
     assert table.primitive_value(3, (2,)) == 0
     assert table.primitive_value(3, (3,)) == F(1, 3)
     assert calls == {"log": 1, "exp": 0}
-    # a class theory is given both sides: c^1 has F = exp(T(1+U)), and
-    # its primitive values, 0 for n >= 2, are read without a log
+    # a class theory is given its primitive side: c^1 has
+    # F = exp(T(1+U)), and its primitive values, 0 for n >= 2, are read
+    # without a log
     for _ in range(2):
         for n, m in keys:
             ck.primitive_value(n, m)
@@ -254,6 +308,21 @@ def test_derived_side_is_built_once(monkeypatch):
         assert dt.value(2, (4, 4, 4)) == 0
         assert dt.value(1, (1, 1, 1)) == 2
     assert calls == {"log": 1, "exp": 2}
+
+
+def test_a_side_not_read_is_not_built(monkeypatch):
+    # the gamma integral and the pair route read only the primitive side
+    # that class, Euler power and inertial theories are given, so their
+    # generator side is never derived
+    u = MultiSeries.var(("U",), (3,), "U")
+    chern = ChernData(2, {(2,): 3, (1, 1): -1})
+    for e in (ck_theory(2, 2, 4, 5), ek_theory(1, 2, 4, 5),
+              inertial_theory(1 + 2 * u, 2, 4, 5)):
+        calls = _count_series_calls(monkeypatch)
+        gamma_integral_series(e, chern, 4)
+        vertical_series(e, chern, 4, path="pair")
+        assert calls == {"log": 0, "exp": 0}, e
+        assert e._gen is None
 
 
 def test_degree_zero_rows_on_derived_generator_side():
@@ -299,6 +368,11 @@ def test_theory_refuses_a_primitive_side_it_cannot_hold():
         with pytest.raises(ValueError, match="take gen_fn only"):
             Theory(1, kind, "t", 2, 2, variant=variant,
                    prim_fn=lambda *key: F(1))
+    # one side is given and the other derived, never both given
+    for sides in ({}, {"gen_fn": lambda *key: F(1),
+                       "prim_fn": lambda *key: F(1)}):
+        with pytest.raises(ValueError, match="exactly one"):
+            Theory(1, "multiplicative", "t", 2, 2, **sides)
 
 
 def test_nonsep_class_theory_is_the_sep_rule_at_n_1():

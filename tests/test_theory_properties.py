@@ -121,7 +121,7 @@ def test_table_theory_lookups(table):
 @examples
 @given(form=st.sampled_from(("ck", "mult_class", "ek")),
        t=st.lists(coeffs, max_size=3), k=st.integers(0, 3),
-       d=st.integers(1, 2), n_cap=st.integers(0, 3), m_cap=st.integers(0, 3))
+       d=st.integers(1, 2), n_cap=st.integers(0, 3), m_cap=st.integers(-1, 3))
 def test_ck_theory_lookups(form, t, k, d, n_cap, m_cap):
     # a class theory of P has the table 1/n! prod_i [x^(m_i)] P^n, with P^n
     # multiplied out here, and the log of that table as its primitive side
