@@ -72,7 +72,8 @@ class Theory:
     construction for every n in 1..n_cap and weakly decreasing m within the
     caps.  The other side is derived whole, by exp or log, on its first
     lookup.  For the nonsep variant gen_fn takes a padded partition lam,
-    whose value sits at T U^lam.  A negative cap refuses every lookup.
+    whose value sits at T U^lam, and only m_cap bounds a lookup.  A
+    negative cap is accepted and refuses every lookup it bounds.
     """
 
     __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap", "_gen",
