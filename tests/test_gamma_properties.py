@@ -81,14 +81,9 @@ def gamma_cases(draw, form):
     return e, d, n_max
 
 
-@pytest.mark.parametrize("form", ("table", "ck", "mult_class", "ek",
-                                  "coarse", "inertial", "dt"))
-@examples
-@given(data=st.data())
-def test_gamma_matches_the_table_route(form, data):
-    e, d, n_max = data.draw(gamma_cases(form))
-    numbers = {lam: data.draw(st.sampled_from((0, 1, -2, Fraction(3, 2))))
-               for lam in PARTITIONS[d]}
+def _check_against_the_table_route(e, d, numbers, n_max):
+    """Check gamma_integral_series of e against oracles.gamma_route; returns
+    which outcome both gave: "cap", "pole" or "series"."""
     chern = ChernData(d, numbers)
     try:
         offenders, series, report = oracles.gamma_route(e.value, d, numbers,
@@ -98,12 +93,40 @@ def test_gamma_matches_the_table_route(form, data):
             gamma_integral_series(e, chern, n_max)
         assert type(got.value) is CapError
         assert str(got.value) == str(exc)
-        return
+        return "cap"
     if offenders:
         with pytest.raises(PoleCancellationError) as got:
             gamma_integral_series(e, chern, n_max)
         assert got.value.offenders == tuple(offenders)
-        return
+        return "pole"
     s, r = gamma_integral_series(e, chern, n_max)
     assert (s.variables, s.caps, s.terms) == (("T",), (n_max,), series)
     assert (r.n_max, r.gamma_cap, r.terms_checked) == report
+    return "series"
+
+
+@pytest.mark.parametrize("form", ("table", "ck", "mult_class", "ek",
+                                  "coarse", "inertial", "dt"))
+@examples
+@given(data=st.data())
+def test_gamma_matches_the_table_route(form, data):
+    e, d, n_max = data.draw(gamma_cases(form))
+    numbers = {lam: data.draw(st.sampled_from((0, 1, -2, Fraction(3, 2))))
+               for lam in PARTITIONS[d]}
+    _check_against_the_table_route(e, d, numbers, n_max)
+
+
+@pytest.mark.parametrize("n_max", (0, 1))
+@pytest.mark.parametrize("make", (
+    lambda n_cap: ck_theory(2, 1, n_cap, -1),
+    lambda n_cap: mult_class_theory(MultiSeries(("x",), (3,), {
+        (0,): 1, (1,): Fraction(-2, 3), (2,): 3}), 1, n_cap, -1),
+    lambda n_cap: coarse_curve_theory(2, "chern", n_cap, -1),
+    lambda n_cap: coarse_curve_theory(2, "euler", n_cap, -1),
+), ids=("ck", "mult_class", "coarse-chern", "coarse-euler"))
+def test_a_negative_m_cap_matches_the_table_route(make, n_max):
+    # gamma_cases, at its 25 examples, draws no negative m_cap for these
+    # forms; n_max = 1 reads (1, (0,)), past the cap, and n_max = 0 nothing
+    outcome = _check_against_the_table_route(
+        make(n_max), 1, {(1,): Fraction(3, 2)}, n_max)
+    assert outcome == ("cap" if n_max else "series")
