@@ -40,7 +40,7 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 from .combinat import pad_partition, vector_splittings
 from .rational import _numerators, format_rational, parse_rational
@@ -525,13 +525,20 @@ def sep_to_nonsep(x):
 # -- vertical classes ------------------------------------------------------
 
 def _vertical_ints(chern, n_max, variant="sep"):
-    """V_n = n! D^n [Z_n], n = 0 .. n_max, by an integer recursion.
+    """V_n = n! D^n [Z_n], n = 0 .. n_max, by the exponential formula.
 
-    With D the lcm of the Chern numbers' denominators and the sep layer
-    L_j = sum_lam <m_lam> p_{j, lam+j-1},
-    V_n = sum_j j (n-1)!/(n-j)! (D^j L_j) V_(n-j), all in integers.  The
-    nonsep classes are the same recursion with the single layer
-    L_1 = sum_lam <m_lam> q_lam, since there V_n = D L_1 V_(n-1).
+    With D the lcm of the Chern numbers' denominators, [Z] = exp(sum_g
+    <m_lam> g T^j) over the sep generators g = p_{j, lam+j-1} (nonsep:
+    g = q_lam, j = 1), so its monomial prod g^(k_g) of T-degree n has
+    V_n = n! prod c_g^(k_g) / k_g!, with c_g = <m_lam> D^j.
+
+    Taking the generators from the highest index down, every monomial made
+    of generators above g_i = (j, .) gets 1, 2, ... copies of g_i, reading
+    the V_n n descending: a child lands in a higher V, already read for
+    g_i, so each monomial is built once, from its parent that lacks one
+    g_i.  A child of T-degree m with k copies of g_i is worth its parent's
+    value times c_i m!/(m-j)! / k.  That division is exact: the quotient is
+    the child's V_m, an integer because sum k_g <= m.
 
     A monomial is a packed multiplicity vector over the generators in sorted
     order, one field per generator; a generator (j, .) occurs at most n/j
@@ -540,9 +547,8 @@ def _vertical_ints(chern, n_max, variant="sep"):
 
     Returns the sorted generators gens, the map lowest, the list of
     {monomial: int} maps V_n, and D.  A nonzero monomial whose lowest set
-    bit b has lowest[b] = (i, u) is gens[i] times its parent, monomial - u.
-    No coefficient of the exponential vanishes, so the parent is in an
-    earlier V.
+    bit b has lowest[b] = (i, u) is gens[i] times its parent, monomial - u,
+    which is in an earlier V.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -552,28 +558,27 @@ def _vertical_ints(chern, n_max, variant="sep"):
     d = chern.d
     rows = [(pad_partition(lam, d), val) for lam, val in chern.items() if val]
     den = lcm(*(val.denominator for _, val in rows))
-    # layers[j - 1] maps each generator of D^j L_j to its integer coefficient
-    layers = ([{(j, tuple(x + j - 1 for x in row)): int(val * den ** j)
-                for row, val in rows} for j in range(1, n_max + 1)]
-              if variant == "sep" else [{row: int(val * den)
-                                         for row, val in rows}])
-    gens = sorted(g for layer in layers for g in layer)
+    # each generator's T-degree j and integer coefficient c_g
+    layer = ({(j, tuple(x + j - 1 for x in row)): (j, int(val * den ** j))
+              for j in range(1, n_max + 1) for row, val in rows}
+             if variant == "sep" else
+             {row: (1, int(val * den)) for row, val in rows})
+    gens = sorted(layer)
     width = n_max.bit_length()
-    unit = {g: 1 << (width * i) for i, g in enumerate(gens)}
-    vs = [{0: 1}]
-    for n in range(1, n_max + 1):
-        acc = {}
-        for j, layer in enumerate(layers[:n], 1):
-            weight = j * factorial(n - 1) // factorial(n - j)
-            for g, c in layer.items():
-                c *= weight
-                u = unit[g]
-                for mon, x in vs[n - j].items():
+    vs = [{0: 1}] + [{} for _ in range(n_max)]
+    for i in reversed(range(len(gens))):
+        j, c = layer[gens[i]]
+        u = 1 << (width * i)
+        for n in range(n_max - j, -1, -1):
+            steps = [(vs[m], c * perm(m, j), k) for k, m in
+                     enumerate(range(n + j, n_max + 1, j), 1)]
+            for mon, x in vs[n].items():
+                for v, w, k in steps:
                     mon += u
-                    acc[mon] = acc.get(mon, 0) + c * x
-        vs.append({mon: c for mon, c in acc.items() if c})
-    lowest = {unit[g] << t: (i, unit[g]) for i, g in enumerate(gens)
-              for t in range(width)}
+                    x = x * w // k
+                    v[mon] = x
+    lowest = {1 << (width * i + t): (i, 1 << (width * i))
+              for i in range(len(gens)) for t in range(width)}
     return gens, lowest, vs, den
 
 

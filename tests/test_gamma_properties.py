@@ -8,7 +8,8 @@ The library must agree on the series, on the report, on the offenders of
 a PoleCancellationError and on the type and message of a CapError, for
 table, ck, multiplicative class, Euler power, coarse, inertial and vertex
 theories whose caps are equal to, larger than or smaller than the
-request, n_max = 0 included.
+request, n_max = 0 included, and for ck, multiplicative class and coarse
+theories with m_cap = -1.
 """
 
 from fractions import Fraction

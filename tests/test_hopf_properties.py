@@ -4,7 +4,8 @@ q-basis antipode against the p-basis sign flip, as Hypothesis properties
 over small sep and nonsep elements; the coproduct, basis changes and
 antipode of elements with mixed coefficient denominators equal the
 Fraction oracles; [Z_n] matches the naive recursion of
-oracles.vertical_classes on rational Chern numbers, and n! [Z_n] is
+oracles.vertical_classes on rational Chern numbers, drawn and at the
+n_max where a packed multiplicity field widens, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 the pair route of vertical_series equals the naive pairing of those classes
 for theories with fractional primitive values; theory_exp inverts
@@ -206,8 +207,9 @@ def chern_data(draw):
        variant=st.sampled_from(("sep", "nonsep")))
 def test_vertical_classes_are_integral_after_n_factorial(chern, n_max,
                                                          variant):
-    # n! [Z_n] = W_n with W_n = sum_j j L_j (n-1)!/(n-j)! W_(n-j) in the
-    # p basis (sep), and c^n in the q basis (nonsep)
+    # by the exponential formula, n! [Z_n] has n! prod <m_lam>^k / k! on a
+    # monomial with k copies of each generator, an integer as sum k <= n
+    # (sep, p basis); it is c^n in the q basis (nonsep)
     for n, z in enumerate(vertical_element(chern, n_max, variant=variant)):
         assert all((factorial(n) * c).denominator == 1
                    for c in z.terms.values()), (n, z.terms)
