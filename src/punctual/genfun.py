@@ -125,14 +125,13 @@ def vertical_series(e, chern, n_max, path="both"):
     the vertical classes, "exp" exponentiates the paired primitive series,
     and "both" (the default) runs the two and insists they agree.
 
-    The pair route reads the integer classes V_n = n! D^n [Z_n], which
-    hopf._vertical_ints builds by the exponential formula, one exact step
-    per monomial, and each generator's primitive value e_g once, scaled to
-    the integer F_g = e_g E^j, with E the lcm of the values' denominators
-    and j the T-degree of g.  Every monomial of V_n has T-degree n, so
-    <e, [Z_n]> = (sum c prod F) / (n! D^n E^n) over the terms c of V_n.
-    The products prod F take a second pass, n ascending, each being its
-    parent's (the monomial less its lowest generator) times one F.
+    The pair route reads the integer classes V_n = n! D^n [Z_n] that
+    hopf._vertical_ints builds by the exponential formula, and each
+    generator's primitive value e_g once, scaled to the integer
+    F_g = e_g E^j, with E the lcm of the values' denominators and j the
+    T-degree of g.  Every monomial of V_n has T-degree n, so
+    <e, [Z_n]> = (sum c prod F) / (n! D^n E^n) over the terms c of V_n;
+    a second pass forms each product as its parent's times one F.
     """
     _require_mult_sep(e, chern)
     if path not in ("both", "pair", "exp"):

@@ -559,15 +559,15 @@ def _vertical_ints(chern, n_max, variant="sep"):
     rows = [(pad_partition(lam, d), val) for lam, val in chern.items() if val]
     den = lcm(*(val.denominator for _, val in rows))
     # each generator's T-degree j and integer coefficient c_g
-    layer = ({(j, tuple(x + j - 1 for x in row)): (j, int(val * den ** j))
-              for j in range(1, n_max + 1) for row, val in rows}
-             if variant == "sep" else
-             {row: (1, int(val * den)) for row, val in rows})
-    gens = sorted(layer)
+    coeffs = ({(j, tuple(x + j - 1 for x in row)): (j, int(val * den ** j))
+               for j in range(1, n_max + 1) for row, val in rows}
+              if variant == "sep" else
+              {row: (1, int(val * den)) for row, val in rows})
+    gens = sorted(coeffs)
     width = n_max.bit_length()
     vs = [{0: 1}] + [{} for _ in range(n_max)]
     for i in reversed(range(len(gens))):
-        j, c = layer[gens[i]]
+        j, c = coeffs[gens[i]]
         u = 1 << (width * i)
         for n in range(n_max - j, -1, -1):
             steps = [(vs[m], c * perm(m, j), k) for k, m in

@@ -236,6 +236,24 @@ def test_vertical_classes_match_the_naive_recursion(chern, n_max):
         assert all(type(c) is Fraction for c in z.terms.values())
 
 
+@examples
+@given(chern=rational_chern_data(), n_max=st.integers(0, 5))
+def test_nonsep_vertical_classes_are_the_scaled_powers(chern, n_max):
+    _assert_nonsep_classes_are_the_scaled_powers(chern, n_max)
+
+
+def _assert_nonsep_classes_are_the_scaled_powers(chern, n_max):
+    # [Z_n] = c^n / n! with c = sum_lam <m_lam> q_lam
+    d = chern.d
+    c = HopfElement(d, "nonsep", "q", {(lam + (0,) * (d - len(lam)),): v
+                                       for lam, v in chern.items()})
+    power = HopfElement.unit(d, "nonsep", "q")
+    for n, z in enumerate(vertical_element(chern, n_max, variant="nonsep")):
+        assert z == power.scaled(Fraction(1, factorial(n)))
+        assert all(type(x) is Fraction for x in z.terms.values())
+        power = power * c
+
+
 @pytest.mark.parametrize("n_max", (3, 4, 7, 8))
 @pytest.mark.parametrize("d, numbers", (
     (1, {(1,): Fraction(-3, 2)}),
@@ -247,26 +265,7 @@ def test_vertical_classes_at_the_field_width_boundary(d, numbers, n_max):
     chern = ChernData(d, numbers)
     expected = oracles.vertical_classes(d, numbers, n_max)
     assert [z.terms for z in vertical_element(chern, n_max)] == expected
-    c = HopfElement(d, "nonsep", "q", {(lam + (0,) * (d - len(lam)),): v
-                                       for lam, v in numbers.items()})
-    power = HopfElement.unit(d, "nonsep", "q")
-    for n, z in enumerate(vertical_element(chern, n_max, variant="nonsep")):
-        assert z == power.scaled(Fraction(1, factorial(n)))
-        power = power * c
-
-
-@examples
-@given(chern=rational_chern_data(), n_max=st.integers(0, 5))
-def test_nonsep_vertical_classes_are_the_scaled_powers(chern, n_max):
-    # [Z_n] = c^n / n! with c = sum_lam <m_lam> q_lam
-    d = chern.d
-    c = HopfElement(d, "nonsep", "q", {(lam + (0,) * (d - len(lam)),): v
-                                       for lam, v in chern.items()})
-    power = HopfElement.unit(d, "nonsep", "q")
-    for n, z in enumerate(vertical_element(chern, n_max, variant="nonsep")):
-        assert z == power.scaled(Fraction(1, factorial(n)))
-        assert all(type(x) is Fraction for x in z.terms.values())
-        power = power * c
+    _assert_nonsep_classes_are_the_scaled_powers(chern, n_max)
 
 
 @lru_cache(maxsize=None)
