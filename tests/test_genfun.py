@@ -12,7 +12,7 @@ from punctual.genfun import (PoleCancellationError,
 from punctual.hopf import sep_to_nonsep, vertical_element
 from punctual.series import MultiSeries
 from punctual.symfunc import ChernData, chern_data_from_classes
-from punctual.theories import (ck_theory, coarse_curve_theory,
+from punctual.theories import (CapError, ck_theory, coarse_curve_theory,
                                dt_vertex_theory, ek_theory, inertial_theory,
                                table_theory)
 
@@ -61,6 +61,27 @@ def test_vertical_paths_agree_and_match():
     assert both.coefficient((0,)) == 1
 
 
+P3 = chern_data_from_classes(3, {(1, 1, 1): F(64), (2, 1): F(24),
+                                 (3,): F(4)})
+
+
+@pytest.mark.parametrize("path", ("pair", "both"))
+@pytest.mark.parametrize("e, chern, n_max, message", (
+    (ck_theory(2, 2, 3, 4), ChernData(2, {(2,): F(3), (1, 1): F(-1)}), 5,
+     "index (4, (4, 4)) outside caps (3, 4) of c^2"),
+    (dt_vertex_theory(4, 4), P3, 6,
+     "index (3, (5, 2, 2)) outside caps (4, 4) of e_DT"),
+), ids=("ck", "dt"))
+def test_vertical_pair_route_names_the_first_generator_past_the_caps(
+        e, chern, n_max, message, path):
+    # the generators are read in sorted order, so the error names the
+    # least index past the caps
+    with pytest.raises(CapError) as err:
+        vertical_series(e, chern, n_max, path=path)
+    assert type(err.value) is CapError
+    assert str(err.value) == message
+
+
 def test_vertical_requires_multiplicative():
     from punctual.theories import theory_log
     lg = theory_log(coarse_curve_theory(1, "euler", 4, 4))
@@ -104,8 +125,7 @@ def test_chern_class_integral_values():
 def test_dt_formula_three_inputs():
     dt = dt_vertex_theory(6, 8)
     cases = [
-        (chern_data_from_classes(3, {(1, 1, 1): F(64), (2, 1): F(24),
-                                     (3,): F(4)}), F(-20)),
+        (P3, F(-20)),
         # Calabi-Yau-like: c1 c2 = 0, so the exponent is <c3> = chi
         (chern_data_from_classes(3, {(1, 1, 1): F(0), (2, 1): F(0),
                                      (3,): F(-200)}), F(-200)),
