@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .combinat import pad_partition
-from .hopf import ContextMismatchError, _canonical_nonsep, _vertical_ints
+from .hopf import (ContextMismatchError, _canonical_nonsep, _class_generators,
+                   _vertical_ints)
 from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
 from .theories import (Theory, _table_series, dt_vertex_theory,
@@ -125,34 +126,27 @@ def vertical_series(e, chern, n_max, path="both"):
     the vertical classes, "exp" exponentiates the paired primitive series,
     and "both" (the default) runs the two and insists they agree.
 
-    The pair route reads the integer classes V_n = n! D^n [Z_n] that
-    hopf._vertical_ints builds by the exponential formula, and each
-    generator's primitive value e_g once, scaled to the integer
-    F_g = e_g E^j, with E the lcm of the values' denominators and j the
-    T-degree of g.  Every monomial of V_n has T-degree n, so
-    <e, [Z_n]> = (sum c prod F) / (n! D^n E^n) over the terms c of V_n;
-    a second pass forms each product as its parent's times one F.
+    The pair route reads each generator's primitive value e_g once, in
+    sorted order, as the integer F_g = e_g E^j, with E the lcm of the
+    values' denominators and j the T-degree of g.  Built with the weights
+    c_g F_g, less the generators with F_g = 0, the classes V_n of
+    hopf._vertical_ints sum to n! (D E)^n <e, [Z_n]>: one pass, no decode.
     """
     _require_mult_sep(e, chern)
     if path not in ("both", "pair", "exp"):
         raise ValueError("path must be 'both', 'pair' or 'exp'")
     paired = expd = None
     if path in ("both", "pair"):
-        gens, lowest, vs, den = _vertical_ints(chern, n_max)
-        values = [Fraction(e.primitive_value(*g)) for g in gens]
+        coeffs, den = _class_generators(chern, n_max)
+        gens = sorted(coeffs.items())
+        values = [Fraction(e.primitive_value(*g)) for g, _ in gens]
         big = lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (big ** g[0] // v.denominator)
-                for g, v in zip(gens, values)]
-        prods, terms = {0: 1}, {}
-        for n, v in enumerate(vs):
-            total = 0
-            for packed, c in v.items():
-                if packed:
-                    i, u = lowest[packed & -packed]
-                    prods[packed] = prods[packed - u] * ints[i]
-                total += c * prods[packed]
-            terms[n,] = Fraction(total, factorial(n) * (den * big) ** n)
-        paired = MultiSeries(("T",), (n_max,), terms)
+        weighted = {g: (j, c * v.numerator * (big ** j // v.denominator))
+                    for (g, (j, c)), v in zip(gens, values) if v}
+        vs = _vertical_ints(weighted, n_max)[2]
+        paired = MultiSeries(("T",), (n_max,), {
+            (n,): Fraction(sum(v.values()), factorial(n) * (den * big) ** n)
+            for n, v in enumerate(vs)})
     if path in ("both", "exp"):
         expd = paired_primitive_series(e, chern, n_max).exp()
     if path == "both" and paired != expd:

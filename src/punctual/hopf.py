@@ -524,13 +524,31 @@ def sep_to_nonsep(x):
 
 # -- vertical classes ------------------------------------------------------
 
-def _vertical_ints(chern, n_max, variant="sep"):
-    """V_n = n! D^n [Z_n], n = 0 .. n_max, by the exponential formula.
+def _class_generators(chern, n_max, variant="sep"):
+    """The generators of [Z] = exp(sum_g <m_lam> g T^j) and D, the lcm of
+    the Chern numbers' denominators: a map from each sep generator
+    g = p_{j, lam+j-1} (nonsep: g = q_lam, j = 1) to its T-degree j and
+    integer weight c_g = <m_lam> D^j."""
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if variant not in ("sep", "nonsep"):
+        raise ValueError("variant must be 'sep' or 'nonsep'")
+    rows = [(pad_partition(lam, chern.d), val)
+            for lam, val in chern.items() if val]
+    den = lcm(*(val.denominator for _, val in rows))
+    if variant == "nonsep":
+        return {row: (1, int(val * den)) for row, val in rows}, den
+    return {(j, tuple(x + j - 1 for x in row)): (j, int(val * den ** j))
+            for j in range(1, n_max + 1) for row, val in rows}, den
 
-    With D the lcm of the Chern numbers' denominators, [Z] = exp(sum_g
-    <m_lam> g T^j) over the sep generators g = p_{j, lam+j-1} (nonsep:
-    g = q_lam, j = 1), so its monomial prod g^(k_g) of T-degree n has
-    V_n = n! prod c_g^(k_g) / k_g!, with c_g = <m_lam> D^j.
+
+def _vertical_ints(coeffs, n_max):
+    """V_n = n! [T^n] exp(sum_g c_g g T^j), n = 0 .. n_max, for coeffs =
+    {g: (j >= 1, integer c_g)}, by the exponential formula: its monomial
+    prod g^(k_g) has V_n = n! prod c_g^(k_g) / k_g!.  With the weights of
+    _class_generators, V_n = n! D^n [Z_n]; with each c_g times an integer
+    value F_g, sum V_n pairs n! D^n [Z_n] with F, in no second pass.
 
     Taking the generators from the highest index down, every monomial made
     of generators above g_i = (j, .) gets 1, 2, ... copies of g_i, reading
@@ -545,24 +563,11 @@ def _vertical_ints(chern, n_max, variant="sep"):
     times, so a field of n_max.bit_length() bits holds every multiplicity
     and multiplying by a generator is one int add.
 
-    Returns the sorted generators gens, the map lowest, the list of
-    {monomial: int} maps V_n, and D.  A nonzero monomial whose lowest set
-    bit b has lowest[b] = (i, u) is gens[i] times its parent, monomial - u,
+    Returns the sorted generators gens, the map lowest and the list of
+    {monomial: int} maps V_n.  A nonzero monomial whose lowest set bit b
+    has lowest[b] = (i, u) is gens[i] times its parent, monomial - u,
     which is in an earlier V.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if variant not in ("sep", "nonsep"):
-        raise ValueError("variant must be 'sep' or 'nonsep'")
-    d = chern.d
-    rows = [(pad_partition(lam, d), val) for lam, val in chern.items() if val]
-    den = lcm(*(val.denominator for _, val in rows))
-    # each generator's T-degree j and integer coefficient c_g
-    coeffs = ({(j, tuple(x + j - 1 for x in row)): (j, int(val * den ** j))
-               for j in range(1, n_max + 1) for row, val in rows}
-              if variant == "sep" else
-              {row: (1, int(val * den)) for row, val in rows})
     gens = sorted(coeffs)
     width = n_max.bit_length()
     vs = [{0: 1}] + [{} for _ in range(n_max)]
@@ -579,7 +584,7 @@ def _vertical_ints(chern, n_max, variant="sep"):
                     v[mon] = x
     lowest = {1 << (width * i + t): (i, 1 << (width * i))
               for i in range(len(gens)) for t in range(width)}
-    return gens, lowest, vs, den
+    return gens, lowest, vs
 
 
 def vertical_element(chern, n_max, variant="sep"):
@@ -591,7 +596,8 @@ def vertical_element(chern, n_max, variant="sep"):
     are built over the integers as n! D^n [Z_n], with D the lcm of the
     Chern numbers' denominators, and returned with Fraction coefficients.
     """
-    gens, lowest, vs, den = _vertical_ints(chern, n_max, variant)
+    coeffs, den = _class_generators(chern, n_max, variant)
+    gens, lowest, vs = _vertical_ints(coeffs, int(n_max))
     mons = {0: ()}
     zs = []
     for n, v in enumerate(vs):

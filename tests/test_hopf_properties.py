@@ -8,7 +8,8 @@ oracles.vertical_classes on rational Chern numbers, drawn and at the
 n_max where a packed multiplicity field widens, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 the pair route of vertical_series equals the naive pairing of those classes
-for theories with fractional primitive values; theory_exp inverts
+for theories with fractional primitive values and for theories that pair
+every generator to 0; theory_exp inverts
 theory_log on random generator tables; the element and tensor printers,
 text and JSON, give the bytes of oracles' reference printers."""
 
@@ -30,8 +31,8 @@ from punctual.hopf import (HopfElement, TensorElement, element_pretty,
                            element_to_obj, sep_to_nonsep, tensor,
                            tensor_pretty, tensor_to_obj, vertical_element)
 from punctual.symfunc import ChernData
-from punctual.theories import (ck_theory, dt_vertex_theory, table_theory,
-                               theory_exp, theory_log)
+from punctual.theories import (ck_theory, dt_vertex_theory, ek_theory,
+                               table_theory, theory_exp, theory_log)
 
 import oracles
 
@@ -270,18 +271,25 @@ def test_vertical_classes_at_the_field_width_boundary(d, numbers, n_max):
 
 @lru_cache(maxsize=None)
 def _vertical_theory(form, d, n_max):
-    """The c^2 or DT vertex theory at the caps the vertical series reads."""
+    """c^2, e^2, an empty table or the DT vertex theory at the caps the
+    vertical series reads."""
+    m_cap = n_max - 1 + d
     if form == "dt":
         return dt_vertex_theory(n_max, n_max + 2)
-    return ck_theory(2, d, n_max, n_max - 1 + d)
+    if form == "ek":
+        return ek_theory(2, d, n_max, m_cap)
+    if form == "empty":
+        return table_theory((), d, n_max, m_cap)
+    return ck_theory(2, d, n_max, m_cap)
 
 
 @st.composite
 def vertical_theories(draw, d, n_max):
     """c^2, the DT vertex theory (d = 3) or a sparse random table, all with
-    primitive values over denominators > 1."""
-    form = draw(st.sampled_from(("ck", "table", "dt") if d == 3 else
-                                ("ck", "table")))
+    primitive values over denominators > 1; or e^2 or an empty table, which
+    pair every generator p_{j, lam+j-1} to 0."""
+    form = draw(st.sampled_from(("ck", "table", "dt", "ek", "empty") if d == 3
+                                else ("ck", "table", "ek", "empty")))
     if form != "table":
         return _vertical_theory(form, d, n_max)
     m_cap = n_max - 1 + d
@@ -291,7 +299,7 @@ def vertical_theories(draw, d, n_max):
     return table_theory(entries.items(), d, n_max, m_cap)
 
 
-@settings(examples, max_examples=40)
+@settings(examples, max_examples=80)
 @given(chern=rational_chern_data(), n_max=st.integers(0, 7),
        data=st.data())
 def test_paired_vertical_series_matches_the_naive_pairing(chern, n_max,
