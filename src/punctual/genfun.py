@@ -89,9 +89,9 @@ class IdentityReport:
         ])
 
 
-def _require_mult_sep(e, chern=None):
-    if e.variant != "sep":
-        raise ContextMismatchError("expected a sep-variant theory")
+def _require_mult(e, chern=None, variant="sep"):
+    if e.variant != variant:
+        raise ContextMismatchError("expected a %s theory" % variant)
     if e.kind != "multiplicative":
         raise ValueError("expected a multiplicative theory")
     if chern is not None and e.d != chern.d:
@@ -115,7 +115,7 @@ def _chern_paired(chern, n_max, value):
 
 def paired_primitive_series(e, chern, n_max):
     """sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+(n-1)}>."""
-    _require_mult_sep(e, chern)
+    _require_mult(e, chern)
     return _chern_paired(chern, n_max, e.primitive_value)
 
 
@@ -132,7 +132,7 @@ def vertical_series(e, chern, n_max, path="both"):
     c_g F_g, less the generators with F_g = 0, the classes V_n of
     hopf._vertical_ints sum to n! (D E)^n <e, [Z_n]>: one pass, no decode.
     """
-    _require_mult_sep(e, chern)
+    _require_mult(e, chern)
     if path not in ("both", "pair", "exp"):
         raise ValueError("path must be 'both', 'pair' or 'exp'")
     paired = expd = None
@@ -168,7 +168,7 @@ def curve_series(e, chi, n_max):
     """
     if e.d != 1:
         raise ContextMismatchError("curve series needs d = 1")
-    _require_mult_sep(e)
+    _require_mult(e)
     diag = {(n,): e.value(n, (n,)) for n in range(n_max + 1)}
     return MultiSeries(("T",), (n_max,), diag).pow(Fraction(chi))
 
@@ -183,7 +183,7 @@ def gamma_integral_series(e, chern, n_max):
     GammaReport).  Raises PoleCancellationError when a shifted exponent
     stays negative, listing the offending terms.
     """
-    _require_mult_sep(e, chern)
+    _require_mult(e, chern)
     d = e.d
     if d < 1:
         raise ValueError("gamma integral needs d >= 1")
@@ -218,8 +218,7 @@ def nonsep_vertical_series(e_values, chern, n_max):
     """
     d = chern.d
     if isinstance(e_values, Theory):
-        if e_values.variant != "nonsep":
-            raise ContextMismatchError("expected a nonsep theory")
+        _require_mult(e_values, chern, "nonsep")
         fn = e_values.nonsep_value
     else:
         table = {_canonical_nonsep(lam, d): Fraction(v)

@@ -9,7 +9,7 @@ from punctual.genfun import (PoleCancellationError,
                              gamma_integral_series, nonsep_vertical_series,
                              paired_primitive_series, verify_identity,
                              vertical_series)
-from punctual.hopf import sep_to_nonsep, vertical_element
+from punctual.hopf import ContextMismatchError, sep_to_nonsep, vertical_element
 from punctual.series import MultiSeries
 from punctual.symfunc import ChernData, chern_data_from_classes
 from punctual.theories import (CapError, ck_theory, coarse_curve_theory,
@@ -221,6 +221,20 @@ def test_nonsep_vertical_series():
     # zero pairing
     s0 = nonsep_vertical_series({}, ch, 3)
     assert s0 == MultiSeries.one(("T",), (3,))
+
+
+def test_nonsep_vertical_refuses_a_theory_of_another_d():
+    c2 = ck_theory(2, 4, 3, 4, variant="nonsep")
+    with pytest.raises(ContextMismatchError,
+                       match="^theory is for d=4, Chern data for d=3$"):
+        nonsep_vertical_series(c2, P3, 3)
+
+
+def test_nonsep_vertical_refuses_a_primitive_theory():
+    from punctual.theories import theory_log
+    lg = theory_log(ck_theory(1, 1, 4, 1, variant="nonsep"))
+    with pytest.raises(ValueError, match="^expected a multiplicative theory$"):
+        nonsep_vertical_series(lg, curve_data(2), 4)
 
 
 def test_nonsep_vertical_matches_pushforward():
