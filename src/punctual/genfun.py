@@ -143,7 +143,7 @@ def vertical_series(e, chern, n_max, path="both"):
         big = lcm(*(v.denominator for v in values))
         weighted = {g: (j, c * v.numerator * (big ** j // v.denominator))
                     for (g, (j, c)), v in zip(gens, values) if v}
-        vs = _vertical_ints(weighted, n_max)[2]
+        _, _, vs = _vertical_ints(weighted, n_max)
         paired = MultiSeries(("T",), (n_max,), {
             (n,): Fraction(sum(v.values()), factorial(n) * (den * big) ** n)
             for n, v in enumerate(vs)})

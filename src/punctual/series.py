@@ -27,9 +27,9 @@ D^k (the substitution x -> D*x), which makes every layer integral and keeps
 the recursion in integer sums of products, so the result is exact.  The
 price is size: layer k of log carries k*D^k*log(f)_k, about k*log2(D) bits,
 and layer k of exp carries k!*D^k*exp(f)_k, log2(k!) bits more.  The log of
-the coarse c^2 table at caps (32, 32) has a 118-bit D and 64 layers; its
-scaled numerators reach about 7,600 bits, the result's 74, over denominators
-of at most 32.
+the coarse c^2 table at caps (32, 32) has a 118-bit D and 64 layers: scaled
+numerators reach about 7,600 bits, where the result's numerators have at
+most 74 bits and its denominators are at most 32.
 """
 
 from fractions import Fraction
