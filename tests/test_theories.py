@@ -386,6 +386,22 @@ def test_nonsep_class_theory_is_the_sep_rule_at_n_1():
                 assert nonsep.nonsep_value(lam) == sep.value(1, lam)
 
 
+def test_nonsep_class_theories_ignore_n_cap():
+    # a nonsep generator q_lam sits at T^1 whatever n_cap bounds
+    x = MultiSeries.var(("x",), (3,), "x")
+    P = MultiSeries.one(("x",), (3,)) - x + F(1, 2) * x * x * x
+    for d in (1, 2):
+        for make in (lambda n_cap: ck_theory(2, d, n_cap, 3, variant="nonsep"),
+                     lambda n_cap: mult_class_theory(P, d, n_cap, 3,
+                                                     variant="nonsep")):
+            ref = make(2)
+            assert ref.nonsep_value((1,) * d)
+            for n_cap in (-1, 0):
+                e = make(n_cap)
+                for lam in itertools.product(range(4), repeat=d):
+                    assert e.nonsep_value(lam) == ref.nonsep_value(lam), lam
+
+
 def test_nonsep_theories():
     e = ck_theory(1, 2, 3, 2, variant="nonsep")
     assert e.nonsep_value((1, 1)) == 1

@@ -7,7 +7,9 @@ caps, with m in every order.  The expected values come
 from a table the test builds from the entries itself, and from
 oracles.poly_log / poly_exp of that table.  The n = 0 rows read 1 on the
 unit of a multiplicative theory and 0 everywhere else, and one step past
-each cap raises CapError.
+each cap raises CapError.  A nonsep table's nonsep_value is checked at
+every lam within m_cap, in every order, against a dict of its entries in
+canonical form.
 
 A class theory of P is checked against the table 1/n! prod_i [x^(m_i)] P^n,
 with P^n multiplied out naively, and against the log of that table.
@@ -90,25 +92,46 @@ def check_lookups(e, gen, prim):
 
 @st.composite
 def tables(draw):
-    """A random sep generator table with some entries beyond the caps, its
-    kind, d and caps."""
-    d, n_cap, m_cap = draw(st.integers(1, 2)), draw(st.integers(1, 3)), \
-        draw(st.integers(0, 2))
-    keys = st.tuples(st.integers(1, n_cap + 1), st.lists(
-        st.integers(0, m_cap + 1), min_size=d, max_size=d).map(tuple))
-    entries = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=6))
+    """A random generator table with some entries beyond the caps, its
+    kind, variant, d and caps.  A nonsep table lists its partitions
+    unsorted and unpadded, repeats its first one in another order, and
+    draws an n_cap, which no nonsep lookup reads, from -1 up."""
+    variant = draw(st.sampled_from(("sep", "nonsep")))
+    d, m_cap = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    part = st.integers(0, m_cap + 1)
+    if variant == "sep":
+        n_cap = draw(st.integers(1, 3))
+        keys = st.tuples(st.integers(1, n_cap + 1), st.lists(
+            part, min_size=d, max_size=d).map(tuple))
+        entries = list(draw(st.dictionaries(keys, coeffs, min_size=1,
+                                            max_size=6)).items())
+    else:
+        n_cap = draw(st.integers(-1, 3))
+        entries = draw(st.lists(st.tuples(st.lists(part, max_size=d),
+                                          coeffs), min_size=1, max_size=5))
+        entries.append((entries[0][0][::-1], draw(coeffs)))
     kind = draw(st.sampled_from(("multiplicative", "primitive")))
-    return entries, kind, d, n_cap, m_cap
+    return entries, kind, variant, d, n_cap, m_cap
 
 
 @examples
 @given(table=tables())
 def test_table_theory_lookups(table):
-    entries, kind, d, n_cap, m_cap = table
-    e = table_theory(entries.items(), d, n_cap, m_cap, kind=kind)
+    entries, kind, variant, d, n_cap, m_cap = table
+    e = table_theory(entries, d, n_cap, m_cap, kind=kind, variant=variant)
     # the last entry for an index wins, in any order of m
     canonical = {}
-    for (n, m), v in entries.items():
+    if variant == "nonsep":
+        for lam, v in entries:
+            canonical[tuple(sorted(lam + [0] * (d - len(lam)),
+                                   reverse=True))] = v
+        for lam in itertools.product(range(m_cap + 1), repeat=d):
+            assert e.nonsep_value(lam) == canonical.get(
+                tuple(sorted(lam, reverse=True)), 0), lam
+        with pytest.raises(CapError):
+            e.nonsep_value((m_cap + 1,) + (0,) * (d - 1))
+        return
+    for (n, m), v in entries:
         canonical[n, tuple(sorted(m))] = v
     caps = _caps(e)
     gen = {cell: canonical[cell[0], tuple(sorted(cell[1:]))]
