@@ -20,12 +20,11 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .combinat import pad_partition
-from .hopf import (ContextMismatchError, _canonical_nonsep, _class_generators,
-                   _vertical_ints)
+from .hopf import ContextMismatchError, _class_generators, _vertical_ints
 from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
-from .theories import (Theory, _table_series, dt_vertex_theory,
-                       inertial_theory)
+from .theories import (Theory, dt_vertex_theory, inertial_theory,
+                       table_theory)
 
 _ZERO = Fraction(0)
 
@@ -214,19 +213,16 @@ def nonsep_vertical_series(e_values, chern, n_max):
     """exp(<c,[X]> T) where <c,[X]> = sum_lam <m_lam> c(q_lam).
 
     e_values is either a nonsep multiplicative Theory or a plain mapping
-    from partitions to rationals.
+    from partitions to rationals, read as a nonsep table_theory.
     """
     d = chern.d
-    if isinstance(e_values, Theory):
-        _require_mult(e_values, chern, "nonsep")
-        fn = e_values.nonsep_value
-    else:
-        table = {_canonical_nonsep(lam, d): Fraction(v)
-                 for lam, v in dict(e_values).items()}
-        fn = lambda lam: table.get(lam, _ZERO)
+    if not isinstance(e_values, Theory):
+        e_values = table_theory(dict(e_values).items(), d, 1, d,
+                                variant="nonsep")
+    _require_mult(e_values, chern, "nonsep")
     a = _ZERO
     for lam, w in chern.items():
-        a += w * fn(pad_partition(lam, d))
+        a += w * e_values.nonsep_value(pad_partition(lam, d))
     return MultiSeries(("T",), (n_max,),
                        {(n,): a ** n / factorial(n) for n in range(n_max + 1)})
 
@@ -316,9 +312,9 @@ def verify_identity(name, **params):
             raise ValueError("k must be >= 0")
         # the binomial closed form, not ck_theory's table: that is the exp
         # of T (1+U)^k, the same route as the rhs
-        lhs = _table_series(lambda n, m: Fraction(comb(k * n, m[0]),
-                                                  factorial(n)),
-                            ("T", "U"), n_max, m_max)
+        lhs = MultiSeries(("T", "U"), (n_max, m_max), {
+            (n, m): Fraction(comb(k * n, m), factorial(n))
+            for n in range(n_max + 1) for m in range(m_max + 1)})
         variables, caps = lhs.variables, lhs.caps
         t = MultiSeries.var(variables, caps, "T")
         u = MultiSeries.var(variables, caps, "U")

@@ -14,11 +14,13 @@ with a p-basis monomial as the product of its primitive values.
 A Theory holds each side as its generating series, a MultiSeries in T and
 U1..Ud truncated at the declared caps n <= n_cap, m_i <= m_cap: F on the
 generator side, whose constant term is the value on the unit, and log F on
-the primitive side.  A theory is given one side, tabulated once at
-construction; the other is derived whole, by log or exp, on its first
+the primitive side.  A theory is given one side, a series that its
+constructor builds; the other is derived whole, by log or exp, on its first
 lookup.  Class, Euler power and inertial theories are given their primitive
 side in closed form, log F = first * P(U1)...P(Ud) with first = T for a
-class, and the DT vertex is given its own.  A lookup reads one coefficient;
+class, and the DT vertex is given its own; table and coarse theories, and
+nonsep class theories (T P(U1)...P(Ud)), their generator side.  A lookup
+reads one coefficient;
 evaluating outside the caps raises CapError rather than truncating
 silently.
 """
@@ -27,7 +29,6 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .combinat import _desc_vectors
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
 from .rational import _numerators, parse_rational
@@ -40,26 +41,11 @@ class CapError(ValueError):
     pass
 
 
-def _table_series(value, variables, n_cap, m_cap, unit=True):
-    """sum value(n, m) T^n U^m over 1 <= n <= n_cap and m in {0..m_cap}^d,
-    plus 1 when unit is set; variables are T and then the d U's.  value is
-    called once for each weakly decreasing m and its value is written at
-    every ordering of m."""
-    d = len(variables) - 1
-    orderings = [(m, set(itertools.permutations(m)))
-                 for m in _desc_vectors(d, m_cap)]
-    terms = {(0,) * (d + 1): Fraction(1)} if unit else {}
-    for n in range(1, n_cap + 1):
-        for m, perms in orderings:
-            v = value(n, m)
-            if v:
-                v = Fraction(v)
-                for p in perms:
-                    terms[(n,) + p] = v
-    # every exponent lies within the caps, so the terms go in unchecked
-    series = MultiSeries(variables, (n_cap,) + (m_cap,) * d)
-    series.terms = terms
-    return series
+def _frame(d, n_cap, m_cap):
+    """The variables T, U1..Ud of a theory's series and its caps.  A
+    negative cap refuses every lookup it bounds; the series stops at 0."""
+    return (("T",) + tuple("U%d" % (i + 1) for i in range(d)),
+            (max(n_cap, 0),) + (max(m_cap, 0),) * d)
 
 
 class Theory:
@@ -68,12 +54,11 @@ class Theory:
 
     Exactly one of gen_fn / prim_fn is given; primitive and nonsep theories
     take gen_fn.  The given side is a MultiSeries in T, U1..Ud with caps
-    (n_cap, m_cap, ..., m_cap), or a function of (n, m) called at
-    construction for every n in 1..n_cap and weakly decreasing m within the
-    caps.  The other side is derived whole, by exp or log, on its first
-    lookup.  For the nonsep variant gen_fn takes a padded partition lam,
-    whose value sits at T U^lam, and only m_cap bounds a lookup.  A
-    negative cap is accepted and refuses every lookup it bounds.
+    (n_cap, m_cap, ..., m_cap), a negative cap read as 0, and is stored as
+    it is; there is no callable form.  The other side is derived whole, by
+    exp or log, on its first lookup.  A nonsep theory's value on q_lam sits
+    at T U^lam, and only m_cap bounds its lookups.  A negative cap refuses
+    every lookup it bounds.
     """
 
     __slots__ = ("d", "variant", "kind", "label", "n_cap", "m_cap", "_gen",
@@ -95,23 +80,13 @@ class Theory:
         self.variant = variant
         self.kind = kind
         self.label = label or kind
+        side = prim_fn if gen_fn is None else gen_fn
+        if not isinstance(side, MultiSeries):
+            raise ValueError("a theory's side is a MultiSeries, got %r" %
+                             (side,))
         self.n_cap = int(n_cap)
         self.m_cap = int(m_cap)
-        variables = ("T",) + tuple("U%d" % (i + 1) for i in range(self.d))
-        # a negative cap refuses every lookup; its series stops at 0
-        n_top, m_top = max(self.n_cap, 0), max(self.m_cap, 0)
-
-        def tabulate(fn, unit):
-            if isinstance(fn, MultiSeries):
-                return fn
-            if variant == "nonsep":
-                return _table_series(lambda n, lam: fn(lam), variables, 1,
-                                     m_top, unit=False)
-            return _table_series(fn, variables, n_top, m_top, unit)
-
-        self._gen = None if gen_fn is None else tabulate(
-            gen_fn, kind == "multiplicative")
-        self._prim = None if prim_fn is None else tabulate(prim_fn, False)
+        self._gen, self._prim = gen_fn, prim_fn
 
     def __repr__(self):
         return "Theory(%s, d=%d, %s, %s)" % (self.label, self.d, self.kind,
@@ -231,24 +206,21 @@ def theory_exp(p):
 def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
     """The multiplicative theory whose primitive side is, in closed form,
     first * P(U1) ... P(Ud) for a series P in one variable; first is a term
-    mapping in T, U1..Ud and defaults to T.  A nonsep generator q_lam takes
+    mapping in T, U1..Ud and defaults to T.  A nonsep theory is given the
+    same product, with T capped at 1, as its generator side: q_lam takes
     the value prod_i [x^(lam_i)] P of q_{1,lam}."""
     if len(P.variables) != 1:
         raise ValueError("expected a series in one variable")
-    if variant == "nonsep":
-        return Theory(d, "multiplicative", label, n_cap, m_cap,
-                      variant=variant, gen_fn=lambda lam: prod(
-                          P.coefficient((x,)) for x in lam))
-    variables = ("T",) + tuple("U%d" % (i + 1) for i in range(d))
-    # a negative cap refuses every lookup; the series stops at 0
-    caps = (max(n_cap, 0),) + (max(m_cap, 0),) * d
-    prim = MultiSeries(variables, caps,
+    nonsep = variant == "nonsep"
+    variables, caps = _frame(d, 1 if nonsep else n_cap, m_cap)
+    side = MultiSeries(variables, caps,
                        {(1,) + (0,) * d: 1} if first is None else first)
     for i in range(d):
-        prim = prim * MultiSeries(variables, caps, {
+        side = side * MultiSeries(variables, caps, {
             (0,) * (i + 1) + e + (0,) * (d - 1 - i): c
             for e, c in P.terms.items()})
-    return Theory(d, "multiplicative", label, n_cap, m_cap, prim_fn=prim)
+    return Theory(d, "multiplicative", label, n_cap, m_cap, variant,
+                  **{"gen_fn" if nonsep else "prim_fn": side})
 
 
 def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
@@ -296,29 +268,23 @@ def coarse_curve_theory(k, kind, n_cap, m_cap):
     k = int(k)
     if k < 0:
         raise ValueError("k must be >= 0")
+    variables, caps = _frame(1, n_cap, m_cap)
+    cells = {(0, 0): 1}
     if kind == "chern":
-        # a negative m_cap refuses every lookup, so no row is read
-        cap = (max(m_cap, 0),)
-        one = MultiSeries.one(("x",), cap)
-        x = MultiSeries.var(("x",), cap, "x")
-        rows = [one]
-
-        def gen_fn(n, m):
-            while len(rows) <= n:
-                rows.append(rows[-1] * (one + len(rows) * x) ** k)
-            return rows[n].coefficient(m) / factorial(n)
-
-        return Theory(1, "multiplicative", "coarse-c^%d" % k, n_cap, m_cap,
-                      gen_fn=gen_fn)
-    if kind == "euler":
-        def gen_fn(n, m):
-            if m[0] == n * k:
-                return Fraction(factorial(n)) ** (k - 1)
-            return _ZERO
-
-        return Theory(1, "multiplicative", "coarse-e^%d" % k, n_cap, m_cap,
-                      gen_fn=gen_fn)
-    raise ValueError("kind must be 'chern' or 'euler'")
+        row = one = MultiSeries.one(("x",), caps[1:])
+        x = MultiSeries.var(("x",), caps[1:], "x")
+        for n in range(1, n_cap + 1):
+            row = row * (one + n * x) ** k
+            for (m,), c in row.terms.items():
+                cells[n, m] = c / factorial(n)
+    elif kind == "euler":
+        for n in range(1, n_cap + 1):
+            cells[n, n * k] = Fraction(factorial(n)) ** (k - 1)
+    else:
+        raise ValueError("kind must be 'chern' or 'euler'")
+    # the constructor drops the cells beyond the caps
+    return Theory(1, "multiplicative", "coarse-%s^%d" % (kind[0], k), n_cap,
+                  m_cap, gen_fn=MultiSeries(variables, caps, cells))
 
 
 def inertial_theory(P, d, n_cap, m_cap, label=None):
@@ -357,26 +323,28 @@ def dt_vertex_theory(n_cap, m_cap):
     if m_cap < n_cap - 1:
         raise ValueError("m_cap must be at least n_cap - 1 to hold the "
                          "vertex support")
-    # a negative cap refuses every lookup; the series stops at 0
-    caps = (max(n_cap, 0),) + (max(m_cap, 0),) * 3
+    variables, caps = _frame(3, n_cap, m_cap)
     cells = {}
     for (n,), a in _macmahon_log(caps[0], -1).terms.items():
         cells[n, n, n, n] = -2 * a
         for m in itertools.permutations((n + 1, n, n - 1)):
             cells[(n,) + m] = -a
     # the constructor drops the cells beyond the caps
-    prim = MultiSeries(("T", "U1", "U2", "U3"), caps, cells)
-    return Theory(3, "multiplicative", "e_DT", n_cap, m_cap, prim_fn=prim)
+    return Theory(3, "multiplicative", "e_DT", n_cap, m_cap,
+                  prim_fn=MultiSeries(variables, caps, cells))
 
 
 def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
                  label="table", variant="sep"):
     """A theory from an explicit generator-value list; absent entries are
-    zero, entries beyond the caps are never read.  Entries are tuples
-    ((n, m), value) or, for nonsep, (lam, value)."""
-    table = {}
+    zero, entries beyond the caps are dropped.  Entries are tuples
+    ((n, m), value) or, for nonsep, (lam, value); each is written at every
+    ordering of m, and the last entry for an index wins."""
+    sep = variant == "sep"
+    variables, caps = _frame(d, n_cap if sep else 1, m_cap)
+    cells = {(0,) * (d + 1): 1} if sep and kind == "multiplicative" else {}
     for key, v in entries:
-        if variant == "sep":
+        if sep:
             n, m = key
             if len(m) != d:
                 raise ValueError("table entry %r: exponent vector of length "
@@ -385,12 +353,14 @@ def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
             if not mon:
                 raise ValueError("table entry %r: multiplicity n must be >= 1"
                                  % (key,))
-            key, = mon
+            (n, m), = mon
         else:
-            key = (_canonical_nonsep(key, d),)
-        table[key] = Fraction(v)
+            n, m = 1, _canonical_nonsep(key, d)
+        v = Fraction(v)
+        for p in set(itertools.permutations(m)):
+            cells[(n,) + p] = v
     return Theory(d, kind, label, n_cap, m_cap, variant=variant,
-                  gen_fn=lambda *key: table.get(key, _ZERO))
+                  gen_fn=MultiSeries(variables, caps, cells))
 
 
 def _spec_rational(v, where):
@@ -412,6 +382,7 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
     coarse-ck, coarse-ek, dt (which takes no k); {"mult_class":
     [coefficients of P]}; {"table": [{"n": int, "m": [int..], "value":
     "num/den"}, ...]}.  A description gives one form and no other key.
+    Only ck and mult_class have a nonsep variant.
     """
     form = next((f for f in ("builtin", "mult_class", "table")
                  if isinstance(spec, dict) and f in spec), None)
@@ -430,6 +401,14 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
         if type(k) is not int:
             raise ValueError("builtin theory %r: option 'k' must be an "
                              "integer, got %r" % (name, k))
+        if name not in ("ck", "ek", "coarse-ck", "coarse-ek", "dt"):
+            raise ValueError("unknown builtin theory %r" % (name,))
+    elif not isinstance(spec[form], list):
+        raise ValueError("%s: %r must be a list, got %r" % (what, form,
+                                                           spec[form]))
+    if variant == "nonsep" and form != "mult_class" and spec[form] != "ck":
+        raise ValueError("%s has no nonsep variant" % what)
+    if form == "builtin":
         if name == "ck":
             return ck_theory(k, d, n_cap, m_cap, variant=variant)
         if name == "ek":
@@ -439,11 +418,9 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
                 raise ValueError("coarse theories need d = 1")
             kind = "chern" if name == "coarse-ck" else "euler"
             return coarse_curve_theory(k, kind, n_cap, m_cap)
-        if name == "dt":
-            if d != 3:
-                raise ValueError("the vertex theory needs d = 3")
-            return dt_vertex_theory(n_cap, m_cap)
-        raise ValueError("unknown builtin theory %r" % name)
+        if d != 3:
+            raise ValueError("the vertex theory needs d = 3")
+        return dt_vertex_theory(n_cap, m_cap)
     if form == "mult_class":
         coeffs = [_spec_rational(c, "mult_class coefficient %d" % i)
                   for i, c in enumerate(spec["mult_class"], 1)]

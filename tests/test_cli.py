@@ -308,11 +308,36 @@ def test_bad_inputs(capsys):
             ('{"mult_class": ["1", "1"], "table": []}',
              "mult_class theory does not take option 'table'"),
             ("builtin:ek,k=-1", "k must be >= 0"),
-            ("builtin:coarse-ek,k=-2", "k must be >= 0")):
+            ("builtin:coarse-ek,k=-2", "k must be >= 0"),
+            ('{"mult_class": "11"}',
+             "mult_class theory: 'mult_class' must be a list, got '11'"),
+            ('{"mult_class": {"1": 2}}',
+             "mult_class theory: 'mult_class' must be a list, got {'1': 2}"),
+            ('{"mult_class": 5}',
+             "mult_class theory: 'mult_class' must be a list, got 5"),
+            ('{"table": ""}', "table theory: 'table' must be a list, got ''")):
         status, out, err = run(capsys, "table", "--theory", theory, "--d", "1",
                                "--max-n", "1", "--max-m", "1")
         assert (status, out) == (2, "")
         assert message in err
+    # only ck and mult_class have a nonsep variant; every verb says so
+    nonsep = json.dumps({"d": 1, "variant": "nonsep", "basis": "q", "terms": [
+        {"monomial": [[1, [1]]], "coeff": "1"}]})
+    for theory, message in (
+            ("builtin:ek,k=1", "builtin theory 'ek' has no nonsep variant"),
+            ("builtin:coarse-ck", "builtin theory 'coarse-ck' has no nonsep"),
+            ("builtin:coarse-ek", "builtin theory 'coarse-ek' has no nonsep"),
+            ("builtin:dt", "builtin theory 'dt' has no nonsep variant"),
+            ('{"table": []}', "table theory has no nonsep variant"),
+            ("builtin:nope", "unknown builtin theory 'nope'")):
+        for argv in (("table", "--theory", theory, "--d", "1", "--max-n", "1",
+                      "--max-m", "1", "--variant", "nonsep"),
+                     ("eval", "--theory", theory, "--element", nonsep),
+                     ("vertical", "--theory", theory, "--d", "1", "--chern",
+                      "m1=2", "--order", "2", "--variant", "nonsep")):
+            status, out, err = run(capsys, *argv)
+            assert (status, out, err) == (2, "", "error: %s%s\n" % (
+                message, " variant" * message.endswith("nonsep"))), argv
     status, out, err = run(capsys, "table", "--theory", '{"builtin": "dt", '
                            '"k": 3}', "--d", "3", "--max-n", "1", "--max-m",
                            "1")

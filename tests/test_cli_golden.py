@@ -13,8 +13,9 @@ root::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-Regenerate it only when an output is meant to change, and say which
-invocations changed and why in CHANGES.md.
+which also prints the argv of every invocation whose entry differs from
+the file it overwrites.  Regenerate it only when an output is meant to
+change, and say which invocations changed and why in CHANGES.md.
 """
 
 import contextlib
@@ -252,7 +253,12 @@ def test_cli_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
+    # name every invocation whose entry is not in the file being replaced
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
     entries = [_run(argv) for argv in _corpus()]
+    for entry in entries:
+        if entry not in old:
+            print("changed: %s" % json.dumps(entry["argv"]))
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
                       + "\n]\n")
     print("%d invocations written to %s" % (len(entries), GOLDEN))

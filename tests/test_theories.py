@@ -375,6 +375,17 @@ def test_theory_refuses_a_primitive_side_it_cannot_hold():
             Theory(1, "multiplicative", "t", 2, 2, **sides)
 
 
+def test_theory_refuses_a_side_that_is_not_a_series():
+    # a side is the series its constructor builds; nothing is tabulated
+    for variant, side in (("sep", "gen_fn"), ("sep", "prim_fn"),
+                          ("nonsep", "gen_fn")):
+        with pytest.raises(ValueError, match="side is a MultiSeries"):
+            Theory(1, "multiplicative", "t", 2, 2, variant=variant,
+                   **{side: lambda *key: F(1)})
+    with pytest.raises(ValueError, match="side is a MultiSeries"):
+        Theory(1, "primitive", "t", 2, 2, gen_fn={(1, 1): F(1)})
+
+
 def test_nonsep_class_theory_is_the_sep_rule_at_n_1():
     x = MultiSeries.var(("x",), (4,), "x")
     one = MultiSeries.one(("x",), (4,))
