@@ -253,7 +253,6 @@ def test_cli_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
-    # name every invocation whose entry is not in the file being replaced
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
     entries = [_run(argv) for argv in _corpus()]
     for entry in entries:
