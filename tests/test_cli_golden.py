@@ -13,9 +13,11 @@ root::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-which also prints the argv of every invocation whose entry differs from
-the file it overwrites.  Regenerate it only when an output is meant to
-change, and say which invocations changed and why in CHANGES.md.
+which also prints, by argv, each invocation that the file it overwrites
+lacks (``added:``), holds with another entry (``changed:``) or holds but
+the corpus no longer runs (``removed:``).  Regenerate it only when an
+output is meant to change, and say which invocations changed and why in
+CHANGES.md.
 """
 
 import contextlib
@@ -253,11 +255,18 @@ def test_cli_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    old = {json.dumps(e["argv"]): e for e in
+           json.loads(GOLDEN.read_text())} if GOLDEN.exists() else {}
     entries = [_run(argv) for argv in _corpus()]
-    for entry in entries:
-        if entry not in old:
-            print("changed: %s" % json.dumps(entry["argv"]))
+    new = {json.dumps(e["argv"]): e for e in entries}
+    for argv, entry in new.items():
+        if argv not in old:
+            print("added: %s" % argv)
+        elif old[argv] != entry:
+            print("changed: %s" % argv)
+    for argv in old:
+        if argv not in new:
+            print("removed: %s" % argv)
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
                       + "\n]\n")
     print("%d invocations written to %s" % (len(entries), GOLDEN))
