@@ -127,6 +127,19 @@ def _corpus():
                 "m1=2", "--order", order, json_too=False)
     add("vertical", "--theory", "builtin:dt", "--d", "3", "--chern",
         "m21=12,m111=4", "--order", "6")
+    # the vertex at an m_cap below n_cap - 1: a table at caps (4, 1), and
+    # q- and p-basis elements whose caps are (4, 1)
+    add("table", "--theory", "builtin:dt", "--d", "3", "--max-n", "4",
+        "--max-m", "1")
+    for basis in ("q", "p"):
+        element = json.dumps({"d": 3, "variant": "sep", "basis": basis,
+                              "terms": [
+            {"monomial": [[1, [1, 1, 1]], [1, [1, 1, 1]]], "coeff": "3"},
+            {"monomial": [[1, [1, 1, 0]], [2, [1, 1, 1]]], "coeff": "-1/2"},
+            {"monomial": [[1, [1, 1, 1]]], "coeff": "-1"},
+            {"monomial": [[4, [1, 1, 0]]], "coeff": "5"}]})
+        add("eval", "--theory", "builtin:dt", "--element", element,
+            json_too=False)
     # curve series
     for theory in _theories(1):
         for chi in ("1", "2", "-1/2"):

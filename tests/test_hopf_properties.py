@@ -10,13 +10,15 @@ integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 the pair route of vertical_series equals the naive pairing of those classes
 for theories with fractional primitive values and for theories that pair
 every generator to 0; theory_exp inverts
-theory_log on random generator tables; the element and tensor printers,
+theory_log on random generator tables, sep and nonsep, and a random
+primitive table reads its entries, as values, primitive values and the
+primitive values of its exp; the element and tensor printers,
 text and JSON, give the bytes of oracles' reference printers."""
 
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -313,12 +315,15 @@ def test_paired_vertical_series_matches_the_naive_pairing(chern, n_max,
 
 
 @st.composite
-def tables(draw):
-    """A random sep generator table, its d and its caps."""
+def tables(draw, variant="sep", past_caps=0):
+    """A random generator table, its d and its caps; keys reach past_caps
+    beyond the caps.  A sep key is (n, m), a nonsep key lam."""
     d, n_cap, m_cap = draw(st.integers(1, 2)), draw(st.integers(1, 3)), \
         draw(st.integers(0, 2))
-    keys = st.tuples(st.integers(1, n_cap), st.lists(
-        st.integers(0, m_cap), min_size=d, max_size=d).map(tuple))
+    keys = st.lists(st.integers(0, m_cap + past_caps), min_size=d,
+                    max_size=d).map(tuple)
+    if variant == "sep":
+        keys = st.tuples(st.integers(1, n_cap + past_caps), keys)
     return draw(st.dictionaries(keys, coeffs, max_size=5)), d, n_cap, m_cap
 
 
@@ -331,6 +336,47 @@ def test_theory_exp_inverts_theory_log(table):
     for n in range(1, n_cap + 1):
         for m in combinations_with_replacement(range(m_cap, -1, -1), d):
             assert back.value(n, m) == e.value(n, m)
+
+
+@examples
+@given(table=tables("nonsep"))
+def test_nonsep_theory_log_and_exp_keep_the_values(table):
+    # nonsep generators are primitive, so log e and exp(log e) read e's
+    # values
+    entries, d, n_cap, m_cap = table
+    # n_cap bounds no nonsep lookup, so it runs from -1 to 1
+    e = table_theory(entries.items(), d, n_cap - 2, m_cap, variant="nonsep")
+    lg = theory_log(e)
+    back = theory_exp(lg)
+    for lam in combinations_with_replacement(range(m_cap, -1, -1), d):
+        assert lg.nonsep_value(lam) == back.nonsep_value(lam) == \
+            e.nonsep_value(lam)
+
+
+@pytest.mark.parametrize("variant", ["sep", "nonsep"])
+@examples
+@given(data=st.data())
+def test_primitive_tables_read_their_entries(variant, data):
+    # a primitive theory's values are its primitive values, and exp of it
+    # has them as its primitive values; the last entry for an index wins
+    # and entries past the caps are dropped
+    entries, d, n_cap, m_cap = data.draw(tables(variant, past_caps=1))
+    p = table_theory(entries.items(), d, n_cap, m_cap, kind="primitive",
+                     variant=variant)
+    e = theory_exp(p)
+    naive = {}
+    for key, v in entries.items():
+        n, m = key if variant == "sep" else (1, key)
+        naive[n, tuple(sorted(m, reverse=True))] = v
+    for n in range(n_cap + 1) if variant == "sep" else (1,):
+        for m in product(range(m_cap + 1), repeat=d):
+            want = naive.get((n, tuple(sorted(m, reverse=True))), 0)
+            if variant == "sep":
+                got = (p.value(n, m), p.primitive_value(n, m),
+                       e.primitive_value(n, m))
+            else:
+                got = p.nonsep_value(m), e.nonsep_value(m)
+            assert got == (want,) * len(got), (n, m)
 
 
 @lru_cache(maxsize=None)
