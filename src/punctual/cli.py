@@ -78,10 +78,8 @@ def _element_caps(x):
 
 
 def _build_theory(args, d, n_cap, m_cap, variant="sep"):
-    spec = parse_theory_string(args.theory)
-    if spec.get("builtin") == "dt":
-        m_cap = max(m_cap, n_cap - 1)
-    return theory_from_spec(spec, d, n_cap, m_cap, variant=variant)
+    return theory_from_spec(parse_theory_string(args.theory), d, n_cap, m_cap,
+                            variant=variant)
 
 
 def _at_least(flag, value, low):

@@ -15,14 +15,15 @@ A Theory holds each side as its generating series, a MultiSeries in T and
 U1..Ud truncated at the declared caps n <= n_cap, m_i <= m_cap: F on the
 generator side, whose constant term is the value on the unit, and log F on
 the primitive side.  A theory is given one side, a series that its
-constructor builds; the other is derived whole, by log or exp, on its first
-lookup.  Class, Euler power and inertial theories are given their primitive
-side in closed form, log F = first * P(U1)...P(Ud) with first = T for a
-class, and the DT vertex is given its own; table and coarse theories, and
-nonsep class theories (T P(U1)...P(Ud)), their generator side.  A lookup
-reads one coefficient;
-evaluating outside the caps raises CapError rather than truncating
-silently.
+constructor builds in the frame of its d, caps and variant, which the
+Theory checks.  Every value of a primitive or nonsep theory is primitive,
+so its one series is both sides; otherwise the other side is derived
+whole, by log or exp, on its first lookup.  Class, Euler power and
+inertial theories are given their primitive side in closed form,
+log F = first * P(U1)...P(Ud) with first = T for a class, and the DT
+vertex is given its own; table and coarse theories their generator side.
+A lookup reads one coefficient; evaluating outside the caps raises
+CapError rather than truncating silently.
 """
 
 import itertools
@@ -41,23 +42,24 @@ class CapError(ValueError):
     pass
 
 
-def _frame(d, n_cap, m_cap):
-    """The variables T, U1..Ud of a theory's series and its caps.  A
-    negative cap refuses every lookup it bounds; the series stops at 0."""
+def _frame(d, n_cap, m_cap, variant="sep"):
+    """The variables T, U1..Ud of a theory's series and its caps: n_cap, or 1
+    for a nonsep series, whose q_lam sits at T U^lam, and m_cap on each U_i.
+    A negative cap refuses every lookup it bounds; the series stops at 0."""
     return (("T",) + tuple("U%d" % (i + 1) for i in range(d)),
-            (max(n_cap, 0),) + (max(m_cap, 0),) * d)
+            (max(n_cap, 0) if variant == "sep" else 1,) + (max(m_cap, 0),) * d)
 
 
 class Theory:
     """A functional held as the generating series of its generator values
     and of its primitive values.
 
-    Exactly one of gen_fn / prim_fn is given; primitive and nonsep theories
-    take gen_fn.  The given side is a MultiSeries in T, U1..Ud with caps
-    (n_cap, m_cap, ..., m_cap), a negative cap read as 0, and is stored as
-    it is; there is no callable form.  The other side is derived whole, by
-    exp or log, on its first lookup.  A nonsep theory's value on q_lam sits
-    at T U^lam, and only m_cap bounds its lookups.  A negative cap refuses
+    Exactly one of gen_fn / prim_fn is given: a MultiSeries with the
+    variables and caps of _frame and no total cap, stored as it is; a side
+    of another frame is refused.  Every value of a primitive or nonsep
+    theory is primitive, so its one series is both sides; otherwise the
+    other side is derived whole, by exp or log, on its first lookup.  Only
+    m_cap bounds a nonsep theory's lookups, and a negative cap refuses
     every lookup it bounds.
     """
 
@@ -73,9 +75,6 @@ class Theory:
         if (gen_fn is None) == (prim_fn is None):
             raise ValueError("need exactly one of a generator table and a "
                              "primitive table")
-        if prim_fn is not None and (kind, variant) != ("multiplicative",
-                                                         "sep"):
-            raise ValueError("primitive and nonsep theories take gen_fn only")
         self.d = int(d)
         self.variant = variant
         self.kind = kind
@@ -86,6 +85,13 @@ class Theory:
                              (side,))
         self.n_cap = int(n_cap)
         self.m_cap = int(m_cap)
+        want = _frame(self.d, self.n_cap, self.m_cap, variant) + (None,)
+        got = side.variables, side.caps, side.total_cap
+        if got != want:
+            raise ValueError("a theory's side needs variables, caps and total "
+                             "cap %r, got %r" % (want, got))
+        if kind == "primitive" or variant == "nonsep":
+            gen_fn = prim_fn = side
         self._gen, self._prim = gen_fn, prim_fn
 
     def __repr__(self):
@@ -138,8 +144,6 @@ class Theory:
     def primitive_value(self, n, m):
         """Value on the primitive p_{n,m}; for a multiplicative theory this
         is also the value of its logarithm."""
-        if self.kind == "primitive":
-            return self.value(n, m)
         e = self._exponent(n, m)
         return self._series(True).terms.get(e, _ZERO)
 
@@ -185,20 +189,16 @@ def theory_log(e):
     """The primitive theory with the same values on primitives as e."""
     if e.kind != "multiplicative":
         raise ValueError("theory_log expects a multiplicative theory")
-    # nonsep generators are primitive
-    series = e._gen if e.variant == "nonsep" else e._series(True)
     return Theory(e.d, "primitive", "log(%s)" % e.label, e.n_cap, e.m_cap,
-                  variant=e.variant, gen_fn=series)
+                  variant=e.variant, prim_fn=e._series(True))
 
 
 def theory_exp(p):
     """The multiplicative theory whose primitive values are p's table."""
     if p.kind != "primitive":
         raise ValueError("theory_exp expects a primitive theory")
-    # nonsep generators are primitive
-    given = "gen_fn" if p.variant == "nonsep" else "prim_fn"
     return Theory(p.d, "multiplicative", "exp(%s)" % p.label, p.n_cap,
-                  p.m_cap, variant=p.variant, **{given: p._gen})
+                  p.m_cap, variant=p.variant, prim_fn=p._prim)
 
 
 # -- constructions ---------------------------------------------------------
@@ -206,13 +206,12 @@ def theory_exp(p):
 def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
     """The multiplicative theory whose primitive side is, in closed form,
     first * P(U1) ... P(Ud) for a series P in one variable; first is a term
-    mapping in T, U1..Ud and defaults to T.  A nonsep theory is given the
-    same product, with T capped at 1, as its generator side: q_lam takes
-    the value prod_i [x^(lam_i)] P of q_{1,lam}."""
+    mapping in T, U1..Ud and defaults to T.  For a nonsep theory the
+    product is also the generator side: q_lam takes the value
+    prod_i [x^(lam_i)] P of q_{1,lam}."""
     if len(P.variables) != 1:
         raise ValueError("expected a series in one variable")
-    nonsep = variant == "nonsep"
-    variables, caps = _frame(d, 1 if nonsep else n_cap, m_cap)
+    variables, caps = _frame(d, n_cap, m_cap, variant)
     side = MultiSeries(variables, caps,
                        {(1,) + (0,) * d: 1} if first is None else first)
     for i in range(d):
@@ -220,7 +219,7 @@ def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
             (0,) * (i + 1) + e + (0,) * (d - 1 - i): c
             for e, c in P.terms.items()})
     return Theory(d, "multiplicative", label, n_cap, m_cap, variant,
-                  **{"gen_fn" if nonsep else "prim_fn": side})
+                  prim_fn=side)
 
 
 def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
@@ -316,13 +315,10 @@ def dt_vertex_theory(n_cap, m_cap):
     with M the MacMahon series.  The numerator of E expands as
     2 U1 U2 U3 plus the six orderings of U1^2 U2, so with
     a_n = [T^n] log M(-T) the primitive value is -2 a_n at (n; n, n, n),
-    -a_n at each ordering of (n; n+1, n, n-1) and zero elsewhere.
+    -a_n at each ordering of (n; n+1, n, n-1) and zero elsewhere.  Any
+    caps will do: truncating to a box of caps commutes with exp, so the
+    values within them are those at ample caps.
     """
-    n_cap = int(n_cap)
-    m_cap = int(m_cap)
-    if m_cap < n_cap - 1:
-        raise ValueError("m_cap must be at least n_cap - 1 to hold the "
-                         "vertex support")
     variables, caps = _frame(3, n_cap, m_cap)
     cells = {}
     for (n,), a in _macmahon_log(caps[0], -1).terms.items():
@@ -341,7 +337,7 @@ def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",
     ((n, m), value) or, for nonsep, (lam, value); each is written at every
     ordering of m, and the last entry for an index wins."""
     sep = variant == "sep"
-    variables, caps = _frame(d, n_cap if sep else 1, m_cap)
+    variables, caps = _frame(d, n_cap, m_cap, variant)
     cells = {(0,) * (d + 1): 1} if sep and kind == "multiplicative" else {}
     for key, v in entries:
         if sep:

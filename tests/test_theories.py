@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -183,7 +184,7 @@ def test_dt_vertex_frozen_values():
 def test_dt_vertex_primitives_match_the_generating_function():
     # every primitive cell against -E'(U) log M(-U1 U2 U3 T) / (U1 U2 U3)
     for n_cap in range(1, 9):
-        for m_cap in (n_cap - 1, n_cap, n_cap + 2):
+        for m_cap in range(n_cap + 3):
             dt = dt_vertex_theory(n_cap, m_cap)
             want = oracles.dt_vertex_primitive(n_cap, m_cap)
             for cell in itertools.product(range(1, n_cap + 1),
@@ -192,9 +193,21 @@ def test_dt_vertex_primitives_match_the_generating_function():
                     want.get(cell, 0), cell
 
 
-def test_dt_needs_room():
-    with pytest.raises(ValueError):
-        dt_vertex_theory(6, 3)
+def test_dt_vertex_at_small_caps_reads_the_values_at_ample_caps():
+    # truncating to a box of caps commutes with exp, so an m_cap below
+    # n_cap - 1 cuts the vertex's support without changing a value
+    seen = set()
+    for n_cap in range(2, 7):
+        ample = dt_vertex_theory(n_cap, n_cap + 2)
+        for m_cap in range(n_cap - 1):
+            dt = dt_vertex_theory(n_cap, m_cap)
+            for n in range(n_cap + 1):
+                for m in itertools.product(range(m_cap + 1), repeat=3):
+                    for lookup in ("value", "primitive_value"):
+                        v = getattr(dt, lookup)(n, m)
+                        assert v == getattr(ample, lookup)(n, m), (n, m)
+                        seen.add((lookup, bool(v)))
+    assert len(seen) == 4
 
 
 def test_cap_errors():
@@ -209,7 +222,7 @@ def test_cap_errors():
 
 def test_a_negative_cap_refuses_every_lookup():
     # one rule for every constructor: a negative cap is accepted and every
-    # lookup raises CapError; only the vertex refuses m_cap < n_cap - 1
+    # lookup raises CapError
     P = MultiSeries(("x",), (2,), {(0,): 1, (1,): 2, (2,): F(1, 3)})
     builders = {
         "ck": lambda d, n, m: ck_theory(2, d, n, m),
@@ -231,10 +244,6 @@ def test_a_negative_cap_refuses_every_lookup():
                   else (1, 2)):
             for n_cap, m_cap in itertools.product(range(-2, 2), repeat=2):
                 if min(n_cap, m_cap) >= 0:
-                    continue
-                if name == "dt" and m_cap < n_cap - 1:
-                    with pytest.raises(ValueError, match="at least n_cap"):
-                        build(d, n_cap, m_cap)
                     continue
                 e = build(d, n_cap, m_cap)
                 lookups = [e.value, e.primitive_value]
@@ -360,14 +369,26 @@ def test_primitive_theory_vanishes_on_unit():
         assert lg.pair(unit) == 0
 
 
-def test_theory_refuses_a_primitive_side_it_cannot_hold():
-    # a primitive theory is its own primitive side, and a nonsep theory has
-    # only generators
+def test_a_primitive_valued_theory_reads_its_series_as_either_side():
+    # every value of a primitive or a nonsep theory is primitive, so its
+    # one series is both sides, whichever it is given as
+    terms = {(1, 1): F(2), (1, 0): F(-1, 3), (2, 2): F(5)}
     for kind, variant in (("primitive", "sep"), ("multiplicative", "nonsep"),
                           ("primitive", "nonsep")):
-        with pytest.raises(ValueError, match="take gen_fn only"):
-            Theory(1, kind, "t", 2, 2, variant=variant,
-                   prim_fn=lambda *key: F(1))
+        series = MultiSeries(("T", "U1"), (1 if variant == "nonsep" else 2, 2),
+                             terms)
+        gen, prim = (Theory(1, kind, "t", 2, 2, variant=variant,
+                            **{side: series})
+                     for side in ("gen_fn", "prim_fn"))
+        for e in (gen, prim):
+            if variant == "nonsep":
+                got = [e.nonsep_value((m,)) for m in range(3)]
+                assert got == [F(-1, 3), F(2), 0]
+            else:
+                got = [(e.value(n, (m,)), e.primitive_value(n, (m,)))
+                       for n in range(3) for m in range(3)]
+                assert got == [(terms.get((n, m), 0),) * 2
+                               for n in range(3) for m in range(3)]
     # one side is given and the other derived, never both given
     for sides in ({}, {"gen_fn": lambda *key: F(1),
                        "prim_fn": lambda *key: F(1)}):
@@ -384,6 +405,23 @@ def test_theory_refuses_a_side_that_is_not_a_series():
                    **{side: lambda *key: F(1)})
     with pytest.raises(ValueError, match="side is a MultiSeries"):
         Theory(1, "primitive", "t", 2, 2, gen_fn={(1, 1): F(1)})
+
+
+def test_theory_refuses_a_side_outside_its_frame():
+    # the series of a d = 1 theory lacks U2; its caps (2, 2) are not the
+    # theory's (5, 5); it has a total cap; a nonsep series has T capped at 1
+    series = MultiSeries(("T", "U1"), (2, 2), {(0, 0): 1, (1, 1): 3})
+    for d, n_cap, m_cap, variant, side, frame in (
+            (2, 2, 2, "sep", series, "(('T', 'U1', 'U2'), (2, 2, 2), None)"),
+            (1, 5, 5, "sep", series, "(('T', 'U1'), (5, 5), None)"),
+            (1, 2, 2, "sep", MultiSeries(("T", "U1"), (2, 2), series.terms,
+                                         total_cap=3),
+             "(('T', 'U1'), (2, 2), None), got (('T', 'U1'), (2, 2), 3)"),
+            (1, 2, 2, "nonsep", series, "(('T', 'U1'), (1, 2), None)")):
+        for given in ("gen_fn", "prim_fn"):
+            with pytest.raises(ValueError, match=re.escape(frame)):
+                Theory(d, "multiplicative", "t", n_cap, m_cap,
+                       variant=variant, **{given: side})
 
 
 def test_nonsep_class_theory_is_the_sep_rule_at_n_1():
