@@ -1,0 +1,75 @@
+"""MultiSeries exp, log and rational powers against sympy's ring_series,
+an implementation written outside this repository, as Hypothesis
+properties over sparse series in 1-3 variables with per-variable caps, an
+optional total cap and rational coefficients.
+
+ring_series truncates in one variable.  Substituting t*x_i for each x_i
+makes the t-degree of a term its total degree, so truncating at
+t^(bound + 1), bound the largest total degree within the caps, is exact
+on every term within them.  The caps and the total cap bound a monomial
+ideal, so dropping the terms outside them afterwards is exact too."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st
+from sympy.polys.ring_series import rs_exp, rs_log, rs_nth_root, rs_pow
+from sympy.polys.rings import ring
+
+from punctual.series import MultiSeries
+
+examples = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
+
+coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                   st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9)))
+
+
+@st.composite
+def sparse_series(draw, constant):
+    """A series with the given constant term and up to four other terms."""
+    caps = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    total_cap = draw(st.none() | st.integers(0, sum(caps)))
+    exponents = st.tuples(*(st.integers(0, c) for c in caps))
+    terms = draw(st.dictionaries(exponents, coeffs, max_size=4))
+    terms[(0,) * len(caps)] = constant
+    return MultiSeries("xyz"[:len(caps)], caps, terms, total_cap)
+
+
+def _through_sympy(f, op):
+    """op(p, t, prec) applied to f(t x) in a sympy ring over QQ, read back
+    as the terms within f's caps and total cap."""
+    R, t, *_ = ring(("t",) + f.variables, sympy.QQ)
+    bound = sum(f.caps) if f.total_cap is None else f.total_cap
+    p = R({(sum(e),) + e: sympy.QQ(c.numerator, c.denominator)
+           for e, c in f.terms.items()})
+    out = {}
+    for (k, *e), c in op(p, t, bound + 1).items():
+        assert k == sum(e)
+        if all(x <= cap for x, cap in zip(e, f.caps)):
+            out[tuple(e)] = Fraction(int(c.numerator), int(c.denominator))
+    return out
+
+
+@examples
+@given(f=sparse_series(0))
+def test_exp_matches_sympy(f):
+    assert f.exp().terms == _through_sympy(f, rs_exp)
+
+
+@examples
+@given(f=sparse_series(1))
+def test_log_matches_sympy(f):
+    assert f.log().terms == _through_sympy(f, rs_log)
+
+
+@examples
+@given(f=sparse_series(1), a=st.integers(-3, 3), b=st.integers(1, 3))
+def test_rational_pow_matches_sympy(f, a, b):
+    # rs_pow takes only an integer exponent, so f^(a/b) = (f^(1/b))^a
+    assert f.pow(Fraction(a, b)).terms == _through_sympy(
+        f, lambda p, t, prec: rs_pow(rs_nth_root(p, b, t, prec), a, t, prec))
