@@ -389,7 +389,7 @@ def test_a_primitive_valued_theory_reads_its_series_as_either_side():
                        for n in range(3) for m in range(3)]
                 assert got == [(terms.get((n, m), 0),) * 2
                                for n in range(3) for m in range(3)]
-    # one side is given and the other derived, never both given
+    # exactly one side is given, never none or both
     for sides in ({}, {"gen_fn": lambda *key: F(1),
                        "prim_fn": lambda *key: F(1)}):
         with pytest.raises(ValueError, match="exactly one"):
@@ -408,8 +408,8 @@ def test_theory_refuses_a_side_that_is_not_a_series():
 
 
 def test_theory_refuses_a_side_outside_its_frame():
-    # the series of a d = 1 theory lacks U2; its caps (2, 2) are not the
-    # theory's (5, 5); it has a total cap; a nonsep series has T capped at 1
+    # a series in T, U1 lacks the U2 of a d = 2 theory; its caps (2, 2)
+    # are not a theory's (5, 5); a total cap; a nonsep series has T at 1
     series = MultiSeries(("T", "U1"), (2, 2), {(0, 0): 1, (1, 1): 3})
     for d, n_cap, m_cap, variant, side, frame in (
             (2, 2, 2, "sep", series, "(('T', 'U1', 'U2'), (2, 2, 2), None)"),
