@@ -247,6 +247,13 @@ def test_sep_to_nonsep_kills_higher_primitives():
         HopfElement.nonsep_generator(1, (2,))
 
 
+def test_sep_to_nonsep_refuses_a_nonsep_element():
+    with pytest.raises(ContextMismatchError) as err:
+        sep_to_nonsep(HopfElement.nonsep_generator(1, (2,)))
+    assert type(err.value) is ContextMismatchError
+    assert str(err.value) == "sep_to_nonsep expects the sep variant"
+
+
 def test_sep_to_nonsep_is_algebra_map():
     rng = random.Random(23)
     for _ in range(8):

@@ -50,6 +50,20 @@ def test_mismatched_frames_rejected():
     assert a != b
 
 
+@pytest.mark.parametrize("args, kwargs, message", (
+    ((("T", "U"), (3,)), {}, "need one cap per variable"),
+    ((("T", "U"), (3, -1)), {}, "caps must be >= 0"),
+    ((("T",), (3,)), {"total_cap": -1}, "total cap must be >= 0"),
+    ((("T", "U"), (3, 3), {(1,): 1}), {}, "exponent vector of wrong length"),
+    ((("T", "U"), (3, 3), {(1, -1): 1}), {}, "negative exponent"),
+), ids=("caps", "cap", "total-cap", "length", "exponent"))
+def test_constructor_refusals(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        MultiSeries(*args, **kwargs)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_pow_int():
     v, c = ts(5)
     t = MultiSeries.var(v, c, "T")

@@ -1,7 +1,9 @@
-"""MultiSeries exp, log and rational powers against sympy's ring_series,
-an implementation written outside this repository, as Hypothesis
-properties over sparse series in 1-3 variables with per-variable caps, an
-optional total cap and rational coefficients.
+"""Checks against sympy, an implementation written outside this
+repository: MultiSeries exp, log and rational powers against its
+ring_series, as Hypothesis properties over sparse series in 1-3 variables
+with per-variable caps, an optional total cap and rational coefficients;
+symfunc.monomial_to_elementary against its symmetrize for d = 1..5; and
+the coarse c^1 curve theory against its Stirling numbers.
 
 ring_series truncates in one variable.  Substituting t*x_i for each x_i
 makes the t-degree of a term its total degree, so truncating at
@@ -10,6 +12,8 @@ on every term within them.  The caps and the total cap bound a monomial
 ideal, so dropping the terms outside them afterwards is exact too."""
 
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -20,7 +24,10 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.ring_series import rs_exp, rs_log, rs_nth_root, rs_pow
 from sympy.polys.rings import ring
 
+from punctual.combinat import partitions_of
 from punctual.series import MultiSeries
+from punctual.symfunc import monomial_to_elementary
+from punctual.theories import coarse_curve_theory
 
 examples = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
@@ -73,3 +80,34 @@ def test_rational_pow_matches_sympy(f, a, b):
     # rs_pow takes only an integer exponent, so f^(a/b) = (f^(1/b))^a
     assert f.pow(Fraction(a, b)).terms == _through_sympy(
         f, lambda p, t, prec: rs_pow(rs_nth_root(p, b, t, prec), a, t, prec))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_monomial_to_elementary_matches_sympy(d):
+    from sympy.polys.polyfuncs import symmetrize
+    xs = sympy.symbols("x1:%d" % (d + 1))
+    for lam in partitions_of(d, d):
+        row = tuple(lam) + (0,) * (d - len(lam))
+        m = sum(sympy.prod(x ** a for x, a in zip(xs, perm))
+                for perm in set(permutations(row)))
+        sym, rem, defs = symmetrize(m, *xs, formal=True)
+        assert rem == 0
+        es = [s for s, _ in defs]
+        want = {}
+        for powers, c in sympy.Poly(sym, *es).terms():
+            key = tuple(i for i in range(d, 0, -1)
+                        for _ in range(powers[i - 1]))
+            want[key] = Fraction(int(c.p), int(c.q))
+        assert monomial_to_elementary(lam, d) == want
+
+
+def test_coarse_chern_values_are_stirling_numbers():
+    # prod_{i=1..n} (1 + iT) = sum_j c(n+1, n+1-j) T^j, with c the unsigned
+    # Stirling numbers of the first kind
+    from sympy.functions.combinatorial.numbers import stirling
+    e = coarse_curve_theory(1, "chern", 7, 9)
+    for n in range(1, 8):
+        for j in range(10):
+            want = stirling(n + 1, n + 1 - j, kind=1, signed=False) \
+                if j <= n else 0
+            assert e.value(n, (j,)) * factorial(n) == want

@@ -145,6 +145,18 @@ def test_exp_log_roundtrip():
             assert back.value(n, (m,)) == e.value(n, (m,))
 
 
+def test_log_and_exp_refuse_the_other_kind():
+    e = ck_theory(2, 1, 3, 3)
+    for f, x, message in (
+            (theory_log, theory_log(e),
+             "theory_log expects a multiplicative theory"),
+            (theory_exp, e, "theory_exp expects a primitive theory")):
+        with pytest.raises(ValueError) as err:
+            f(x)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+
 def test_pairing_rules():
     eb = coarse_curve_theory(1, "euler", 3, 3)
     combo = q(1, 2, (2,)) - q(1, 1, (0,)) * q(1, 1, (2,)) \
