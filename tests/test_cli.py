@@ -402,6 +402,20 @@ def test_vertical_paths_disagree_exits_1(capsys, monkeypatch):
     assert (status, out, err) == (0, "1/1 + 2/1*T + 2/1*T^2 + 4/3*T^3\n", "")
 
 
+def test_vertical_refuses_a_pair_route_over_budget(capsys, monkeypatch):
+    import punctual.genfun as genfun
+
+    def build(coeffs, n_max):
+        raise AssertionError("the pair route built before refusing")
+    monkeypatch.setattr(genfun, "_vertical_ints", build)
+    status, out, err = run(capsys, "vertical", "--theory", "builtin:dt",
+                           "--d", "3", "--chern", "c3=4,c1c2=24,c1^3=64",
+                           "--order", "60")
+    assert (status, out) == (2, "")
+    assert err == ("error: the pair route would build 6639349 monomials, "
+                   "more than 1000000; use --path exp or a lower order\n")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     status, out, err = run(capsys, "curve", "--theory", "builtin:ek,k=1",

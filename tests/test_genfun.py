@@ -82,6 +82,34 @@ def test_vertical_pair_route_names_the_first_generator_past_the_caps(
     assert str(err.value) == message
 
 
+def test_vertical_refuses_an_unknown_path():
+    with pytest.raises(ValueError) as err:
+        vertical_series(ck_theory(1, 1, 3, 3), curve_data(1), 3, path="bad")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "path must be 'both', 'pair' or 'exp'"
+
+
+def test_pair_route_on_p3_builds_one_term_per_partition(monkeypatch):
+    # one generator per T-degree: to order 12 the route builds a term per
+    # partition of n <= 12, 272 of them, where the 36 generators p_{j, .}
+    # would make 3,132 monomials
+    import punctual.genfun as genfun
+    build, calls = genfun._vertical_ints, []
+
+    def spy(coeffs, n_max):
+        out = build(coeffs, n_max)
+        calls.append((coeffs, out[2]))
+        return out
+    monkeypatch.setattr(genfun, "_vertical_ints", spy)
+    e = dt_vertex_theory(12, 14)
+    series = vertical_series(e, P3, 12, path="pair")
+    (coeffs, vs), = calls
+    assert sorted(j for j, _ in coeffs.values()) == list(range(1, 13))
+    assert sum(map(len, vs)) == 272
+    monkeypatch.undo()
+    assert series == vertical_series(e, P3, 12, path="exp")
+
+
 def test_vertical_requires_multiplicative():
     from punctual.theories import theory_log
     lg = theory_log(coarse_curve_theory(1, "euler", 4, 4))
