@@ -91,8 +91,7 @@ def test_vertical_refuses_an_unknown_path():
 
 def test_pair_route_on_p3_builds_one_term_per_partition(monkeypatch):
     # one generator per T-degree: to order 12 the route builds a term per
-    # partition of n <= 12, 272 of them, where the 36 generators p_{j, .}
-    # would make 3,132 monomials
+    # partition of n <= 12, 272 of them
     import punctual.genfun as genfun
     build, calls = genfun._vertical_ints, []
 
