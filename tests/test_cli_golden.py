@@ -5,8 +5,11 @@ sha256 digests of what it wrote to stdout and to stderr, and its exit
 status.  The corpus covers every verb, in text and JSON, for sep and nonsep
 theories and elements, and the error paths: bad flags and malformed JSON, a
 context mismatch between a sep theory and a nonsep request, uncancelled
-poles, a failing identity.  Each invocation runs in-process through
-``punctual.cli.main``.
+poles, a failing identity, and argparse's own output: top-level and
+per-verb help, usage errors for a missing, malformed or unknown flag.  Each
+invocation runs in-process through ``punctual.cli.main``, with
+``COLUMNS=80`` so that help and usage wrap the same on every terminal; an
+argparse exit records its ``SystemExit`` code as the status.
 
 The file is written by running this module as a script from the repository
 root::
@@ -24,8 +27,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 from pathlib import Path
+from unittest import mock
 
 from punctual.axioms import random_element
 from punctual.cli import main
@@ -243,6 +248,21 @@ def _corpus():
             ("axioms", "--d", "1", "--count", "0"),
             ("axioms", "--d", "1", "--max-cycle-degree", "-1")):
         add(*argv, json_too=False)
+    # argparse's own output: help, and usage errors before any verb runs
+    verbs = ("table", "eval", "to-p", "to-q", "antipode", "coproduct",
+             "vertical", "curve", "gamma-integral", "verify", "axioms")
+    for argv in ((), ("--help",), ("-h",), ("no-such-verb",)) + tuple(
+            (verb, "-h") for verb in verbs) + (
+            ("table", "--theory", "builtin:ck,k=1", "--d", "1"),
+            ("to-p", "--element", q22, "--format", "xml"),
+            ("vertical", "--theory", "builtin:ck,k=1", "--d", "1", "--chern",
+             "m1=2", "--order", "3", "--path", "bad"),
+            ("table", "--theory", "builtin:ck,k=1", "--d", "x", "--max-n",
+             "2", "--max-m", "2"),
+            ("curve", "--theory", "builtin:ck,k=1", "--chi", "1", "--ord",
+             "3"),
+            ("to-p", "--element", q22, "--bogus")):
+        add(*argv, json_too=False)
     return runs
 
 
@@ -252,8 +272,12 @@ def _digest(text):
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(list(argv))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
     return {"argv": list(argv), "stdout": _digest(out.getvalue()),
             "stderr": _digest(err.getvalue()), "status": status}
 
