@@ -4,6 +4,7 @@ Every verb reads typed flags, runs one computation, and emits canonical
 structured text (or JSON with --format json); identical invocations give
 byte-identical output.  A verb returns its JSON object and its text as
 zero-argument callables, and main builds only the one --format asks for.
+Each verb's parser is built on first use, from its entry in _VERBS.
 Exit status: 0 on success and passing checks, 1 when a verification fails
 (a failing verify, or the two vertical-series paths disagreeing), 2 on bad
 input or an output that cannot be written.
@@ -229,88 +230,106 @@ def _run_axioms(args):
 
 # -- wiring ----------------------------------------------------------------
 
-@lru_cache(maxsize=1)  # built once per process; parsing leaves no state
+_VARIANT = ("--variant", dict(choices=("sep", "nonsep"), default="sep"))
+
+# verb -> (run function, help line, the flags after --format and --output)
+_VERBS = {
+    "table": (_run_table, "generator values of a theory", (
+        ("--theory", dict(required=True)),
+        ("--d", dict(type=int, required=True)),
+        ("--max-n", dict(type=int, required=True)),
+        ("--max-m", dict(type=int, required=True)), _VARIANT)),
+    "eval": (_run_eval, "pair a theory with an element", (
+        ("--theory", dict(required=True)),
+        ("--element", dict(required=True,
+                           help="inline JSON, @file, or - for stdin")),
+        ("--d", dict(type=int)))),
+    **{verb: (_run_element, blurb, (("--element", dict(required=True)),))
+       for verb, blurb in (("to-p", "rewrite in the p basis"),
+                           ("to-q", "rewrite in the q basis"),
+                           ("antipode", "apply the antipode"),
+                           ("coproduct", "coproduct of a q-basis element"))},
+    "vertical": (_run_vertical, "invariant series of the symmetric-power "
+                                "classes", (
+        ("--theory", dict(required=True)),
+        ("--d", dict(type=int, required=True)),
+        ("--chern", dict(required=True,
+                         help='e.g. "c3=4,c1c2=24" or "m21=12,m111=4"')),
+        ("--order", dict(type=int, required=True)),
+        ("--path", dict(choices=("both", "pair", "exp"), default="both")),
+        _VARIANT)),
+    "curve": (_run_curve, "curve-count series (d = 1)", (
+        ("--theory", dict(required=True)),
+        ("--chi", dict(required=True)),
+        ("--order", dict(type=int, required=True)))),
+    "gamma-integral": (_run_gamma, "log of the vertical series via the "
+                                   "gamma integral", (
+        ("--theory", dict(required=True)),
+        ("--d", dict(type=int, required=True)),
+        ("--chern", dict(required=True)),
+        ("--order", dict(type=int, required=True)))),
+    "verify": (_run_verify, "check a named series identity", (
+        ("--name", dict(required=True, choices=IDENTITY_NAMES)),
+        ("--order", dict(type=int, required=True)),
+        ("--theory", {}), ("--chi", {}), ("--chern", {}),
+        ("--d", dict(type=int)), ("--k", dict(type=int)),
+        ("--m-max", dict(type=int)),
+        ("--class", dict(dest="unit_class",
+                         help="unit class coefficients, e.g. 1,2,1/3")))),
+    "axioms": (_run_axioms, "run the Hopf axiom suite", (
+        ("--d", dict(type=int)),
+        ("--variant", dict(choices=("sep", "nonsep", "both"),
+                           default="both")),
+        ("--count", dict(type=int, default=60)),
+        ("--max-cycle-degree", dict(type=int, default=4)),
+        ("--seed", dict(type=int, default=0)))),
+}
+
+
+def _add_verb(parser, verb):
+    """Give parser the run function and flags of verb."""
+    func, _, flags = _VERBS[verb]
+    parser.set_defaults(func=func)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--output",
+                        help="write to this path instead of stdout")
+    for flag, kw in flags:
+        parser.add_argument(flag, **kw)
+    return parser
+
+
+@lru_cache(maxsize=None)  # one per verb; parsing leaves no state
+def _verb_parser(verb):
+    """verb's parser on its own, as the full parser's subparser for it."""
+    return _add_verb(argparse.ArgumentParser(prog="punctual " + verb), verb)
+
+
+@lru_cache(maxsize=1)  # built only when argv names no verb, or on stray args
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="punctual",
         description="Tautological Hopf algebras of 0-cycles in d-folds: "
                     "tables, basis changes, invariant series, checks.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb, func, **kw):
-        p = sub.add_parser(verb, **kw)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", help="write to this path instead of stdout")
-        return p
-
-    p = add("table", _run_table, help="generator values of a theory")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--variant", choices=("sep", "nonsep"), default="sep")
-
-    p = add("eval", _run_eval, help="pair a theory with an element")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--element", required=True,
-                   help="inline JSON, @file, or - for stdin")
-    p.add_argument("--d", type=int)
-
-    for verb, blurb in (("to-p", "rewrite in the p basis"),
-                        ("to-q", "rewrite in the q basis"),
-                        ("antipode", "apply the antipode"),
-                        ("coproduct", "coproduct of a q-basis element")):
-        p = add(verb, _run_element, help=blurb)
-        p.add_argument("--element", required=True)
-
-    p = add("vertical", _run_vertical, help="invariant series of the "
-                                            "symmetric-power classes")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--chern", required=True,
-                   help='e.g. "c3=4,c1c2=24" or "m21=12,m111=4"')
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--path", choices=("both", "pair", "exp"), default="both")
-    p.add_argument("--variant", choices=("sep", "nonsep"), default="sep")
-
-    p = add("curve", _run_curve, help="curve-count series (d = 1)")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--chi", required=True)
-    p.add_argument("--order", type=int, required=True)
-
-    p = add("gamma-integral", _run_gamma,
-            help="log of the vertical series via the gamma integral")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--chern", required=True)
-    p.add_argument("--order", type=int, required=True)
-
-    p = add("verify", _run_verify, help="check a named series identity")
-    p.add_argument("--name", required=True, choices=IDENTITY_NAMES)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--theory")
-    p.add_argument("--chi")
-    p.add_argument("--chern")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--class", dest="unit_class",
-                   help="unit class coefficients, e.g. 1,2,1/3")
-
-    p = add("axioms", _run_axioms, help="run the Hopf axiom suite")
-    p.add_argument("--d", type=int)
-    p.add_argument("--variant", choices=("sep", "nonsep", "both"),
-                   default="both")
-    p.add_argument("--count", type=int, default=60)
-    p.add_argument("--max-cycle-degree", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-
+    for verb, (_, blurb, _) in _VERBS.items():
+        _add_verb(sub.add_parser(verb, help=blurb), verb)
     return parser
 
 
+def _parse(argv):
+    """Parse argv with its verb's parser alone.  The full parser takes any
+    other argv (help, no or an unknown verb) and reruns one that leaves
+    arguments over, so that every message is the one it prints."""
+    if argv and argv[0] in _VERBS:
+        args, rest = _verb_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(verb=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         obj, text, status = args.func(args)
         payload = (json.dumps(obj(), indent=2) if args.format == "json"

@@ -1,10 +1,16 @@
 import errno
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import punctual
+from punctual import cli
 from punctual.cli import main, parse_theory_string
 from punctual.hopf import HopfElement, element_from_obj, element_to_obj
 from punctual.rational import parse_rational
@@ -473,23 +479,120 @@ def test_only_the_requested_format_is_built(capsys, monkeypatch, fmt,
     assert [run(capsys, *argv) for argv in jobs] == expected
 
 
-def test_one_parser_serves_every_call(capsys):
-    # the parser is built once per process; a failed parse, a refused input
-    # and a JSON run leave nothing behind for the next call
+# one passing job per verb, small enough to run twice
+VERB_JOBS = {
+    "table": ("--theory", "builtin:ck,k=2", "--d", "1", "--max-n", "1",
+              "--max-m", "1"),
+    "eval": ("--theory", "builtin:ck,k=1", "--element", Q22),
+    "to-p": ("--element", Q22),
+    "to-q": ("--element", Q22),
+    "antipode": ("--element", Q22),
+    "coproduct": ("--element", Q22),
+    "vertical": ("--theory", "builtin:ck,k=1", "--d", "1", "--chern", "m1=2",
+                 "--order", "2"),
+    "curve": ("--theory", "builtin:ck,k=1", "--chi", "1", "--order", "2"),
+    "gamma-integral": ("--theory", "builtin:ck,k=1", "--d", "1", "--chern",
+                       "m1=2", "--order", "2"),
+    "verify": ("--name", "ck-bivariate", "--k", "1", "--order", "2"),
+    "axioms": ("--d", "1", "--count", "1", "--max-cycle-degree", "1"),
+}
+
+
+def test_each_verb_builds_only_its_own_parser_once(capsys):
+    # a verb's first call builds its parser, never the full one, and later
+    # calls reuse it; a failed parse, a refused input and a JSON run leave
+    # nothing behind for the next call
+    cli._verb_parser.cache_clear()
+    cli._build_parser.cache_clear()
+    assert list(VERB_JOBS) == list(cli._VERBS)
+    for verb, flags in VERB_JOBS.items():
+        first = run(capsys, verb, *flags)
+        assert first[0] == 0 and first[1] and first[2] == "", (verb, first)
+        assert run(capsys, verb, *flags) == first
+    info = cli._verb_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (11, 11, 11)
+    assert cli._build_parser.cache_info().currsize == 0
+
     verb = ("to-p", "--element", Q22)
     first = run(capsys, *verb)
     with pytest.raises(SystemExit) as exc:
         main(["to-p", "--element", Q22, "--format", "xml"])
     assert exc.value.code == 2
-    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert "punctual to-p: error: argument --format: invalid choice: 'xml'" \
+        in capsys.readouterr().err
     status, out, err = run(capsys, "table", "--theory", "builtin:ck,k=2",
                            "--d", "1", "--max-n", "0", "--max-m", "3")
     assert (status, out) == (2, "") and err.startswith("error: ")
     assert run(capsys, *verb) == first
-    assert first[0] == 0 and first[2] == ""
     status, out, err = run(capsys, *verb, "--format", "json")
     assert json.loads(out)["basis"] == "p"
     assert run(capsys, *verb) == first
+    assert cli._verb_parser.cache_info().misses == 11
+    assert cli._build_parser.cache_info().currsize == 0
+
+    # a stray argument goes to the full parser, for its top-level usage
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: punctual [-h]")
+    assert err.endswith("\npunctual: error: unrecognized arguments: --bogus\n")
+    assert cli._build_parser.cache_info().currsize == 1
+    assert run(capsys, *verb) == first
+
+
+def _outcome(capsys, call):
+    """Exit status, stdout and stderr of call(), which may raise
+    SystemExit."""
+    try:
+        status = call()
+    except SystemExit as exc:
+        status = exc.code
+    out = capsys.readouterr()
+    return status, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("to-p", "--element", Q22),
+    ("table", "--theory", "builtin:ck,k=1", "--d", "1", "--max-n", "0",
+     "--max-m", "1"),
+    ("table", "--theory", "builtin:ck,k=1", "--d", "1"),
+    ("to-p", "--element", Q22, "--bogus"),
+    ("--help",),
+    (),
+], ids=["verb", "refused", "missing-flag", "stray-flag", "help", "empty"])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(capsys, lambda: main(list(argv)))
+    monkeypatch.setattr(sys, "argv", ["punctual", *argv])
+    assert _outcome(capsys, main) == expected
+
+
+@pytest.mark.parametrize("argv", [("to-p", "--element", Q22), ("--help",)],
+                         ids=["to-p", "help"])
+def test_python_m_punctual_cli(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err = _outcome(capsys, lambda: main(list(argv)))
+    assert (status, err) == (0, "") and out
+    src = str(Path(punctual.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "punctual.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+def test_axioms_failure_output(capsys, monkeypatch):
+    detail = "antipode: S(x) * x != counit for q_{1,(1)}"
+
+    def fail(rng, **kw):
+        raise AssertionError(detail)
+    monkeypatch.setattr("punctual.cli.run_axiom_suite", fail)
+    assert run(capsys, "axioms", "--d", "1") == \
+        (1, "passed: false\n" + detail + "\n", "")
+    status, out, err = run(capsys, "axioms", "--d", "1", "--format", "json")
+    assert (status, err) == (1, "")
+    assert out == json.dumps({"passed": False, "detail": detail},
+                             indent=2) + "\n"
 
 
 def test_element_from_file_and_stdin(tmp_path, capsys, monkeypatch):
