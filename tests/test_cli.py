@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import punctual
 from punctual import cli
 from punctual.cli import main, parse_theory_string
 from punctual.hopf import HopfElement, element_from_obj, element_to_obj
@@ -574,7 +573,7 @@ def test_python_m_punctual_cli(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     status, out, err = _outcome(capsys, lambda: main(list(argv)))
     assert (status, err) == (0, "") and out
-    src = str(Path(punctual.__file__).resolve().parent.parent)
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "punctual.cli", *argv],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
