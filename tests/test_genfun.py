@@ -109,6 +109,37 @@ def test_pair_route_on_p3_builds_one_term_per_partition(monkeypatch):
     assert series == vertical_series(e, P3, 12, path="exp")
 
 
+@pytest.mark.parametrize("path, n_max", (
+    ("pair", 12), ("both", 12), ("pair", 24), ("both", 24), ("pair", 40)))
+def test_dt_on_p3_matches_the_macmahon_oracle(path, n_max):
+    # <c3 - c1 c2, [P^3]> = 4 - 24 = -20
+    got = vertical_series(dt_vertex_theory(n_max, n_max + 2), P3, n_max,
+                          path=path)
+    assert [got.coefficient((n,)) for n in range(n_max + 1)] == \
+        oracles.macmahon_neg_power(-20, n_max)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the other route was called")
+
+
+def test_pair_route_runs_without_the_exp_route(monkeypatch):
+    import punctual.genfun as genfun
+    e = dt_vertex_theory(8, 10)
+    want = vertical_series(e, P3, 8, path="exp")
+    monkeypatch.setattr(MultiSeries, "exp", _refuse)
+    monkeypatch.setattr(genfun, "paired_primitive_series", _refuse)
+    assert vertical_series(e, P3, 8, path="pair") == want
+
+
+def test_exp_route_runs_without_the_class_generators(monkeypatch):
+    import punctual.genfun as genfun
+    e = dt_vertex_theory(8, 10)
+    want = vertical_series(e, P3, 8, path="pair")
+    monkeypatch.setattr(genfun, "_class_generators", _refuse)
+    assert vertical_series(e, P3, 8, path="exp") == want
+
+
 def test_vertical_requires_multiplicative():
     from punctual.theories import theory_log
     lg = theory_log(coarse_curve_theory(1, "euler", 4, 4))
