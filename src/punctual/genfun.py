@@ -3,9 +3,10 @@
 The vertical series of a multiplicative theory e against Chern data of a
 d-fold is sum_n <e, [Z_n]> T^n.  It is computed here along two independent
 paths and their agreement is asserted on every call: once by the
-exponential formula over the integers, with the paired generators merged
-by T-degree, and once by exponentiating the paired primitive series
-sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+n-1}> with MultiSeries.exp.
+exponential formula's recurrence over the integers, with the paired
+generators summed by T-degree, and once by exponentiating the paired
+primitive series sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+n-1}>
+with MultiSeries.exp.
 
 The gamma-integral form recovers the same logarithm from the generator
 table F: substituting T -> T*g1...gd turns the Laurent expansion into an
@@ -17,20 +18,16 @@ the shift) is checked term by term.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 from .combinat import pad_partition
-from .hopf import ContextMismatchError, _class_generators, _vertical_ints
+from .hopf import ContextMismatchError, _class_generators
 from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
 from .theories import (Theory, dt_vertex_theory, inertial_theory,
                        table_theory)
 
 _ZERO = Fraction(0)
-
-# the most terms the pair route of vertical_series builds: DT on P^3 builds
-# 918,220 at order 48, within it, and 1,091,745 at order 49
-_PAIR_BUDGET = 10 ** 6
 
 
 class PoleCancellationError(ArithmeticError):
@@ -122,15 +119,6 @@ def paired_primitive_series(e, chern, n_max):
     return _chern_paired(chern, n_max, e.primitive_value)
 
 
-def _partition_count(degrees, n_max):
-    """The number of partitions of 0 .. n_max into parts from degrees."""
-    counts = [1] + [0] * n_max
-    for j in degrees:
-        for n in range(j, n_max + 1):
-            counts[n] += counts[n - j]
-    return sum(counts)
-
-
 def vertical_series(e, chern, n_max, path="both"):
     """sum_n <e, [Z_n]> T^n for a multiplicative sep theory e.
 
@@ -142,13 +130,13 @@ def vertical_series(e, chern, n_max, path="both"):
 
     The pair route reads each generator's primitive value e_g once, in
     sorted order, as the integer F_g = e_g E^j, with E the lcm of the
-    values' denominators and j the T-degree of g.  By the multinomial
-    theorem the monomials with one T-degree profile pair to
-    n! prod_j W_j^(K_j) / K_j!, with W_j the sum of c_g F_g over deg g = j.
-    So hopf._vertical_ints is given one generator per T-degree with
-    W_j != 0, and its V_n, one term per partition of n into those degrees,
-    sum to n! (D E)^n <e, [Z_n]>.  Raises ValueError, before building any,
-    when there would be more than _PAIR_BUDGET such terms.
+    values' denominators and j the T-degree of g.  With the integer
+    weights c_g and the denominator D of _class_generators,
+    n! D^n [Z_n] = n! [T^n] exp(sum_g c_g g T^j), and by the multinomial
+    theorem it pairs with F to b_n = n! [T^n] exp(sum_j W_j T^j), W_j the
+    sum of c_g F_g over deg g = j.  Differentiating the exponential gives
+    b_n = sum_j j (n-1)!/(n-j)! W_j b_(n-j) over plain ints, so no class
+    is built, and <e, [Z_n]> = b_n / (n! (D E)^n).
     """
     _require_mult(e, chern)
     if path not in ("both", "pair", "exp"):
@@ -163,16 +151,13 @@ def vertical_series(e, chern, n_max, path="both"):
         for (_, (j, c)), v in zip(gens, values):
             sums[j] = sums.get(j, 0) + \
                 c * v.numerator * (big ** j // v.denominator)
-        merged = {(j,): (j, w) for j, w in sums.items() if w}
-        size = _partition_count([j for j, _ in merged.values()], n_max)
-        if size > _PAIR_BUDGET:
-            raise ValueError("the pair route would build %d monomials, more "
-                             "than %d; use --path exp or a lower order" %
-                             (size, _PAIR_BUDGET))
-        _, _, vs = _vertical_ints(merged, n_max)
+        bs = [1]
+        for n in range(1, n_max + 1):
+            bs.append(sum(j * perm(n - 1, j - 1) * w * bs[n - j]
+                          for j, w in sums.items() if j <= n))
         paired = MultiSeries(("T",), (n_max,), {
-            (n,): Fraction(sum(v.values()), factorial(n) * (den * big) ** n)
-            for n, v in enumerate(vs)})
+            (n,): Fraction(b, factorial(n) * (den * big) ** n)
+            for n, b in enumerate(bs)})
     if path in ("both", "exp"):
         expd = paired_primitive_series(e, chern, n_max).exp()
     if path == "both" and paired != expd:

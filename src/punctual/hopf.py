@@ -547,11 +547,7 @@ def _vertical_ints(coeffs, n_max):
     """V_n = n! [T^n] exp(sum_g c_g g T^j), n = 0 .. n_max, for coeffs =
     {g: (j >= 1, integer c_g)}, by the exponential formula: its monomial
     prod g^(k_g) has V_n = n! prod c_g^(k_g) / k_g!.  With the weights of
-    _class_generators, V_n = n! D^n [Z_n].  The pair route of
-    genfun.vertical_series passes one generator per T-degree j, weighted by
-    W_j = sum of c_g F_g over deg g = j for integer values F_g: by the
-    multinomial theorem sum V_n then pairs n! D^n [Z_n] with F, built over
-    the partitions of n rather than every monomial of the generators.
+    _class_generators, V_n = n! D^n [Z_n].
 
     Taking the generators from the highest index down, every monomial made
     of generators above g_i = (j, .) gets 1, 2, ... copies of g_i, reading

@@ -407,18 +407,36 @@ def test_vertical_paths_disagree_exits_1(capsys, monkeypatch):
     assert (status, out, err) == (0, "1/1 + 2/1*T + 2/1*T^2 + 4/3*T^3\n", "")
 
 
-def test_vertical_refuses_a_pair_route_over_budget(capsys, monkeypatch):
-    import punctual.genfun as genfun
+def test_vertical_dt_past_the_old_pair_route_limit(capsys):
+    # the pair route works in O(n^2) integers, so order 60 runs on both
+    # routes and agrees with the exp route and M(-T)^-20
+    argv = ("vertical", "--theory", "builtin:dt", "--d", "3", "--chern",
+            "c3=4,c1c2=24,c1^3=64", "--order", "60")
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "")
+    assert run(capsys, *argv, "--path", "exp") == (0, out, "")
+    want = MultiSeries(("T",), (60,), dict(
+        ((n,), c) for n, c in enumerate(oracles.macmahon_neg_power(-20, 60))))
+    assert out == want.pretty() + "\n"
 
-    def build(coeffs, n_max):
-        raise AssertionError("the pair route built before refusing")
-    monkeypatch.setattr(genfun, "_vertical_ints", build)
-    status, out, err = run(capsys, "vertical", "--theory", "builtin:dt",
-                           "--d", "3", "--chern", "c3=4,c1c2=24,c1^3=64",
-                           "--order", "60")
-    assert (status, out) == (2, "")
-    assert err == ("error: the pair route would build 6639349 monomials, "
-                   "more than 1000000; use --path exp or a lower order\n")
+
+NONSEP_TERM = '{"d": %d, "variant": "nonsep", "basis": "q", "terms": ' \
+    '[{"monomial": [[%d, %s]], "coeff": "1"}]}'
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("curve", "--theory", "builtin:ek,k=1", "--chi", "1.5", "--order", "3"),
+     "malformed rational '1.5', expected num/den"),
+    (("vertical", "--theory", "builtin:ek,k=1", "--d", "1", "--chern", "c=3",
+      "--order", "3"), "malformed Chern key 'c'"),
+    (("eval", "--theory", "builtin:ck,k=1", "--element",
+      NONSEP_TERM % (1, 2, "[1]")),
+     "nonsep factors must carry multiplicity 1"),
+    (("eval", "--theory", "builtin:ck,k=1", "--element",
+      NONSEP_TERM % (2, 1, "[0, 1]")), "bad nonsep factor (0, 1) for d=2"),
+), ids=("chi", "chern-key", "nonsep-multiplicity", "nonsep-unsorted"))
+def test_refusals_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
 def test_output_file(tmp_path, capsys):

@@ -42,3 +42,14 @@ def test_vector_splittings():
     assert all(tuple(a + b for a, b in zip(x, y)) == (2, 1) for x, y in sp)
     assert len(set(sp)) == 6
 
+
+
+@pytest.mark.parametrize("call, message", (
+    (lambda: partitions_of(-1, 2), "need k >= 0 and max_parts >= 1"),
+    (lambda: vector_splittings((-1,)), "negative entry"),
+), ids=("partitions", "splittings"))
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

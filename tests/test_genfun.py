@@ -89,24 +89,21 @@ def test_vertical_refuses_an_unknown_path():
     assert str(err.value) == "path must be 'both', 'pair' or 'exp'"
 
 
-def test_pair_route_on_p3_builds_one_term_per_partition(monkeypatch):
-    # one generator per T-degree: to order 12 the route builds a term per
-    # partition of n <= 12, 272 of them
-    import punctual.genfun as genfun
-    build, calls = genfun._vertical_ints, []
-
-    def spy(coeffs, n_max):
-        out = build(coeffs, n_max)
-        calls.append((coeffs, out[2]))
-        return out
-    monkeypatch.setattr(genfun, "_vertical_ints", spy)
-    e = dt_vertex_theory(12, 14)
-    series = vertical_series(e, P3, 12, path="pair")
-    (coeffs, vs), = calls
-    assert sorted(j for j, _ in coeffs.values()) == list(range(1, 13))
-    assert sum(map(len, vs)) == 272
-    monkeypatch.undo()
-    assert series == vertical_series(e, P3, 12, path="exp")
+@pytest.mark.parametrize("call, error, message", (
+    (lambda: verify_identity("dt-degree-zero", chern=ChernData(
+        2, {(2,): F(1)}), n_max=2), ContextMismatchError,
+     "the vertex identity needs d = 3"),
+    (lambda: verify_identity("ck-bivariate", k=-1, n_max=2), ValueError,
+     "k must be >= 0"),
+    (lambda: vertical_series(ck_theory(1, 1, 3, 3, variant="nonsep"),
+                             curve_data(1), 3), ContextMismatchError,
+     "expected a sep theory"),
+), ids=("dt-d", "ck-k", "nonsep-theory"))
+def test_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("path, n_max", (

@@ -254,6 +254,22 @@ def test_sep_to_nonsep_refuses_a_nonsep_element():
     assert str(err.value) == "sep_to_nonsep expects the sep variant"
 
 
+
+@pytest.mark.parametrize("call, message", (
+    (lambda: HopfElement(-1, "sep", "q"), "dimension must be >= 0"),
+    (lambda: q(1, 1, (1,)) ** -1, "exponent must be a non-negative integer"),
+    (lambda: vertical_element(ChernData(1, {(1,): F(2)}), -1),
+     "n_max must be >= 0"),
+    (lambda: vertical_element(ChernData(1, {(1,): F(2)}), 2, variant="x"),
+     "variant must be 'sep' or 'nonsep'"),
+), ids=("dimension", "power", "n-max", "variant"))
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_sep_to_nonsep_is_algebra_map():
     rng = random.Random(23)
     for _ in range(8):

@@ -9,19 +9,17 @@ n_max where a packed multiplicity field widens, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 the pair route of vertical_series equals the naive pairing of those classes
 for theories with fractional primitive values and for theories that pair
-every generator to 0, builds one nonzero generator per T-degree and counts
-in its size guard the terms it builds; theory_exp inverts
-theory_log on random generator tables, sep and nonsep, and a random
-primitive table reads its entries, as values, primitive values and the
-primitive values of its exp; the element and tensor printers,
-text and JSON, give the bytes of oracles' reference printers."""
+every generator to 0; theory_exp inverts theory_log on random generator
+tables, sep and nonsep, and a random primitive table reads its entries, as
+values, primitive values and the primitive values of its exp; the element
+and tensor printers, text and JSON, give the bytes of oracles' reference
+printers."""
 
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from math import factorial
-from unittest.mock import patch
 
 import pytest
 
@@ -29,11 +27,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from punctual import genfun
 from punctual.combinat import partitions_of
 from punctual.genfun import vertical_series
-from punctual.hopf import (HopfElement, TensorElement, _vertical_ints,
-                           element_pretty, element_to_obj, sep_to_nonsep,
+from punctual.hopf import (HopfElement, TensorElement, element_pretty,
+                           element_to_obj, sep_to_nonsep,
                            tensor, tensor_pretty, tensor_to_obj,
                            vertical_element)
 from punctual.symfunc import ChernData
@@ -316,35 +313,6 @@ def test_paired_vertical_series_matches_the_naive_pairing(chern, n_max,
     expected = [oracles.pairing(z, value, False) for z in
                 oracles.vertical_classes(chern.d, dict(chern.items()), n_max)]
     assert [series.coefficient((n,)) for n in range(n_max + 1)] == expected
-
-
-@settings(examples, max_examples=40)
-@given(chern=rational_chern_data(), n_max=st.integers(0, 7),
-       data=st.data())
-def test_pair_route_builds_one_term_per_partition_of_its_degrees(chern, n_max,
-                                                                 data):
-    # the pair route gives _vertical_ints one nonzero weight per T-degree,
-    # and its size guard counts exactly the terms that build makes
-    e = data.draw(vertical_theories(chern.d, n_max))
-    calls = []
-
-    def spy(coeffs, n):
-        out = _vertical_ints(coeffs, n)
-        calls.append((coeffs, out[2]))
-        return out
-    with patch.object(genfun, "_vertical_ints", spy):
-        series = vertical_series(e, chern, n_max, path="pair")
-    (coeffs, vs), = calls
-    degrees = [j for j, _ in coeffs.values()]
-    assert len(set(degrees)) == len(degrees)
-    assert all(w for _, w in coeffs.values())
-    built = sum(map(len, vs))
-    with patch.object(genfun, "_PAIR_BUDGET", built - 1):
-        with pytest.raises(ValueError, match="would build %d monomials" %
-                           built):
-            vertical_series(e, chern, n_max, path="pair")
-    with patch.object(genfun, "_PAIR_BUDGET", built):
-        assert vertical_series(e, chern, n_max, path="pair") == series
 
 
 @st.composite

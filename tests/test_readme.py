@@ -1,7 +1,9 @@
 """The shell examples in README's "Command line" section, run through the
 CLI entry point.  Each shown output line must appear in order; a line that
-reads "..." stands for any number of skipped lines."""
+reads "..." stands for any number of skipped lines.  The golden-corpus size
+README states is the number of invocations tests/cli_golden.json pins."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from punctual.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 
 def _examples():
@@ -45,3 +48,8 @@ def test_readme_example(command, shown, capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert re.fullmatch(_pattern(shown), out), out
+
+
+def test_readme_states_the_golden_corpus_size():
+    stated = re.findall(r"(\d+) CLI\s+invocations", README.read_text())
+    assert stated == [str(len(json.loads(GOLDEN.read_text())))]

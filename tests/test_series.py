@@ -64,6 +64,19 @@ def test_constructor_refusals(args, kwargs, message):
     assert str(err.value) == message
 
 
+
+@pytest.mark.parametrize("call, message", (
+    (lambda: MultiSeries.one(*ts(3)) ** -1,
+     "negative integer power, use pow() with a Fraction"),
+    (lambda: macmahon_series(-1), "cap must be >= 0"),
+), ids=("power", "macmahon-cap"))
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_pow_int():
     v, c = ts(5)
     t = MultiSeries.var(v, c, "T")

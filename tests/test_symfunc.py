@@ -62,6 +62,13 @@ def test_bad_partition_rejected():
         monomial_to_elementary((1,), 2)
 
 
+def test_chern_data_refuses_dimension_zero():
+    with pytest.raises(ValueError) as err:
+        ChernData(0, {})
+    assert type(err.value) is ValueError
+    assert str(err.value) == "dimension must be positive"
+
+
 def test_chern_data_basics():
     ch = ChernData(2, {(0, 2): F(7)})  # canonicalized to (2,)
     assert ch.value((2,)) == 7

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from punctual.genfun import gamma_integral_series, vertical_series
-from punctual.hopf import HopfElement
+from punctual.hopf import ContextMismatchError, HopfElement
 from punctual.series import MultiSeries
 from punctual.symfunc import ChernData
 from punctual.theories import (CapError, Theory, ck_theory,
@@ -548,6 +548,28 @@ def test_context_checks():
     nonsep = HopfElement.nonsep_generator(2, (1, 1))
     with pytest.raises(Exception):
         eval_theory(e, nonsep)                  # wrong variant
+
+
+ONE = MultiSeries.one(("T", "U1"), (2, 2))
+
+
+@pytest.mark.parametrize("call, error, message", (
+    (lambda: Theory(1, "x", "t", 2, 2, gen_fn=ONE), ValueError,
+     "kind must be multiplicative or primitive"),
+    (lambda: Theory(1, "multiplicative", "t", 2, 2, variant="x", gen_fn=ONE),
+     ValueError, "variant must be 'sep' or 'nonsep'"),
+    (lambda: ck_theory(1, 1, 3, 3).nonsep_value((1,)), ContextMismatchError,
+     "c^1 is a sep theory"),
+    (lambda: coarse_curve_theory(1, "x", 3, 3), ValueError,
+     "kind must be 'chern' or 'euler'"),
+    (lambda: ck_theory(1, 1, 3, 3).value(-1, (0,)), ValueError,
+     "negative entry in generator index"),
+), ids=("kind", "variant", "nonsep-value", "coarse-kind", "negative-index"))
+def test_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_random_table_exp_log_consistency():
