@@ -43,7 +43,6 @@ def test_vector_splittings():
     assert len(set(sp)) == 6
 
 
-
 @pytest.mark.parametrize("call, message", (
     (lambda: partitions_of(-1, 2), "need k >= 0 and max_parts >= 1"),
     (lambda: vector_splittings((-1,)), "negative entry"),

@@ -254,7 +254,6 @@ def test_sep_to_nonsep_refuses_a_nonsep_element():
     assert str(err.value) == "sep_to_nonsep expects the sep variant"
 
 
-
 @pytest.mark.parametrize("call, message", (
     (lambda: HopfElement(-1, "sep", "q"), "dimension must be >= 0"),
     (lambda: q(1, 1, (1,)) ** -1, "exponent must be a non-negative integer"),

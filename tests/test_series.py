@@ -64,7 +64,6 @@ def test_constructor_refusals(args, kwargs, message):
     assert str(err.value) == message
 
 
-
 @pytest.mark.parametrize("call, message", (
     (lambda: MultiSeries.one(*ts(3)) ** -1,
      "negative integer power, use pow() with a Fraction"),
