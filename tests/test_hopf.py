@@ -161,7 +161,7 @@ def test_antipode_involutive_on_corpus():
 # every canonical row with n <= 4, d <= 3 and entries <= 2, and (5, (2, 2))
 ORACLE_ROWS = [(n, m) for d in range(4) for n in range(1, 5)
                for m in combinations_with_replacement((2, 1, 0), d)]
-ORACLE_ROWS.append((5, (2, 2)))
+ORACLE_ROWS += [(5, (2, 2)), (5, (2, 2, 1))]
 
 
 @pytest.mark.parametrize("expansion, den, weight", [
@@ -193,6 +193,11 @@ COPRODUCT_MONOMIALS = [("sep", tuple(sorted(mon))) for d in range(3)
 COPRODUCT_MONOMIALS += [
     ("sep", ((1, (1,)),) * 3), ("sep", ((1, (1, 0)), (1, (1, 0)), (2, (1, 1)))),
     ("sep", ((1, ()), (2, ()), (3, ())))]
+# d = 3 factors with equal entries in m, where splittings merge into classes
+COPRODUCT_MONOMIALS += [("sep", mon) for mon in (
+    ((2, (1, 1, 0)),), ((3, (1, 1, 1)),), ((3, (2, 1, 1)),),
+    ((6, (2, 1, 1)),), ((4, (2, 2, 1)),), ((2, (1, 1, 0)),) * 3,
+    ((3, (1, 1, 0)), (3, (2, 1, 1))))]
 COPRODUCT_MONOMIALS += [("nonsep", mon) for d in (1, 2) for k in (1, 2, 3)
                         for mon in combinations_with_replacement(
                             sorted(combinations_with_replacement(
