@@ -27,7 +27,10 @@ S(Q) = Q^-1, that is S(q_{n,m}) = sum_k (-1)^k sum q_{n_1,m_1} ...
 q_{n_k,m_k} over the same compositions; on primitives S is -1.  The three
 sums share one table of composition counts per canonical row (_layer), and
 so does the sep-to-nonsep map, which reads the layer of n rows of
-multiplicity 1 as the splittings of m into n columns.
+multiplicity 1 as the splittings of m into n columns.  Every one of these
+maps, the coproduct too, is unchanged by permuting columns, so each walks
+the splittings a + b = m once per canonical class (sort a, sort b), weighted
+by the number of ordered splittings in the class (_split_classes).
 Each structure map is _linear, the linear extension of a map on monomials
 in integer numerators over one denominator (a generator's image is over n!,
 lcm(1..n), 1 or n!); tensors (TensorElement) share HopfElement's body.
@@ -372,16 +375,27 @@ def _built(cls, d, variant, basis, terms):
 # -- structure constants ---------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _split_classes(m):
+    """((sort a, sort b), w) over the classes of the splittings a + b = m,
+    w the number of ordered splittings whose sides sort to that pair."""
+    out = {}
+    for a, b in vector_splittings(m):
+        key = (tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True)))
+        out[key] = out.get(key, 0) + 1
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
 def _generator_coproduct(n, m):
-    """Splitting list for one sep generator: pairs of monomials."""
+    """Coproduct of one sep generator: (left, right, count) monomial pairs,
+    one per canonical splitting class of the row (n, m)."""
     out = []
-    for n1 in range(n + 1):
-        n2 = n - n1
-        for a, b in vector_splittings(m):
+    for (a, b), w in _split_classes(m):
+        for n1 in range(n + 1):
             left = canonical_generator(n1, a)
-            right = canonical_generator(n2, b)
+            right = canonical_generator(n - n1, b)
             if left is not None and right is not None:
-                out.append((left, right))
+                out.append((left, right, w))
     return tuple(out)
 
 
@@ -393,12 +407,12 @@ def _monomial_coproduct(variant, mon):
         if variant == "sep":
             opts = _generator_coproduct(g[0], g[1])
         else:
-            opts = (((g,), ()), ((), (g,)))
+            opts = (((g,), (), 1), ((), (g,), 1))
         nxt = {}
         for (l, r), c in pairs.items():
-            for gl, gr in opts:
+            for gl, gr, w in opts:
                 key = (tuple(sorted(l + gl)), tuple(sorted(r + gr)))
-                nxt[key] = nxt.get(key, 0) + c
+                nxt[key] = nxt.get(key, 0) + c * w
         pairs = nxt
     return pairs
 
@@ -416,7 +430,8 @@ def _poly_mul(a, b):
 def _linear(terms, image):
     """sum coeff * image(key) over the items of terms, the linear extension
     of image(key) = (e, {key: int}), numerators over e.  The sum runs in
-    integer numerators over the lcm of every coeff's denominator times e."""
+    integer numerators over the lcm of every coeff's denominator times e;
+    each distinct numerator becomes one Fraction, shared by its keys."""
     parts = [(coeff.numerator, coeff.denominator * e, img) for coeff, (e, img)
              in zip(terms.values(), map(image, terms))]
     den = lcm(*(e for _, e, _ in parts))
@@ -425,7 +440,8 @@ def _linear(terms, image):
         num *= den // e
         for k, c in img.items():
             acc[k] = acc.get(k, 0) + num * c
-    return {k: Fraction(c, den) for k, c in acc.items() if c}
+    fracs = {c: Fraction(c, den) for c in set(acc.values()) if c}
+    return {k: fracs[c] for k, c in acc.items() if c}
 
 
 def _substitute(terms, expander):
@@ -452,18 +468,20 @@ def _layer(k, n, m):
     q_{n1, sort a} A_(k-1)(n - n1, sort(m - a)).  Permuting the columns
     maps compositions to compositions, so A_k depends only on the
     canonical row and the layers are shared by every row and basis change.
+    For the same reason a term depends on the splitting a + (m - a) only
+    through its class (sort a, sort(m - a)), so the sum runs once per class,
+    times the number w of splittings in it (_split_classes): m = (3, 3) has
+    16 splittings in 10 classes, (3, 3, 2) has 48 in 30.
     """
     if k == 1:
         return {((n, m),): 1}
-    splits = [(tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True)))
-              for a, b in vector_splittings(m)]
     acc = {}
-    for n1 in range(1, n - k + 2):
-        for a, b in splits:
+    for (a, b), w in _split_classes(m):
+        for n1 in range(1, n - k + 2):
             g = (n1, a)
             for mon, c in _layer(k - 1, n - n1, b).items():
                 mon = tuple(sorted(mon + (g,)))
-                acc[mon] = acc.get(mon, 0) + c
+                acc[mon] = acc.get(mon, 0) + w * c
     return acc
 
 
@@ -725,21 +743,24 @@ def _printer(variant, basis):
     """info(mon) -> (_monomial_key(mon), text) for one print call, the text
     a sorted monomial's factors joined by "*", a run of k equal ones as f^k,
     the unit as "1".  Each distinct monomial and factor is worked out once,
-    in caches that die with the call."""
+    in caches that die with the call; the key's degrees are summed from the
+    factors' own."""
     factors, seen = {}, {}
 
     def info(mon):
         out = seen.get(mon)
         if out is None:
-            parts = []
+            parts, cyc, hom = [], 0, 0
             for g, run in groupby(mon):
-                f = factors.get(g)
-                if f is None:
-                    f = factors[g] = _factor_pretty(g, variant, basis)
+                if g not in factors:
+                    factors[g] = (_factor_pretty(g, variant, basis),
+                                  *_monomial_key((g,), variant)[:2])
+                f, g_cyc, g_hom = factors[g]
                 k = len(tuple(run))
                 parts.append(f if k == 1 else "%s^%d" % (f, k))
-            out = seen[mon] = (_monomial_key(mon, variant),
-                               "*".join(parts) or "1")
+                cyc += k * g_cyc
+                hom += k * g_hom
+            out = seen[mon] = ((cyc, hom, mon), "*".join(parts) or "1")
         return out
     return info
 
