@@ -194,10 +194,10 @@ def gamma_integral_series(e, chern, n_max):
     GammaReport).  Raises PoleCancellationError when a shifted exponent
     stays negative, listing the offending terms.
     """
+    if chern is None:
+        raise ValueError("gamma integral needs Chern data, got None")
     _require_mult(e, chern)
     d = e.d
-    if d < 1:
-        raise ValueError("gamma integral needs d >= 1")
     cap = n_max - 1 + d
     if n_max > 0:
         # a request past the theory's caps fails at the first generator

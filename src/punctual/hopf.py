@@ -186,8 +186,9 @@ class HopfElement:
         return not self.terms
 
     def coefficient(self, mon):
-        mon = tuple(sorted(mon))
-        return self.terms.get(mon, _ZERO)
+        """The coefficient of mon, given in any factor order; a factor
+        that is not canonical for this context raises ValueError."""
+        return self.terms.get(self._canonical(mon), _ZERO)
 
     def __eq__(self, other):
         if type(other) is not type(self):

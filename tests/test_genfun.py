@@ -98,7 +98,12 @@ def test_vertical_refuses_an_unknown_path():
     (lambda: vertical_series(ck_theory(1, 1, 3, 3, variant="nonsep"),
                              curve_data(1), 3), ContextMismatchError,
      "expected a sep theory"),
-), ids=("dt-d", "ck-k", "nonsep-theory"))
+    (lambda: gamma_integral_series(ck_theory(2, 0, 3, 3), None, 3),
+     ValueError, "gamma integral needs Chern data, got None"),
+    (lambda: gamma_integral_series(ck_theory(2, 1, 3, 3), None, 3),
+     ValueError, "gamma integral needs Chern data, got None"),
+), ids=("dt-d", "ck-k", "nonsep-theory", "gamma-no-chern-d0",
+        "gamma-no-chern-d1"))
 def test_refusals(call, error, message):
     with pytest.raises(error) as err:
         call()

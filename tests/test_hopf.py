@@ -27,6 +27,23 @@ def p(d, n, m):
     return HopfElement.generator(d, n, m, basis="p")
 
 
+def test_coefficient_reads_the_canonical_monomial():
+    x = q(2, 2, (1, 2)) * q(2, 1, (0, 1)) + F(1, 3) * q(2, 1, (0, 1))
+    # factor order and lists for tuples name the same monomial
+    for mon in (((2, (2, 1)), (1, (1, 0))), [[1, [1, 0]], [2, [2, 1]]]):
+        assert x.coefficient(mon) == 1
+    assert x.coefficient([(1, (1, 0))]) == F(1, 3)
+    assert x.coefficient(()) == 0
+    ns = HopfElement.nonsep_generator(2, (1,)) ** 2
+    assert ns.coefficient([[1, 0], (1, 0)]) == 1
+    # an unsorted m, a zero multiplicity and a wrong length are refused
+    for bad in ([(1, (0, 1))], [(0, (1, 0))], [(1, (1, 0, 0))]):
+        with pytest.raises(ValueError):
+            x.coefficient(bad)
+    with pytest.raises(ValueError):
+        ns.coefficient([(0, 1)])
+
+
 def test_generator_conventions():
     assert q(2, 0, (0, 0)) == HopfElement.unit(2)
     assert q(2, 0, (1, 0)).is_zero()
