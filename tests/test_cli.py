@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import json
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punctual import cli
 from punctual.cli import main, parse_theory_string
@@ -567,6 +569,101 @@ def _outcome(capsys, call):
         status = exc.code
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+# -- the flag table against argparse ----------------------------------------
+
+def _parsed(parse, argv):
+    """vars of parse(argv), or the exit status, stdout and stderr with which
+    parse refuses it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _agree(argv):
+    """_parse reads argv as the full argparse parser does, or refuses it with
+    the same status and output; True when it reads it."""
+    got = _parsed(cli._parse, argv)
+    assert got == _parsed(cli._build_parser().parse_args, argv), argv
+    return isinstance(got, dict)
+
+
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+
+
+def test_parse_agrees_with_argparse_on_the_golden_argv():
+    accepted = [_agree(entry["argv"])
+                for entry in json.loads(GOLDEN.read_text())]
+    assert len(accepted) == 643 and accepted.count(True) >= 600
+
+
+# values argparse reads apart from a plain token, or that a type refuses
+ODD_VALUES = ("-", "--", "-1", "-1/2", "", " 3", "1_0", "0x1", "xml")
+SHARED_FLAGS = (("--format", dict(choices=("text", "json"))), ("--output", {}))
+
+
+def _good_values(kw):
+    if "choices" in kw:
+        return tuple(kw["choices"])
+    if kw.get("type") is int:
+        return ("0", "2", "12")
+    return ("builtin:ck,k=1", "m1=2", "a=b")
+
+
+@st.composite
+def argvs(draw):
+    """A verb, then flags drawn from its table (each required one most of
+    the time, any one maybe repeated, a few abbreviated), each as --flag
+    value or --flag=value.  Half the draws also take odd values, unknown
+    flags, bare flags or values, and another head for the verb."""
+    odd = draw(st.booleans())
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    flags = dict(SHARED_FLAGS + cli._VERBS[verb][2])
+    pairs = [(flag, draw(st.sampled_from(_good_values(kw))))
+             for flag, kw in flags.items()
+             if kw.get("required") and draw(st.integers(0, 9))]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(list(flags) + ["--bogus", "-h"] * odd))
+        value = draw(st.sampled_from(
+            _good_values(flags.get(flag, {})) + ODD_VALUES * odd))
+        if not draw(st.integers(0, 5)):
+            flag = flag[:draw(st.integers(3, max(len(flag) - 1, 3)))]
+        pairs.append((flag, value))
+    head = draw(st.sampled_from(
+        [verb] + [verb, verb, "no-such-verb", "-h", None] * odd))
+    argv = [] if head is None else [head]
+    for flag, value in draw(st.permutations(pairs)):
+        form = draw(st.sampled_from(("pair", "eq") + ("flag", "value") * odd))
+        argv += {"pair": [flag, value], "eq": [flag + "=" + value],
+                 "flag": [flag], "value": [value]}[form]
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_parse_agrees_with_argparse_on_drawn_argv(argv):
+    _agree(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("to-p", "--element=--"), ("to-p", "--element", "--"),
+    ("to-p", "--element", "-"), ("to-p", "--element=-"),
+    ("to-p", "--element=", "--format=json"),
+    ("curve", "--theory", "x", "--chi", "-1/2", "--order", "3"),
+    ("curve", "--theory", "x", "--chi=-1/2", "--order", "3"),
+    ("table", "--theory", "x", "--d", "-1", "--max-n", "1", "--max-m", "1"),
+    ("table", "--theory", "x", "--d", " 3", "--max-n", "1_0",
+     "--max-m", "0x1"),
+    ("axioms", "--seed", "1", "--seed", "2", "--variant=sep"),
+    ("verify", "--name", "ck-bivariate", "--order", "2", "--class", "1,2"),
+    ("table", "--theory", "x", "--d", "1", "--max", "1", "--max-m", "1"),
+])
+def test_parse_agrees_with_argparse(argv):
+    _agree(argv)
 
 
 @pytest.mark.parametrize("argv", [
