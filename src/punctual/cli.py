@@ -4,17 +4,18 @@ Every verb reads typed flags, runs one computation, and emits canonical
 structured text (or JSON with --format json); identical invocations give
 byte-identical output.  A verb returns its JSON object and its text as
 zero-argument callables, and main builds only the one --format asks for.
-Each verb's parser is built on first use, from its entry in _VERBS.
+_VERBS is the one flag table.  A well-formed argv is read straight off it;
+argparse is imported, and its parser built, only for help and usage errors.
 Exit status: 0 on success and passing checks, 1 when a verification fails
 (a failing verify, or the two vertical-series paths disagreeing), 2 on bad
 input or an output that cannot be written.
 """
 
-import argparse
 import json
 import random
 import sys
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 from .axioms import run_axiom_suite
 from .combinat import _desc_vectors
@@ -231,6 +232,8 @@ def _run_axioms(args):
 # -- wiring ----------------------------------------------------------------
 
 _VARIANT = ("--variant", dict(choices=("sep", "nonsep"), default="sep"))
+_SHARED = (("--format", dict(choices=("text", "json"), default="text")),
+           ("--output", dict(help="write to this path instead of stdout")))
 
 # verb -> (run function, help line, the flags after --format and --output)
 _VERBS = {
@@ -290,22 +293,14 @@ def _add_verb(parser, verb):
     """Give parser the run function and flags of verb."""
     func, _, flags = _VERBS[verb]
     parser.set_defaults(func=func)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--output",
-                        help="write to this path instead of stdout")
-    for flag, kw in flags:
+    for flag, kw in _SHARED + flags:
         parser.add_argument(flag, **kw)
     return parser
 
 
-@lru_cache(maxsize=None)  # one per verb; parsing leaves no state
-def _verb_parser(verb):
-    """verb's parser on its own, as the full parser's subparser for it."""
-    return _add_verb(argparse.ArgumentParser(prog="punctual " + verb), verb)
-
-
-@lru_cache(maxsize=1)  # built only when argv names no verb, or on stray args
+@lru_cache(maxsize=1)  # built only for help and usage errors
 def _build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="punctual",
         description="Tautological Hopf algebras of 0-cycles in d-folds: "
@@ -317,14 +312,38 @@ def _build_parser():
 
 
 def _parse(argv):
-    """Parse argv with its verb's parser alone.  The full parser takes any
-    other argv (help, no or an unknown verb) and reruns one that leaves
-    arguments over, so that every message is the one it prints."""
-    if argv and argv[0] in _VERBS:
-        args, rest = _verb_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(verb=argv[0]))
-        if not rest:
-            return args
+    """Read a verb and then exact --flag value or --flag=value pairs off
+    _VERBS, applying each flag's dest, type, choices, default and required
+    as argparse does; the last of a repeated flag wins.  The full parser
+    takes any other argv: help, no or an unknown verb, an abbreviated or
+    unknown flag, a flag without a value, a value that starts with - (which
+    argparse may read as a flag, or as nothing), one that its type or
+    choices refuse, or a missing required flag, and gives the message."""
+    if not argv or argv[0] not in _VERBS:
+        return _build_parser().parse_args(argv)
+    func, _, flags = _VERBS[argv[0]]
+    table = dict(_SHARED + flags)
+    dest = {f: kw.get("dest", f.lstrip("-").replace("-", "_"))
+            for f, kw in table.items()}
+    args = {dest[f]: kw.get("default") for f, kw in table.items()}
+    missing = {f for f, kw in table.items() if kw.get("required")}
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            kw, value = table[flag], value if eq else next(tokens)
+            if value.startswith("-"):
+                break
+            value = kw.get("type", str)(value)
+            if value not in kw.get("choices", (value,)):
+                break
+            args[dest[flag]] = value
+            missing.discard(flag)
+        else:
+            if not missing:
+                return SimpleNamespace(verb=argv[0], func=func, **args)
+    except (KeyError, StopIteration, TypeError, ValueError):
+        pass
     return _build_parser().parse_args(argv)
 
 

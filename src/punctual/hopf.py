@@ -123,6 +123,7 @@ class HopfElement:
     """A sparse rational linear combination of monomials in the generators."""
 
     __slots__ = ("d", "variant", "basis", "terms")
+    _unit_key = ()  # the monomial of a scalar
 
     def __init__(self, d, variant, basis, terms=None):
         self.d = _context(d, variant, basis)
@@ -206,7 +207,7 @@ class HopfElement:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = HopfElement.unit(self.d, self.variant, self.basis).scaled(other)
+            other = self._like({self._unit_key: Fraction(other)})
         self._check_context(other)
         terms = dict(self.terms)
         for mon, c in other.terms.items():
@@ -313,6 +314,7 @@ class TensorElement:
     the two types apart)."""
 
     __slots__ = ("d", "variant", "basis", "terms")
+    _unit_key = ((), ())
 
     __init__ = HopfElement.__init__
 
@@ -326,7 +328,7 @@ class TensorElement:
     _check_context = HopfElement._check_context
     __eq__ = HopfElement.__eq__
     __hash__ = None
-    __add__ = HopfElement.__add__
+    __add__ = __radd__ = HopfElement.__add__
     __neg__ = HopfElement.__neg__
     __sub__ = HopfElement.__sub__
     scaled = HopfElement.scaled

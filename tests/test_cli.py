@@ -18,6 +18,7 @@ from punctual.rational import parse_rational
 from punctual.series import MultiSeries
 
 import oracles
+from test_cli_golden import GOLDEN, _run
 
 
 def run(capsys, *argv):
@@ -517,47 +518,55 @@ VERB_JOBS = {
 }
 
 
-def test_each_verb_builds_only_its_own_parser_once(capsys):
-    # a verb's first call builds its parser, never the full one, and later
-    # calls reuse it; a failed parse, a refused input and a JSON run leave
-    # nothing behind for the next call
-    cli._verb_parser.cache_clear()
-    cli._build_parser.cache_clear()
+def test_well_formed_jobs_never_import_argparse(capsys):
+    # in process, each verb's job runs without the full parser, and runs
+    # alike again after a usage error, a refused input and a JSON run; in a
+    # fresh interpreter, one job of each verb leaves argparse and the
+    # gettext and locale modules it pulls in unimported
     assert list(VERB_JOBS) == list(cli._VERBS)
+    cli._build_parser.cache_clear()
+    first = {verb: run(capsys, verb, *flags)
+             for verb, flags in VERB_JOBS.items()}
+    for verb, (status, out, err) in first.items():
+        assert status == 0 and out and err == "", verb
+    assert cli._build_parser.cache_info().currsize == 0
+    assert _outcome(capsys, lambda: main(["to-p", "--element", Q22,
+                                          "--format", "xml"]))[0] == 2
+    assert run(capsys, "table", "--theory", "builtin:ck,k=2", "--d", "1",
+               "--max-n", "0", "--max-m", "3")[0] == 2
+    assert run(capsys, "to-p", "--element", Q22, "--format", "json")[0] == 0
     for verb, flags in VERB_JOBS.items():
-        first = run(capsys, verb, *flags)
-        assert first[0] == 0 and first[1] and first[2] == "", (verb, first)
-        assert run(capsys, verb, *flags) == first
-    info = cli._verb_parser.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (11, 11, 11)
-    assert cli._build_parser.cache_info().currsize == 0
+        assert run(capsys, verb, *flags) == first[verb]
 
-    verb = ("to-p", "--element", Q22)
-    first = run(capsys, *verb)
-    with pytest.raises(SystemExit) as exc:
-        main(["to-p", "--element", Q22, "--format", "xml"])
-    assert exc.value.code == 2
-    assert "punctual to-p: error: argument --format: invalid choice: 'xml'" \
-        in capsys.readouterr().err
-    status, out, err = run(capsys, "table", "--theory", "builtin:ck,k=2",
-                           "--d", "1", "--max-n", "0", "--max-m", "3")
-    assert (status, out) == (2, "") and err.startswith("error: ")
-    assert run(capsys, *verb) == first
-    status, out, err = run(capsys, *verb, "--format", "json")
-    assert json.loads(out)["basis"] == "p"
-    assert run(capsys, *verb) == first
-    assert cli._verb_parser.cache_info().misses == 11
-    assert cli._build_parser.cache_info().currsize == 0
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from punctual.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([status, [m for m in ('argparse', 'gettext', "
+        "'locale') if m in sys.modules]]))\n")
+    jobs = [[verb, *flags] for verb, flags in VERB_JOBS.items()]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(jobs)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [[0] * len(jobs), []]
 
-    # a stray argument goes to the full parser, for its top-level usage
-    with pytest.raises(SystemExit) as exc:
-        main([*verb, "--bogus"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: punctual [-h]")
-    assert err.endswith("\npunctual: error: unrecognized arguments: --bogus\n")
-    assert cli._build_parser.cache_info().currsize == 1
-    assert run(capsys, *verb) == first
+
+@pytest.mark.parametrize("pick", [
+    lambda argv: argv == ["--help"],
+    lambda argv: argv == [],
+    lambda argv: "--ord" in argv,
+    lambda argv: argv[-2:] == ["--format", "xml"],
+    lambda argv: "--bogus" in argv,
+], ids=["help", "empty", "abbreviated", "bad-choice", "stray-flag"])
+def test_help_and_usage_errors_build_the_full_parser_once(pick):
+    entry, = [e for e in json.loads(GOLDEN.read_text()) if pick(e["argv"])]
+    cli._build_parser.cache_clear()
+    assert _run(entry["argv"]) == entry
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def _outcome(capsys, call):
@@ -590,9 +599,6 @@ def _agree(argv):
     got = _parsed(cli._parse, argv)
     assert got == _parsed(cli._build_parser().parse_args, argv), argv
     return isinstance(got, dict)
-
-
-GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 
 def test_parse_agrees_with_argparse_on_the_golden_argv():

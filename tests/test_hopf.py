@@ -424,3 +424,27 @@ def test_elements_and_tensors_do_not_mix():
         with pytest.raises(ContextMismatchError):
             op(t, x)
     assert x != t and t != x
+
+
+def test_scalars_add_as_the_unit_monomial():
+    # a scalar c adds as c*1 to an element and as c*(1 ox 1) to a tensor,
+    # from either side
+    x = q(1, 2, (2,))
+    t = tensor(x, x)
+    g = ((2, (2,)),)
+    assert (t + 2).terms == (2 + t).terms == {(g, g): 1, ((), ()): 2}
+    assert (x + 2).terms == (2 + x).terms == {g: 1, (): 2}
+    assert (t + F(-1, 3)) - t == TensorElement(1, "sep", "q",
+                                               {((), ()): F(-1, 3)})
+    assert not (x == 3) and x != 3
+    assert repr(x + 1) == "HopfElement(d=1, sep, q basis, 2 terms)"
+    assert repr(t) == "TensorElement(d=1, sep, 1 terms)"
+
+
+def test_constructors_cancel_one_monomial_in_two_factor_orders():
+    a, b = (1, (1,)), (2, (2,))
+    assert HopfElement(1, "sep", "q", {(a, b): F(1, 2), (b, a): F(-1, 2)},
+                       ).terms == {}
+    assert TensorElement(1, "sep", "q", {((a, b), ()): 3, ((b, a), ()): -3,
+                                         ((), (b,)): 1}
+                         ).terms == {((), (b,)): 1}
