@@ -443,8 +443,8 @@ def test_scalars_add_as_the_unit_monomial():
 
 def test_constructors_cancel_one_monomial_in_two_factor_orders():
     a, b = (1, (1,)), (2, (2,))
-    assert HopfElement(1, "sep", "q", {(a, b): F(1, 2), (b, a): F(-1, 2)},
-                       ).terms == {}
-    assert TensorElement(1, "sep", "q", {((a, b), ()): 3, ((b, a), ()): -3,
-                                         ((), (b,)): 1}
-                         ).terms == {((), (b,)): 1}
+    x = HopfElement(1, "sep", "q", {(a, b): F(1, 2), (b, a): F(-1, 2)})
+    assert x.terms == {}
+    t = TensorElement(1, "sep", "q", {((a, b), ()): 3, ((b, a), ()): -3,
+                                      ((), (b,)): 1})
+    assert t.terms == {((), (b,)): 1}
