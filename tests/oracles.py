@@ -8,6 +8,7 @@ only run at test scale.
 from fractions import Fraction
 from math import comb, factorial
 import itertools
+import random
 
 
 # -- plane partitions ------------------------------------------------------
@@ -412,6 +413,92 @@ def pairing(terms, value, primitive):
             v *= value(g)
         total += v
     return total
+
+
+# -- evaluation at a random point mod a prime -------------------------------
+# Every structure map is an identity of generating series, so a ring map to
+# F_p checks it at any scale: a wrong polynomial of degree <= n in the
+# residues agrees at a random point with probability at most n/p (Schwartz,
+# J. ACM 1980).
+
+PRIME = 2 ** 61 - 1
+
+
+def residue(x):
+    """The Fraction x mod PRIME."""
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+
+
+def point_eval(seed):
+    """(at, ev): a ring map to F_p, p = PRIME.  at(g) is the residue of the
+    canonical factor g (a sep (n, m) or a nonsep partition), drawn by
+    random.Random seeded with (seed, g), so a failure reproduces; ev sends
+    a {monomial: Fraction} map to the sum of its coefficients times the
+    products of their factors' residues."""
+    residues = {}
+
+    def at(g):
+        if g not in residues:
+            residues[g] = random.Random(repr((seed, g))).randrange(PRIME)
+        return residues[g]
+
+    def ev(terms):
+        total = 0
+        for mon, c in terms.items():
+            v = residue(c)
+            for g in mon:
+                v = v * at(g) % PRIME
+            total += v
+        return total % PRIME
+
+    return at, ev
+
+
+def u_box(m):
+    """Every exponent vector v <= m entrywise."""
+    return list(itertools.product(*(range(x + 1) for x in m)))
+
+
+def _box_mul(a, b, m):
+    """Product of two {v: residue} polynomials in U, cut to the box of m."""
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            w = tuple(s + t for s, t in zip(u, v))
+            if all(s <= c for s, c in zip(w, m)):
+                out[w] = (out.get(w, 0) + x * y) % PRIME
+    return out
+
+
+def _box_add(acc, a, k):
+    for v, x in a.items():
+        acc[v] = (acc.get(v, 0) + k * x) % PRIME
+
+
+def t_exp(layers, m):
+    """E_0 .. E_N of exp(sum_j layers[j] T^j) mod PRIME, layers[0] unused
+    and each a {v: residue} polynomial in U cut to the box of m, from the
+    T derivative: n E_n = sum_j j layers[j] E_(n-j)."""
+    es = [{(0,) * len(m): 1}]
+    for n in range(1, len(layers)):
+        acc = {}
+        for j in range(1, n + 1):
+            _box_add(acc, _box_mul(layers[j], es[n - j], m), j)
+        inv = pow(n, -1, PRIME)
+        es.append({v: x * inv % PRIME for v, x in acc.items()})
+    return es
+
+
+def t_inverse(layers, m):
+    """R_0 .. R_N of (1 + sum_j layers[j] T^j)^-1 mod PRIME, from
+    R_n = -sum_j layers[j] R_(n-j)."""
+    rs = [{(0,) * len(m): 1}]
+    for n in range(1, len(layers)):
+        acc = {}
+        for j in range(1, n + 1):
+            _box_add(acc, _box_mul(layers[j], rs[n - j], m), -1)
+        rs.append(acc)
+    return rs
 
 
 # -- printers --------------------------------------------------------------
