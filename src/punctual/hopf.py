@@ -564,72 +564,46 @@ def _class_generators(chern, n_max, variant="sep"):
             for j in range(1, n_max + 1) for row, val in rows}, den
 
 
-def _vertical_ints(coeffs, n_max):
-    """V_n = n! [T^n] exp(sum_g c_g g T^j), n = 0 .. n_max, for coeffs =
-    {g: (j >= 1, integer c_g)}, by the exponential formula: its monomial
-    prod g^(k_g) has V_n = n! prod c_g^(k_g) / k_g!.  With the weights of
-    _class_generators, V_n = n! D^n [Z_n].
-
-    Taking the generators from the highest index down, every monomial made
-    of generators above g_i = (j, .) gets 1, 2, ... copies of g_i, reading
-    the V_n n descending: a child lands in a higher V, already read for
-    g_i, so each monomial is built once, from its parent that lacks one
-    g_i.  A child of T-degree m with k copies of g_i is worth its parent's
-    value times c_i m!/(m-j)! / k.  That division is exact: the quotient is
-    the child's V_m, an integer because sum k_g <= m.
-
-    A monomial is a packed multiplicity vector over the generators in sorted
-    order, one field per generator; a generator (j, .) occurs at most n/j
-    times, so a field of n_max.bit_length() bits holds every multiplicity
-    and multiplying by a generator is one int add.
-
-    Returns the sorted generators gens, the map lowest and the list of
-    {monomial: int} maps V_n.  A nonzero monomial whose lowest set bit b
-    has lowest[b] = (i, u) is gens[i] times its parent, monomial - u,
-    which is in an earlier V.
-    """
-    gens = sorted(coeffs)
-    width = n_max.bit_length()
-    vs = [{0: 1}] + [{} for _ in range(n_max)]
-    for i in reversed(range(len(gens))):
-        j, c = coeffs[gens[i]]
-        u = 1 << (width * i)
-        for n in range(n_max - j, -1, -1):
-            steps = [(vs[m], c * perm(m, j), k) for k, m in
-                     enumerate(range(n + j, n_max + 1, j), 1)]
-            for mon, x in vs[n].items():
-                for v, w, k in steps:
-                    mon += u
-                    x = x * w // k
-                    v[mon] = x
-    lowest = {1 << (width * i + t): (i, 1 << (width * i))
-              for i in range(len(gens)) for t in range(width)}
-    return gens, lowest, vs
-
-
 def vertical_element(chern, n_max, variant="sep"):
     """The cycle classes [Z_n] of the symmetric powers, n = 0 .. n_max.
 
     sep variant: coefficients of exp(sum_lam <m_lam> sum_j p_{j, lam+j-1} T^j)
     as a series in T, returned in the p basis.  nonsep variant:
     coefficients of exp(T * sum_lam <m_lam> q_lam), in the q basis.  Both
-    are built over the integers as n! D^n [Z_n], with D the lcm of the
-    Chern numbers' denominators, and returned with Fraction coefficients.
+    are built over the integers as V_n = n! D^n [Z_n], with D the lcm of
+    the Chern numbers' denominators, and returned with Fraction coefficients.
+
+    With the weights c_g of _class_generators, V_n = n! [T^n] exp(sum_g c_g
+    g T^j), so by the exponential formula its monomial prod g^(k_g) has
+    V_n = n! prod c_g^(k_g) / k_g!.  Taking the generators from the highest
+    down, every monomial made of generators above g = (j, .) gets 1, 2, ...
+    copies of g, reading the V_n n descending: a child lands in a higher V,
+    already read for g, so each monomial is built once, from its parent that
+    lacks one g, and g prepended to it keeps it sorted.  A child of T-degree
+    m with k copies of g is worth its parent's value times c_g m!/(m-j)! / k.
+    That division is exact: the quotient is the child's V_m, an integer
+    because sum k_g <= m.
     """
     coeffs, den = _class_generators(chern, n_max, variant)
-    gens, lowest, vs = _vertical_ints(coeffs, int(n_max))
-    mons = {0: ()}
+    n_max = int(n_max)
+    vs = [{(): 1}] + [{} for _ in range(n_max)]
+    for g in sorted(coeffs, reverse=True):
+        j, c = coeffs[g]
+        for n in range(n_max - j, -1, -1):
+            steps = [(vs[m], c * perm(m, j), k) for k, m in
+                     enumerate(range(n + j, n_max + 1, j), 1)]
+            for mon, x in vs[n].items():
+                for v, w, k in steps:
+                    mon = (g,) + mon
+                    x = x * w // k
+                    v[mon] = x
     zs = []
     for n, v in enumerate(vs):
+        # every weight c_g is nonzero, so no term is 0
+        z = HopfElement(chern.d, variant, "p" if variant == "sep" else "q")
         scale = factorial(n) * den ** n
-        terms = {}
-        for packed, c in v.items():
-            if packed:
-                i, u = lowest[packed & -packed]
-                mons[packed] = (gens[i],) + mons[packed - u]
-            terms[mons[packed]] = Fraction(c, scale)
-        zs.append(_built(HopfElement, chern.d, variant,
-                         "p" if variant == "sep" else "q", terms))
+        z.terms = {mon: Fraction(x, scale) for mon, x in v.items()}
+        zs.append(z)
     return zs
 
 
