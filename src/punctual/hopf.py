@@ -222,6 +222,9 @@ class HopfElement:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def scaled(self, c):
         c = Fraction(c)
         return self._like({m: x * c for m, x in self.terms.items()})
@@ -331,6 +334,7 @@ class TensorElement:
     __add__ = __radd__ = HopfElement.__add__
     __neg__ = HopfElement.__neg__
     __sub__ = HopfElement.__sub__
+    __rsub__ = HopfElement.__rsub__
     scaled = HopfElement.scaled
 
     def __repr__(self):
@@ -338,12 +342,17 @@ class TensorElement:
                                                       len(self.terms))
 
     def __mul__(self, other):
-        """Componentwise product (a ox b)(c ox d) = ac ox bd."""
+        """Componentwise product (a ox b)(c ox d) = ac ox bd; a scalar
+        scales."""
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(other)
         self._check_context(other)
         den, b = _numerators(other.terms)
         return self._like(_linear(self.terms, lambda lr: (den, {
             (tuple(sorted(lr[0] + l)), tuple(sorted(lr[1] + r))): c
             for (l, r), c in b.items()})))
+
+    __rmul__ = __mul__
 
     def swap(self):
         return self._like({(r, l): c for (l, r), c in self.terms.items()})

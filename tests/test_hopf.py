@@ -441,6 +441,20 @@ def test_scalars_add_as_the_unit_monomial():
     assert repr(t) == "TensorElement(d=1, sep, 1 terms)"
 
 
+def test_scalars_subtract_and_multiply_from_either_side():
+    x = q(1, 2, (2,))
+    t = tensor(x, x)
+    g = ((2, (2,)),)
+    assert (3 - x).terms == {g: -1, (): 3}
+    assert 3 - x == -(x - 3)
+    assert (F(1, 2) - t).terms == {(g, g): -1, ((), ()): F(1, 2)}
+    assert 1 - t == -(t - 1)
+    assert (t * 2).terms == (2 * t).terms == {(g, g): 2}
+    assert (t * F(-2, 3)).terms == (F(-2, 3) * t).terms == {(g, g): F(-2, 3)}
+    assert t * 0 == 0 * t == TensorElement(1, "sep", "q")
+    assert 2 * t == t.scaled(2) and (2 * x).terms == {g: 2}
+
+
 def test_constructors_cancel_one_monomial_in_two_factor_orders():
     a, b = (1, (1,)), (2, (2,))
     x = HopfElement(1, "sep", "q", {(a, b): F(1, 2), (b, a): F(-1, 2)})
