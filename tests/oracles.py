@@ -434,7 +434,8 @@ def point_eval(seed):
     canonical factor g (a sep (n, m) or a nonsep partition), drawn by
     random.Random seeded with (seed, g), so a failure reproduces; ev sends
     a {monomial: Fraction} map to the sum of its coefficients times the
-    products of their factors' residues."""
+    products of their factors' residues, inverting each distinct
+    denominator once."""
     residues = {}
 
     def at(g):
@@ -443,11 +444,14 @@ def point_eval(seed):
         return residues[g]
 
     def ev(terms):
-        total = 0
+        total, inverses = 0, {}
         for mon, c in terms.items():
-            v = residue(c)
+            den = c.denominator
+            if den not in inverses:
+                inverses[den] = pow(den, -1, PRIME)
+            v = c.numerator * inverses[den]
             for g in mon:
-                v = v * at(g) % PRIME
+                v = v * (residues[g] if g in residues else at(g)) % PRIME
             total += v
         return total % PRIME
 
@@ -499,6 +503,31 @@ def t_inverse(layers, m):
             _box_add(acc, _box_mul(layers[j], rs[n - j], m), -1)
         rs.append(acc)
     return rs
+
+
+def t_log(layers, m):
+    """L_0 .. L_N of log(1 + sum_j layers[j] T^j) mod PRIME, from the same
+    T derivative read the other way: n L_n = n Q_n - sum_(j<n) j L_j Q_(n-j)."""
+    ls = [{}]
+    for n in range(1, len(layers)):
+        acc = {}
+        _box_add(acc, layers[n], n)
+        for j in range(1, n):
+            _box_add(acc, _box_mul(ls[j], layers[n - j], m), -j)
+        inv = pow(n, -1, PRIME)
+        ls.append({v: x * inv % PRIME for v, x in acc.items()})
+    return ls
+
+
+def t_product(a, b, m):
+    """The T^N part of (1 + sum_j a[j] T^j)(1 + sum_j b[j] T^j) mod PRIME,
+    N = len(a) - 1 = len(b) - 1, cut to the box of m."""
+    one = {(0,) * len(m): 1}
+    a, b = [one] + a[1:], [one] + b[1:]
+    acc = {}
+    for j in range(len(a)):
+        _box_add(acc, _box_mul(a[j], b[-1 - j], m), 1)
+    return acc
 
 
 # -- printers --------------------------------------------------------------
