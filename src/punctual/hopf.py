@@ -31,9 +31,11 @@ multiplicity 1 as the splittings of m into n columns.  Every one of these
 maps, the coproduct too, is unchanged by permuting columns, so each walks
 the splittings a + b = m once per canonical class (sort a, sort b), weighted
 by the number of ordered splittings in the class (_split_classes).
-Each structure map is _linear, the linear extension of a map on monomials
-in integer numerators over one denominator (a generator's image is over n!,
-lcm(1..n), 1 or n!); tensors (TensorElement) share HopfElement's body.
+Every term map that sums coefficients comes from _linear, the linear
+extension of a map on monomials in integer numerators over one denominator
+(a generator's image is over n!, lcm(1..n), 1 or n!): the structure maps',
+sums', scalar multiples' and the constructor's.  _built stores a result
+unchecked.  Tensors (TensorElement) share HopfElement's body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -129,15 +131,10 @@ class HopfElement:
         self.d = _context(d, variant, basis)
         self.variant = variant
         self.basis = basis
-        kept = {}
-        for key, coeff in (terms or {}).items():
-            key = self._canonical(key)
-            c = kept.get(key, _ZERO) + Fraction(coeff)
-            if c:
-                kept[key] = c
-            elif key in kept:
-                del kept[key]
-        self.terms = kept
+        terms = terms or {}
+        mons = {key: self._canonical(key) for key in terms}  # keys first
+        self.terms = _linear({key: Fraction(c) for key, c in terms.items()},
+                             lambda key: (1, {mons[key]: 1}))
 
     def _canonical(self, mon):
         """mon as a sorted tuple of factors, each checked for this context."""
@@ -157,7 +154,7 @@ class HopfElement:
 
     @classmethod
     def unit(cls, d, variant="sep", basis="q"):
-        return cls(d, variant, basis, {(): Fraction(1)})
+        return cls(d, variant, basis, {(): _ONE})
 
     @classmethod
     def generator(cls, d, n, m, basis="q"):
@@ -170,8 +167,7 @@ class HopfElement:
 
     @classmethod
     def nonsep_generator(cls, d, lam):
-        return cls(d, "nonsep", "q",
-                   {(_canonical_nonsep(lam, d),): Fraction(1)})
+        return cls(d, "nonsep", "q", {(_canonical_nonsep(lam, d),): _ONE})
 
     # -- basics ------------------------------------------------------------
 
@@ -207,12 +203,12 @@ class HopfElement:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._like({self._unit_key: Fraction(other)})
+            other = type(self)(self.d, self.variant, self.basis,
+                               {self._unit_key: other})
         self._check_context(other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            terms[mon] = terms.get(mon, _ZERO) + c
-        return self._like(terms)
+        parts = (self.terms, other.terms)
+        return self._like(_linear({0: _ONE, 1: _ONE},
+                                  lambda i: _numerators(parts[i])))
 
     __radd__ = __add__
 
@@ -226,8 +222,8 @@ class HopfElement:
         return -self + other
 
     def scaled(self, c):
-        c = Fraction(c)
-        return self._like({m: x * c for m, x in self.terms.items()})
+        return self._like(_linear({0: Fraction(c)},
+                                  lambda _: _numerators(self.terms)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,8 +238,7 @@ class HopfElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = HopfElement.unit(self.d, self.variant, self.basis)
-        base = self
+        out, base = HopfElement.unit(self.d, self.variant, self.basis), self
         while k:
             if k & 1:
                 out = out * base
@@ -290,7 +285,7 @@ class HopfElement:
         nonsep (whose generators are primitive) by relabelling."""
         if self.basis == basis:
             return self
-        terms = (self.terms if self.variant == "nonsep"
+        terms = (dict(self.terms) if self.variant == "nonsep"
                  else _substitute(self.terms, expander))
         return _built(HopfElement, self.d, self.variant, basis, terms)
 
@@ -377,10 +372,11 @@ def tensor(a, b):
 
 
 def _built(cls, d, variant, basis, terms):
-    """A HopfElement or TensorElement holding the nonzero entries of terms,
-    which must already be canonical (no validation)."""
-    out = cls(d, variant, basis)
-    out.terms = {k: c for k, c in terms.items() if c}
+    """A HopfElement or TensorElement holding terms as given, canonical keys
+    to nonzero Fractions: a term map from _linear, a relabelling of one or
+    the vertical classes.  Nothing is checked or filtered."""
+    out = object.__new__(cls)
+    out.d, out.variant, out.basis, out.terms = d, variant, basis, terms
     return out
 
 
@@ -441,9 +437,9 @@ def _poly_mul(a, b):
 
 def _linear(terms, image):
     """sum coeff * image(key) over the items of terms, the linear extension
-    of image(key) = (e, {key: int}), numerators over e.  The sum runs in
-    integer numerators over the lcm of every coeff's denominator times e;
-    each distinct numerator becomes one Fraction, shared by its keys."""
+    of image(key) = (e, {key: int}), numerators over e, summed in integers
+    over the lcm of every coeff's denominator times e; zero sums are
+    dropped, and equal ones share one Fraction."""
     parts = [(coeff.numerator, coeff.denominator * e, img) for coeff, (e, img)
              in zip(terms.values(), map(image, terms))]
     den = lcm(*(e for _, e, _ in parts))
@@ -606,14 +602,12 @@ def vertical_element(chern, n_max, variant="sep"):
                     mon = (g,) + mon
                     x = x * w // k
                     v[mon] = x
-    zs = []
-    for n, v in enumerate(vs):
-        # every weight c_g is nonzero, so no term is 0
-        z = HopfElement(chern.d, variant, "p" if variant == "sep" else "q")
-        scale = factorial(n) * den ** n
-        z.terms = {mon: Fraction(x, scale) for mon, x in v.items()}
-        zs.append(z)
-    return zs
+    basis = "p" if variant == "sep" else "q"
+    scales = [factorial(n) * den ** n for n in range(n_max + 1)]
+    # every weight c_g is nonzero, so no term is 0
+    return [_built(HopfElement, chern.d, variant, basis,
+                   {mon: Fraction(x, scale) for mon, x in v.items()})
+            for scale, v in zip(scales, vs)]
 
 
 # -- serialization ---------------------------------------------------------

@@ -462,3 +462,35 @@ def test_constructors_cancel_one_monomial_in_two_factor_orders():
     t = TensorElement(1, "sep", "q", {((a, b), ()): 3, ((b, a), ()): -3,
                                       ((), (b,)): 1})
     assert t.terms == {((), (b,)): 1}
+    # nonsep factors, coefficients given as a string and a Fraction
+    a, b = (2, 0), (1, 1)
+    y = HopfElement(2, "nonsep", "q", {(a, b): "2/3", (b, a): F(-2, 3)})
+    assert y == HopfElement.zero(2, "nonsep") and y.terms == {}
+    y = HopfElement(2, "nonsep", "q", {(a, b): 1, (b, a): "1/2"})
+    assert y.terms == {(b, a): F(3, 2)} and type(y.terms[b, a]) is F
+
+
+def test_zero_sums_and_zero_scalars_store_no_term():
+    # sums and scalar multiples, scalars 0 among them, keep no zero
+    # coefficient and store Fractions
+    x = q(1, 2, (2,))
+    t = tensor(x, x)
+    g = ((2, (2,)),)
+    assert (x + 0).terms == (x + F(0)).terms == {g: 1}
+    assert (0 + t).terms == {(g, g): 1}
+    assert (x - x).terms == {} and (t - t).terms == {}
+    assert x.scaled(0).terms == {} and (0 * t).terms == {}
+    assert (3 - (x + 3)).terms == {g: -1}
+    for y in (x + 0, 0 + t, 3 - x):
+        assert all(type(c) is F for c in y.terms.values())
+
+
+def test_constructors_check_every_key_before_any_coefficient():
+    bad, good = ((0, (1,)),), ((1, (1,)),)
+    for terms in ({bad: 1, good: "x"}, {good: "x", bad: 1}):
+        with pytest.raises(ValueError, match="multiplicity >= 1"):
+            HopfElement(1, "sep", "q", terms)
+        with pytest.raises(ValueError, match="multiplicity >= 1"):
+            TensorElement(1, "sep", "q", {(k, ()): c for k, c in terms.items()})
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        HopfElement(1, "sep", "q", {good: "x"})

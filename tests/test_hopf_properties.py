@@ -7,7 +7,9 @@ Fraction oracles; [Z_n] matches the naive recursion of
 oracles.vertical_classes on rational Chern numbers, drawn and at fixed
 n_max up to 8, where one generator takes n_max copies, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
-the pair route of vertical_series equals the naive pairing of those classes
+every operation, [Z_n] included, stores only nonzero Fractions under
+canonical keys, scalars 0 among its inputs; the pair route of
+vertical_series equals the naive pairing of those classes
 for theories with fractional primitive values and for theories that pair
 every generator to 0; theory_exp inverts theory_log on random generator
 tables, sep and nonsep, and a random primitive table reads its entries, as
@@ -256,6 +258,37 @@ def _assert_nonsep_classes_are_the_scaled_powers(chern, n_max):
         assert z == power.scaled(Fraction(1, factorial(n)))
         assert all(type(x) is Fraction for x in z.terms.values())
         power = power * c
+
+
+def _stored_canonically(x):
+    """Every coefficient of x is a nonzero Fraction under a key that x's
+    constructor stores unchanged (so canonical, and no two merge)."""
+    return (all(type(c) is Fraction and c for c in x.terms.values())
+            and type(x)(x.d, x.variant, x.basis, x.terms).terms == x.terms)
+
+
+scalars = st.one_of(coeffs, st.sampled_from((0, Fraction(0), 1, -2)))
+
+
+@settings(examples, max_examples=40)
+@given(data=st.data())
+def test_every_operation_stores_nonzero_fractions_under_canonical_keys(data):
+    x, y = data.draw(elements())
+    c = data.draw(scalars)
+    t, u = tensor(x, y), tensor(y, x)
+    outs = [x + y, x - y, x - x, x + c, c + x, c - x, x.scaled(c), c * x,
+            x * y, x.antipode(), x.to_p(), x.to_q(), t, t + u, t - t,
+            c + t, t - c, c - t, t.scaled(c), c * t, t * u]
+    if x.variant == "nonsep" or x.basis == "q":
+        outs.append(x.coproduct())
+    if x.variant == "sep":
+        outs.append(sep_to_nonsep(x))
+    chern = data.draw(rational_chern_data())
+    outs += vertical_element(chern, data.draw(st.integers(0, 4)),
+                             variant=data.draw(st.sampled_from(("sep",
+                                                                "nonsep"))))
+    for i, out in enumerate(outs):
+        assert _stored_canonically(out), (i, out.terms)
 
 
 @pytest.mark.parametrize("n_max", (3, 4, 7, 8))
