@@ -51,8 +51,6 @@ def partitions_of(k, max_parts, max_part=None):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if len(prefix) == max_parts:
-            return
         lo = -(-remaining // (max_parts - len(prefix)))  # ceil: parts must fit
         for part in range(min(remaining, largest), lo - 1, -1):
             descend(remaining - part, part, prefix + [part])

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from punctual import axioms
 from punctual.axioms import (check_antipode, check_bialgebra,
                              check_coassociative, check_cocommutative,
                              check_commutative, check_counit, check_primitive,
@@ -38,3 +41,11 @@ def test_suite_counts():
     assert set(counts.values()) == {5}
     assert set(counts) == {"coassociativity", "counit", "cocommutativity",
                            "commutativity", "bialgebra", "antipode"}
+
+
+def test_suite_names_a_failing_check(monkeypatch):
+    monkeypatch.setattr(axioms, "check_counit", lambda x: False)
+    with pytest.raises(AssertionError,
+                       match=r"^counit fails for \{.*\} \(d=1, sep\)$"):
+        run_axiom_suite(random.Random(1), dims=(1,), variants=("sep",),
+                        count=1, max_cycle_degree=2)

@@ -196,3 +196,18 @@ def test_pretty():
     assert (1 + 3 * t).pretty() == "1/1 + 3/1*T"
     assert MultiSeries.zero(v, c).pretty() == "0"
     assert (t * t * F(-1, 2)).pretty() == "-1/2*T^2"
+
+
+def test_scalars_subtract_compare_and_print():
+    s = MultiSeries(("T",), (3,), {(1,): F(1, 2)})
+    assert (3 - s).terms == {(1,): F(-1, 2), (0,): 3}
+    assert 3 - s == -(s - 3)
+    assert not (s == 3) and s != "s"
+    assert repr(s) == "MultiSeries(('T',), 1 terms)"
+
+
+def test_constructor_cancels_two_spellings_of_one_exponent():
+    # ("1",) reads as the exponent (1,), whose coefficient then sums to 0
+    s = MultiSeries(("T",), (3,), {(1,): F(1, 2), ("1",): F(-1, 2),
+                                   (2,): 1})
+    assert s.terms == {(2,): 1}

@@ -122,6 +122,15 @@ def test_parse_chern_c_keys():
     assert ch2.value((1, 1, 1)) == 4
     assert ch2.value((2, 1)) == 12
     assert ch2.value((3,)) == F(0) - 72 + 12
+    # an empty piece between commas is skipped
+    assert parse_chern_arg(3, "c3=4,,c1c2=24") == ch2
+
+
+def test_chern_data_compares_and_prints():
+    ch = ChernData(2, {(2,): 3})
+    assert not (ch == 3) and ch != "ch"
+    assert repr(ch) == ("ChernData(d=2, {(2,): Fraction(3, 1), "
+                        "(1, 1): Fraction(0, 1)})")
 
 
 def test_parse_chern_rejects():
