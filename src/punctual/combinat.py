@@ -51,7 +51,9 @@ def partitions_of(k, max_parts, max_part=None):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        lo = -(-remaining // (max_parts - len(prefix)))  # ceil: parts must fit
+        # ceil: the parts left can hold what remains, so a prefix reaches
+        # max_parts parts only with nothing remaining
+        lo = -(-remaining // (max_parts - len(prefix)))
         for part in range(min(remaining, largest), lo - 1, -1):
             descend(remaining - part, part, prefix + [part])
 

@@ -132,9 +132,9 @@ class HopfElement:
         self.variant = variant
         self.basis = basis
         terms = terms or {}
-        mons = {key: self._canonical(key) for key in terms}  # keys first
-        self.terms = _linear({key: Fraction(c) for key, c in terms.items()},
-                             lambda key: (1, {mons[key]: 1}))
+        mons = [self._canonical(key) for key in terms]  # keys first
+        self.terms = _linear(dict(enumerate(map(Fraction, terms.values()))),
+                             lambda i: (1, {mons[i]: 1}))
 
     def _canonical(self, mon):
         """mon as a sorted tuple of factors, each checked for this context."""

@@ -9,9 +9,9 @@ n_max up to 8, where one generator takes n_max copies, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 every operation, [Z_n] included, stores only nonzero Fractions under
 canonical keys, scalars 0 among its inputs; the pair route of
-vertical_series equals the naive pairing of those classes
-for theories with fractional primitive values and for theories that pair
-every generator to 0; theory_exp inverts theory_log on random generator
+vertical_series equals the naive pairing of those classes for theories
+with fractional primitive values and for theories that pair every
+generator to 0; theory_exp inverts theory_log on random generator
 tables, sep and nonsep, and a random primitive table reads its entries, as
 values, primitive values and the primitive values of its exp; the element
 and tensor printers, text and JSON, give the bytes of oracles' reference
