@@ -25,11 +25,12 @@ MUTANTS = [
         "new": "    fracs = {c: Fraction(c, den) for c in set(acc.values())}\n"
                "    return {k: fracs[c] for k, c in acc.items()}\n",
         "tests": [
-            "tests/test_hopf.py::test_zero_sums_and_zero_scalars_store_no_term",
+            "tests/test_hopf.py::"
+            "test_zero_sums_and_zero_scalars_store_no_term",
             "tests/test_hopf.py::"
             "test_constructors_cancel_one_monomial_in_two_factor_orders",
-            "tests/test_hopf_properties.py::"
-            "test_every_operation_stores_nonzero_fractions_under_canonical_keys",
+            "tests/test_hopf_properties.py::test_every_operation_stores_"
+            "nonzero_fractions_under_canonical_keys",
         ],
     },
     {

@@ -132,7 +132,7 @@ class HopfElement:
         self.variant = variant
         self.basis = basis
         terms = terms or {}
-        mons = [self._canonical(key) for key in terms]  # keys first
+        mons = [self._canonical(key) for key in terms]  # keys checked first
         self.terms = _linear(dict(enumerate(map(Fraction, terms.values()))),
                              lambda i: (1, {mons[i]: 1}))
 

@@ -507,7 +507,8 @@ def t_inverse(layers, m):
 
 def t_log(layers, m):
     """L_0 .. L_N of log(1 + sum_j layers[j] T^j) mod PRIME, from the same
-    T derivative read the other way: n L_n = n Q_n - sum_(j<n) j L_j Q_(n-j)."""
+    T derivative read the other way:
+    n L_n = n Q_n - sum_(j<n) j L_j Q_(n-j)."""
     ls = [{}]
     for n in range(1, len(layers)):
         acc = {}

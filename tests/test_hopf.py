@@ -491,6 +491,7 @@ def test_constructors_check_every_key_before_any_coefficient():
         with pytest.raises(ValueError, match="multiplicity >= 1"):
             HopfElement(1, "sep", "q", terms)
         with pytest.raises(ValueError, match="multiplicity >= 1"):
-            TensorElement(1, "sep", "q", {(k, ()): c for k, c in terms.items()})
+            TensorElement(1, "sep", "q",
+                          {(k, ()): c for k, c in terms.items()})
     with pytest.raises(ValueError, match="Invalid literal for Fraction"):
         HopfElement(1, "sep", "q", {good: "x"})

@@ -437,7 +437,8 @@ def test_theory_refuses_a_side_outside_its_frame():
 
 
 def test_theory_prints_its_label_and_context():
-    assert repr(ck_theory(2, 1, 2, 2)) == "Theory(c^2, d=1, multiplicative, sep)"
+    assert (repr(ck_theory(2, 1, 2, 2))
+            == "Theory(c^2, d=1, multiplicative, sep)")
 
 
 def test_nonsep_class_theory_is_the_sep_rule_at_n_1():
