@@ -25,7 +25,7 @@ def test_frozen_tables_d3():
 
 def test_transition_by_random_evaluation():
     rng = random.Random(3)
-    for d in range(1, 5):
+    for d in range(1, 7):
         point = tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in range(d))
         for lam in partitions_of(d, d):
@@ -100,6 +100,22 @@ def test_classes_to_monomials_d2():
     ch = chern_data_from_classes(2, {(1, 1): a, (2,): b})
     assert ch.value((1, 1)) == b
     assert ch.value((2,)) == a - 2 * b
+
+
+def test_class_numbers_round_trip():
+    # <c_mu> = sum_lam [x^lam](e_mu1 e_mu2 ...) <m_lam>, e_k -> c_k
+    rng = random.Random(5)
+    for d in range(1, 6):
+        classes = {mu: F(rng.randint(-9, 9), rng.randint(1, 6))
+                   for mu in partitions_of(d, d)}
+        ch = chern_data_from_classes(d, classes)
+        for mu, want in classes.items():
+            poly = {(0,) * d: F(1)}
+            for k in mu:
+                poly = oracles.poly_mul(poly, oracles.elementary_poly(k, d),
+                                        (d,) * d)
+            assert sum(poly.get(pad_partition(lam, d), 0) * w
+                       for lam, w in ch.items()) == want, (d, mu)
 
 
 def test_classes_missing_key():
