@@ -101,13 +101,12 @@ def _require_mult(e, chern=None, variant="sep"):
 
 def _chern_paired(chern, n_max, value):
     """sum_n T^n sum_lam <m_lam> value(n, lam + (n-1)), to T^n_max."""
+    rows = [(pad_partition(lam, chern.d), w) for lam, w in chern.items() if w]
     terms = {}
     for n in range(1, n_max + 1):
         total = _ZERO
-        for lam, w in chern.items():
-            if w:
-                m = tuple(x + n - 1 for x in pad_partition(lam, chern.d))
-                total += w * value(n, m)
+        for row, w in rows:
+            total += w * value(n, tuple(x + n - 1 for x in row))
         if total:
             terms[(n,)] = total
     return MultiSeries(("T",), (n_max,), terms)

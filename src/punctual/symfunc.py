@@ -1,7 +1,8 @@
 """Monomial-to-elementary symmetric transitions and Chern number data.
 
 Only degree-d identities in d variables are ever needed, so transitions are
-computed by direct expansion and exact linear algebra, then cached per d.
+computed by direct expansion and one back-substitution over the integers,
+then cached per d.
 An elementary monomial e_mu = e_{mu_1} e_{mu_2} ... is keyed by the
 partition mu of its indices, e.g. (2, 1) stands for e_2*e_1.
 
@@ -37,33 +38,37 @@ def _expand_e_monomial(mu, d):
     return poly
 
 
+def _partition_of(lam, d):
+    """lam sorted and stripped of zeros, if its parts are non-negative
+    ints summing to d; otherwise ValueError."""
+    lam = tuple(lam)
+    if not all(isinstance(x, int) and x >= 0 for x in lam) or sum(lam) != d:
+        raise ValueError("%r is not a partition of %d" % (lam, d))
+    return canonical_partition(lam)
+
+
 @lru_cache(maxsize=None)
 def _m_to_e_table(d):
-    """For every lam |- d the expansion of m_lam in the e_mu, exact."""
-    lams = mus = partitions_of(d, d)
-    # e_mu = sum_lam M[mu][lam] m_lam ; the m_lam coefficient is the
-    # coefficient of the sorted exponent vector in the full expansion
-    mat = []
-    for mu in mus:
-        poly = _expand_e_monomial(mu, d)
-        mat.append([poly.get(pad_partition(lam, d), 0) for lam in lams])
-    # invert by Gauss elimination: columns of inv give m_lam = sum c_mu e_mu
-    n = len(mus)
-    aug = [[mat[j][i] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    table = {}
-    for i, lam in enumerate(lams):
-        table[lam] = {mus[j]: aug[j][n + i] for j in range(n) if aug[j][n + i]}
-    return table
+    """For every lam |- d the expansion of m_lam in the e_mu, exact.
+
+    With lam' the conjugate of lam, e_lam' = m_lam + sum_nu [x^nu]e_lam' m_nu
+    over nu strictly below lam in dominance order, all of which come after
+    lam in partitions_of.  Walking that list backwards, m_lam is e_lam'
+    minus already expanded m_nu, in ints.
+    """
+    lams = partitions_of(d, d)
+    rows = {}
+    for lam in reversed(lams):
+        conj = tuple(sum(part > i for part in lam) for i in range(lam[0]))
+        poly = _expand_e_monomial(conj, d)
+        row = {conj: 1}
+        for nu, nu_row in rows.items():
+            c = poly.get(pad_partition(nu, d), 0)
+            for mu, x in nu_row.items():
+                row[mu] = row.get(mu, 0) - c * x
+        rows[lam] = row
+    return {lam: {mu: Fraction(rows[lam][mu]) for mu in lams
+                  if rows[lam].get(mu)} for lam in lams}
 
 
 def monomial_to_elementary(lam, d):
@@ -77,12 +82,7 @@ def monomial_to_elementary(lam, d):
     >>> monomial_to_elementary((2,), 2) == {(1, 1): Fraction(1), (2,): Fraction(-2)}
     True
     """
-    lam = canonical_partition(lam)
-    if len(lam) > d:
-        raise ValueError("partition %r has more than %d parts" % (lam, d))
-    if sum(lam) != d:
-        raise ValueError("need a partition of %d, got %r" % (d, lam))
-    return dict(_m_to_e_table(d)[lam])
+    return dict(_m_to_e_table(d)[_partition_of(lam, d)])
 
 
 class ChernData:
@@ -94,14 +94,9 @@ class ChernData:
         d = int(d)
         if d < 1:
             raise ValueError("dimension must be positive")
-        values = {}
+        values = dict.fromkeys(partitions_of(d, d), Fraction(0))
         for lam, v in monomial_numbers.items():
-            key = canonical_partition(lam)
-            if sum(key) != d or len(key) > d:
-                raise ValueError("key %r is not a partition of %d" % (lam, d))
-            values[key] = Fraction(v)
-        for lam in partitions_of(d, d):
-            values.setdefault(lam, Fraction(0))
+            values[_partition_of(lam, d)] = Fraction(v)
         self.d = d
         self.monomial_numbers = values
 
@@ -109,7 +104,7 @@ class ChernData:
         return self.monomial_numbers[canonical_partition(lam)]
 
     def items(self):
-        return [(lam, self.monomial_numbers[lam]) for lam in partitions_of(self.d, self.d)]
+        return list(self.monomial_numbers.items())
 
     def __eq__(self, other):
         if not isinstance(other, ChernData):
@@ -142,12 +137,12 @@ def chern_data_from_classes(d, class_numbers):
     c_2 c_1) to rationals and must contain every monomial of total degree d
     that occurs in some m_lam expansion.
     """
-    numbers = {canonical_partition(mu): Fraction(v)
+    numbers = {_partition_of(mu, d): Fraction(v)
                for mu, v in class_numbers.items()}
     values = {}
-    for lam in partitions_of(d, d):
+    for lam, row in _m_to_e_table(d).items():
         total = Fraction(0)
-        for mu, coeff in monomial_to_elementary(lam, d).items():
+        for mu, coeff in row.items():
             if mu not in numbers:
                 raise ValueError("missing Chern class number for c_%s" %
                                  "".join(str(i) for i in mu))

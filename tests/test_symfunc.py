@@ -62,6 +62,20 @@ def test_bad_partition_rejected():
         monomial_to_elementary((1,), 2)
 
 
+@pytest.mark.parametrize("lam, d", [((4, -1), 3), ((1.5, 0.5), 2),
+                                    ((2, 0.0), 2), ((1, 1, 1), 2)],
+                         ids=("negative", "non-integer", "float-zero",
+                              "wrong-total"))
+def test_non_partitions_refused_everywhere(lam, d):
+    # negative, non-integer and wrong-total parts: one ValueError each time
+    for call in (lambda: ChernData(d, {lam: 5}),
+                 lambda: monomial_to_elementary(lam, d),
+                 lambda: chern_data_from_classes(
+                     d, {**dict.fromkeys(partitions_of(d, d), 1), lam: 5})):
+        with pytest.raises(ValueError, match="is not a partition of %d" % d):
+            call()
+
+
 def test_chern_data_refuses_dimension_zero():
     with pytest.raises(ValueError) as err:
         ChernData(0, {})
@@ -147,6 +161,9 @@ def test_chern_data_compares_and_prints():
     assert not (ch == 3) and ch != "ch"
     assert repr(ch) == ("ChernData(d=2, {(2,): Fraction(3, 1), "
                         "(1, 1): Fraction(0, 1)})")
+    # stored in partitions_of order, whatever the input order
+    assert repr(ChernData(2, {(1, 1): 2})) == (
+        "ChernData(d=2, {(2,): Fraction(0, 1), (1, 1): Fraction(2, 1)})")
 
 
 def test_parse_chern_rejects():
