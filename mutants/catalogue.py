@@ -96,4 +96,175 @@ MUTANTS = [
             "tests/test_cli.py::test_parse_agrees_with_argparse_on_drawn_argv",
         ],
     },
+    {
+        "name": "m-to-e-conjugate-over-length",
+        "why": "the conjugate of lam is counted over len(lam) instead of "
+               "lam[0] positions, so e_lam' is the wrong elementary product "
+               "(29 tests kill it, five listed)",
+        "file": "src/punctual/symfunc.py",
+        "old": "        conj = tuple(sum(part > i for part in lam) "
+               "for i in range(lam[0]))\n",
+        "new": "        conj = tuple(sum(part > i for part in lam) "
+               "for i in range(len(lam)))\n",
+        "tests": [
+            "tests/test_symfunc.py::test_frozen_tables_d3",
+            "tests/test_symfunc.py::test_transition_by_random_evaluation",
+            "tests/test_symfunc.py::test_class_numbers_round_trip",
+            "tests/test_sympy_oracles.py::"
+            "test_monomial_to_elementary_matches_sympy",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "m-to-e-adds-lower-rows",
+        "why": "the back-substitution adds the rows of the m_nu below lam "
+               "instead of subtracting them (26 tests kill it, five listed)",
+        "file": "src/punctual/symfunc.py",
+        "old": "                row[mu] = row.get(mu, 0) - c * x\n",
+        "new": "                row[mu] = row.get(mu, 0) + c * x\n",
+        "tests": [
+            "tests/test_symfunc.py::test_frozen_tables_d3",
+            "tests/test_symfunc.py::test_transition_by_random_evaluation",
+            "tests/test_symfunc.py::test_class_numbers_round_trip",
+            "tests/test_sympy_oracles.py::"
+            "test_monomial_to_elementary_matches_sympy",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "m-to-e-walks-forward",
+        "why": "walking partitions_of forwards, no m_nu below lam is known "
+               "yet, so every row is e_lam' alone (26 tests kill it, five "
+               "listed)",
+        "file": "src/punctual/symfunc.py",
+        "old": "    for lam in reversed(lams):\n",
+        "new": "    for lam in lams:\n",
+        "tests": [
+            "tests/test_symfunc.py::test_frozen_tables_d3",
+            "tests/test_symfunc.py::test_transition_by_random_evaluation",
+            "tests/test_symfunc.py::test_class_numbers_round_trip",
+            "tests/test_sympy_oracles.py::"
+            "test_monomial_to_elementary_matches_sympy",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "gamma-without-cap-filter",
+        "why": "the shifted logarithm keeps terms with some m_i past "
+               "n_max - 1 + d; the paired series never reads them, so only "
+               "the report's terms_checked moves, and only the coarse case "
+               "of the table-route property sees it",
+        "file": "src/punctual/genfun.py",
+        "old": "                   if 1 <= exps[0] <= n_max and max(exps[1:]) "
+               "<= cap}\n",
+        "new": "                   if 1 <= exps[0] <= n_max}\n",
+        "tests": [
+            "tests/test_gamma_properties.py::"
+            "test_gamma_matches_the_table_route[coarse]",
+        ],
+    },
+    {
+        "name": "gamma-without-cap-check",
+        "why": "a request past the theory's caps is not refused up "
+               "front; only the table-route properties see it (11 cases)",
+        "file": "src/punctual/genfun.py",
+        "old": "        if first <= cap:\n"
+               "            e._exponent(1, (first,) + (0,) * (d - 1))\n"
+               "        if e.n_cap < n_max:\n"
+               "            e._exponent(e.n_cap + 1, (0,) * d)\n",
+        "new": "        pass\n",
+        "tests": [
+            "tests/test_gamma_properties.py::"
+            "test_gamma_matches_the_table_route",
+            "tests/test_gamma_properties.py::"
+            "test_a_negative_m_cap_matches_the_table_route",
+        ],
+    },
+    {
+        "name": "main-builds-both-formats",
+        "why": "the JSON object and the text are both built and one is "
+               "thrown away; the output bytes do not change, so only the "
+               "test that watches the builders sees it",
+        "file": "src/punctual/cli.py",
+        "old": "        payload = (json.dumps(obj(), indent=2) if args.format "
+               "== \"json\"\n"
+               "                   else text()) + \"\\n\"\n",
+        "new": "        both = json.dumps(obj(), indent=2), text()\n"
+               "        payload = both[args.format != \"json\"] + "
+               "\"\\n\"\n",
+        "tests": [
+            "tests/test_cli.py::test_only_the_requested_format_is_built",
+        ],
+    },
+    {
+        "name": "main-drops-the-flush",
+        "why": "stdout is not flushed inside the handler, so a full or "
+               "closed stdout fails after main returns; one case of one "
+               "test sees it",
+        "file": "src/punctual/cli.py",
+        "old": "            sys.stdout.flush()\n",
+        "new": "            pass\n",
+        "tests": [
+            "tests/test_cli.py::test_unwritable_stdout_exits_2[flush]",
+        ],
+    },
+    {
+        "name": "theory-frame-checks-variables-only",
+        "why": "a side with the right variables but other caps or a total "
+               "cap is stored; one test sees it",
+        "file": "src/punctual/theories.py",
+        "old": "        if got != want:\n",
+        "new": "        if got[0] != want[0]:\n",
+        "tests": [
+            "tests/test_theories.py::"
+            "test_theory_refuses_a_side_outside_its_frame",
+        ],
+    },
+    {
+        "name": "printer-hom-degree-from-n",
+        "why": "the printer sorts by a factor's first entry in place of its "
+               "homological degree; only the tensor case of the printer "
+               "property and the golden corpus see it",
+        "file": "src/punctual/hopf.py",
+        "old": "                                  *_monomial_key((g,), "
+               "variant)[:2])\n",
+        "new": "                                  _monomial_key((g,), "
+               "variant)[0], g[0])\n",
+        "tests": [
+            "tests/test_hopf_properties.py::"
+            "test_printers_match_the_reference_printers[tensor]",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "parse-takes-a-dash-value",
+        "why": "a separate value that starts with - is read as the value, "
+               "where argparse may read it as a flag; only the differential "
+               "gate sees it, not the golden corpus",
+        "file": "src/punctual/cli.py",
+        "old": "            if value.startswith(\"-\"):\n",
+        "new": "            if value.startswith(\"-\") and eq:\n",
+        "tests": [
+            "tests/test_cli.py::test_parse_agrees_with_argparse",
+            "tests/test_cli.py::test_parse_agrees_with_argparse_on_drawn_argv",
+        ],
+    },
+    {
+        "name": "parse-matches-a-flag-by-prefix",
+        "why": "a flag is read as the first table flag it is a prefix of, "
+               "where argparse refuses an ambiguous abbreviation; the "
+               "differential gate and one help test see it, not the golden "
+               "corpus",
+        "file": "src/punctual/cli.py",
+        "old": "            flag, eq, value = token.partition(\"=\")\n",
+        "new": "            flag, eq, value = token.partition(\"=\")\n"
+               "            flag = next((f for f in table if f.startswith("
+               "flag)), flag)\n",
+        "tests": [
+            "tests/test_cli.py::test_parse_agrees_with_argparse",
+            "tests/test_cli.py::test_parse_agrees_with_argparse_on_drawn_argv",
+            "tests/test_cli.py::"
+            "test_help_and_usage_errors_build_the_full_parser_once",
+        ],
+    },
 ]
