@@ -41,7 +41,6 @@ def _expand_e_monomial(mu, d):
 def _partition_of(lam, d):
     """lam sorted and stripped of zeros, if its parts are non-negative
     ints summing to d; otherwise ValueError."""
-    lam = tuple(lam)
     if not all(isinstance(x, int) and x >= 0 for x in lam) or sum(lam) != d:
         raise ValueError("%r is not a partition of %d" % (lam, d))
     return canonical_partition(lam)
