@@ -11,7 +11,8 @@ from punctual.genfun import (PoleCancellationError,
                              vertical_series)
 from punctual.hopf import ContextMismatchError, sep_to_nonsep, vertical_element
 from punctual.series import MultiSeries
-from punctual.symfunc import ChernData, chern_data_from_classes
+from punctual.symfunc import (ChernData, chern_data_from_classes,
+                              parse_chern_arg)
 from punctual.theories import (CapError, ck_theory, coarse_curve_theory,
                                dt_vertex_theory, ek_theory, inertial_theory,
                                table_theory)
@@ -251,6 +252,16 @@ def test_gamma_matches_log_vertical():
         n_max = e.n_cap if e.d == 1 else min(e.n_cap, 4)
         s, _ = gamma_integral_series(e, ch, n_max)
         assert s == vertical_series(e, ch, n_max).log()
+
+
+@pytest.mark.parametrize("m_cap", [8, 4])
+def test_gamma_checks_only_the_terms_within_its_cap(m_cap):
+    # 48 primitive terms have 1 <= n <= 3 at m_cap = 8, but only the 41
+    # with every m_i <= 4, the gamma cap, are checked and paired
+    e = inertial_theory(unit_class([1, 1, 1, 1]), 2, 3, m_cap)
+    s, report = gamma_integral_series(e, parse_chern_arg(2, "c2=3,c1^2=7"), 3)
+    assert s.pretty() == "4/1*T + 2/1*T^2 + 4/3*T^3"
+    assert (report.gamma_cap, report.terms_checked) == (4, 41)
 
 
 def test_gamma_trivially_pole_free():

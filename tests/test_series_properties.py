@@ -1,7 +1,12 @@
 """exp, log, products and rational powers of MultiSeries as Hypothesis
 properties, against each other and against the naive oracles, over small
 series in 1-4 variables with per-variable caps, an optional total cap,
-terms on the cap edges and coefficients with mixed denominators."""
+terms on the cap edges and coefficients with mixed denominators.  The
+constructor and genfun._chern_paired, which build every series the
+vertical and gamma routes return, are checked against plain references:
+raw term maps with spelled exponents, repeats and cells past the caps, and
+Chern data with zero numbers paired against values with mixed
+denominators."""
 
 from fractions import Fraction
 from math import prod
@@ -10,9 +15,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from punctual.combinat import pad_partition
+from punctual.genfun import _chern_paired
 from punctual.series import MultiSeries
+from punctual.symfunc import ChernData
 
 import oracles
 
@@ -106,3 +114,128 @@ def test_log_of_product_is_sum_of_logs(fs):
 def test_power_is_additive_in_exponent(fs, r, s):
     f, = fs
     assert f.pow(r + s) == f.pow(r) * f.pow(s)
+
+
+# -- the constructor ---------------------------------------------------------
+
+class Half(Fraction):
+    """A Fraction subclass: the constructor must store a plain Fraction."""
+
+
+raw_coeffs = (st.integers(-3, 3) | st.booleans() | coeffs
+              | coeffs.map(lambda c: Half(c.numerator, c.denominator))
+              | coeffs.map(lambda c: "%d/%d" % (c.numerator, c.denominator)))
+
+
+def reference_terms(variables, caps, terms, total_cap):
+    """The stored terms, summed and checked one raw term at a time."""
+    kept = {}
+    for exps, coeff in terms.items():
+        e = tuple(int(x) for x in exps)
+        if len(e) != len(variables):
+            raise ValueError("exponent vector of wrong length")
+        if any(x < 0 for x in e):
+            raise ValueError("negative exponent")
+        if any(x > c for x, c in zip(e, caps)) or (
+                total_cap is not None and sum(e) > total_cap):
+            continue
+        kept[e] = kept.get(e, Fraction(0)) + Fraction(coeff)
+    return {e: c for e, c in kept.items() if c}
+
+
+@st.composite
+def raw_term_maps(draw):
+    """(frame, terms): exponents spelled as ints or digit strings, some
+    past a per-variable cap or the total cap, and some spelled twice with
+    coefficients that sum or cancel."""
+    variables, caps, total_cap = frame = draw(frames())
+    spell = st.sampled_from((int, str))
+    cells = exponents(caps) | st.tuples(*(st.integers(0, c + 2)
+                                          for c in caps))
+    terms = {}
+    for e in draw(st.lists(cells, min_size=1, max_size=8)):
+        terms[tuple(draw(spell)(x) for x in e)] = draw(raw_coeffs)
+    for e in draw(st.lists(st.sampled_from(sorted(terms, key=repr)),
+                           max_size=3)):
+        other = tuple(str(x) if type(x) is int else int(x) for x in e)
+        c = Fraction(terms[e])
+        terms[other] = draw(st.sampled_from((-c, c)) | raw_coeffs)
+    return frame, terms
+
+
+@examples
+@given(case=raw_term_maps())
+def test_constructor_matches_the_reference(case):
+    (variables, caps, total_cap), terms = case
+    got = MultiSeries(variables, caps, terms, total_cap).terms
+    assert got == reference_terms(variables, caps, terms, total_cap)
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+@examples
+@given(case=raw_term_maps(), data=st.data())
+def test_constructor_refuses_a_bad_key_as_the_reference_does(case, data):
+    """One key of the wrong length, with a negative entry or both, among
+    the drawn terms: the same refusal, whatever comes before it."""
+    (variables, caps, total_cap), terms = case
+    long, negative = data.draw(st.sampled_from(((1, 0), (0, 1), (1, 1))))
+    key = (-negative,) + (0,) * (len(caps) - 1 + long)
+    items = list(terms.items())
+    items.insert(data.draw(st.integers(0, len(items))), (key, 1))
+    terms = dict(items)
+    with pytest.raises(ValueError) as got:
+        MultiSeries(variables, caps, terms, total_cap)
+    with pytest.raises(ValueError) as expected:
+        reference_terms(variables, caps, terms, total_cap)
+    assert str(got.value) == str(expected.value) == (
+        "exponent vector of wrong length" if long else "negative exponent")
+
+
+@pytest.mark.parametrize("key", [(-1,), (1, 2, -1), ("-1",)])
+def test_a_key_of_wrong_length_and_negative_is_refused_for_its_length(key):
+    with pytest.raises(ValueError, match="^exponent vector of wrong length$"):
+        MultiSeries(("a", "b"), (2, 2), {key: 1})
+
+
+# -- genfun._chern_paired ------------------------------------------------------
+
+PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
+maybe_zero = st.just(Fraction(0)) | coeffs
+
+
+def reads(d, n_max):
+    """The (n, lam + n - 1) whose values _chern_paired may read."""
+    return [(n, tuple(x + n - 1 for x in pad_partition(lam, d)))
+            for n in range(1, n_max + 1) for lam in PARTITIONS[d]]
+
+
+@st.composite
+def paired_cases(draw):
+    """(chern, n_max, values): Chern data for d <= 3, some of its numbers
+    zero, and a value for every (n, lam + n - 1), zeros and mixed
+    denominators among them."""
+    d = draw(st.integers(1, 3))
+    chern = ChernData(d, {lam: draw(maybe_zero) for lam in PARTITIONS[d]})
+    n_max = draw(st.integers(0, 5))
+    return chern, n_max, {k: draw(maybe_zero) for k in reads(d, n_max)}
+
+
+@examples
+@given(case=paired_cases())
+@example(case=(ChernData(2, {}), 3,
+               {k: Fraction(k[0], 2) for k in reads(2, 3)}))
+def test_chern_paired_is_the_plain_double_sum(case):
+    chern, n_max, values = case
+    got = _chern_paired(chern, n_max, lambda n, m: values[(n, m)])
+    expected = {}
+    for n in range(1, n_max + 1):
+        total = Fraction(0)
+        for lam, w in chern.items():
+            total += w * values[(n, tuple(x + n - 1 for x in
+                                          pad_partition(lam, chern.d)))]
+        if total:
+            expected[(n,)] = total
+    assert (got.variables, got.caps, got.total_cap) == (("T",), (n_max,),
+                                                         None)
+    assert got.terms == expected
+    assert all(type(c) is Fraction for c in got.terms.values())
