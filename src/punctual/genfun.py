@@ -22,6 +22,7 @@ from math import comb, factorial, lcm, perm
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _class_generators
+from .rational import _numerators
 from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
 from .theories import (Theory, dt_vertex_theory, inertial_theory,
@@ -100,15 +101,19 @@ def _require_mult(e, chern=None, variant="sep"):
 
 
 def _chern_paired(chern, n_max, value):
-    """sum_n T^n sum_lam <m_lam> value(n, lam + (n-1)), to T^n_max."""
-    rows = [(pad_partition(lam, chern.d), w) for lam, w in chern.items() if w]
+    """sum_n T^n sum_lam <m_lam> value(n, lam + (n-1)), to T^n_max: each
+    [T^n] is one int sum over W E_n, the lcms of the <m_lam> and values."""
+    den, rows = _numerators({pad_partition(lam, chern.d): w
+                             for lam, w in chern.items() if w})
     terms = {}
     for n in range(1, n_max + 1):
-        total = _ZERO
-        for row, w in rows:
-            total += w * value(n, tuple(x + n - 1 for x in row))
+        values = [(w, value(n, tuple(x + n - 1 for x in row)))
+                  for row, w in rows.items()]
+        big = lcm(*(v.denominator for _, v in values))
+        total = sum(w * v.numerator * (big // v.denominator)
+                    for w, v in values)
         if total:
-            terms[(n,)] = total
+            terms[(n,)] = Fraction(total, den * big)
     return MultiSeries(("T",), (n_max,), terms)
 
 
@@ -144,7 +149,7 @@ def vertical_series(e, chern, n_max, path="both"):
     if path in ("both", "pair"):
         coeffs, den = _class_generators(chern, n_max)
         gens = sorted(coeffs.items())
-        values = [Fraction(e.primitive_value(*g)) for g, _ in gens]
+        values = [e.primitive_value(*g) for g, _ in gens]
         big = lcm(*(v.denominator for v in values))
         sums = {}
         for (_, (j, c)), v in zip(gens, values):

@@ -564,8 +564,10 @@ def _class_generators(chern, n_max, variant="sep"):
             for lam, val in chern.items() if val]
     den = lcm(*(val.denominator for _, val in rows))
     if variant == "nonsep":
-        return {row: (1, int(val * den)) for row, val in rows}, den
-    return {(j, tuple(x + j - 1 for x in row)): (j, int(val * den ** j))
+        return {row: (1, val.numerator * den // val.denominator)
+                for row, val in rows}, den
+    return {(j, tuple(x + j - 1 for x in row)):
+            (j, val.numerator * den ** j // val.denominator)
             for j in range(1, n_max + 1) for row, val in rows}, den
 
 

@@ -5,7 +5,8 @@ in a fixed ordered tuple of variables, together with hard truncation caps: a
 per-variable maximum exponent, and optionally a total-degree cap.  Every
 operation truncates eagerly, so term counts stay bounded and results are
 reproducible.  Values are immutable after construction and all operations
-are pure.
+are pure.  The constructor runs its per-term checks as C builtins and keeps
+a coefficient that is exactly a Fraction as given.
 
 exp and log run a layer recursion on total degree (differentiate, multiply,
 integrate back), which costs about one series multiplication in total and
@@ -34,6 +35,7 @@ most 74 bits and its denominators are at most 32.
 
 from fractions import Fraction
 from math import factorial
+from operator import le
 
 from .rational import _numerators, format_rational, parse_rational
 
@@ -122,19 +124,24 @@ class MultiSeries:
         self.total_cap = total_cap
         kept = {}
         if terms:
-            for exps, coeff in terms.items():
-                e = tuple(int(x) for x in exps)
-                if len(e) != len(variables):
+            nvars = len(caps)
+            for exps, c in terms.items():
+                e = tuple(map(int, exps))
+                if len(e) != nvars:
                     raise ValueError("exponent vector of wrong length")
-                if any(x < 0 for x in e):
+                if e and min(e) < 0:
                     raise ValueError("negative exponent")
-                if not self._admits(e):
+                if not all(map(le, e, caps)) or (
+                        total_cap is not None and sum(e) > total_cap):
                     continue
-                c = kept.get(e, _ZERO) + Fraction(coeff)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if e in kept:
+                    c += kept[e]
+                    if not c:
+                        del kept[e]
                 if c:
                     kept[e] = c
-                elif e in kept:
-                    del kept[e]
         self.terms = kept
 
     # -- constructors ------------------------------------------------------
@@ -161,11 +168,6 @@ class MultiSeries:
         return cls.monomial(variables, caps, e, 1, total_cap)
 
     # -- basics ------------------------------------------------------------
-
-    def _admits(self, e):
-        if any(x > c for x, c in zip(e, self.caps)):
-            return False
-        return self.total_cap is None or sum(e) <= self.total_cap
 
     def _degree_bound(self):
         bound = sum(self.caps)
