@@ -153,7 +153,9 @@ MUTANTS = [
         "why": "the shifted logarithm keeps terms with some m_i past "
                "n_max - 1 + d; the paired series never reads them, so only "
                "the report's terms_checked moves, and only the coarse case "
-               "of the table-route property sees it",
+               "of the table-route property and the inertial theory at "
+               "m_cap 8, whose 48 terms with n <= 3 hold only 41 within "
+               "the cap, see it",
         "file": "src/punctual/genfun.py",
         "old": "                   if 1 <= exps[0] <= n_max and max(exps[1:]) "
                "<= cap}\n",
@@ -161,6 +163,8 @@ MUTANTS = [
         "tests": [
             "tests/test_gamma_properties.py::"
             "test_gamma_matches_the_table_route[coarse]",
+            "tests/test_genfun.py::"
+            "test_gamma_checks_only_the_terms_within_its_cap[8]",
         ],
     },
     {
@@ -265,6 +269,75 @@ MUTANTS = [
             "tests/test_cli.py::test_parse_agrees_with_argparse_on_drawn_argv",
             "tests/test_cli.py::"
             "test_help_and_usage_errors_build_the_full_parser_once",
+        ],
+    },
+    {
+        "name": "series-without-total-cap",
+        "why": "the constructor keeps terms past the total-degree cap, "
+               "though every operation still truncates by it; four tests "
+               "kill it",
+        "file": "src/punctual/series.py",
+        "old": "                if not all(map(le, e, caps)) or (\n"
+               "                        total_cap is not None and sum(e) > "
+               "total_cap):\n",
+        "new": "                if not all(map(le, e, caps)):\n",
+        "tests": [
+            "tests/test_series_properties.py::"
+            "test_constructor_matches_the_reference",
+            "tests/test_series.py::test_total_cap",
+            "tests/test_series_properties.py::"
+            "test_product_matches_naive_oracle",
+        ],
+    },
+    {
+        "name": "series-without-repeat-sum",
+        "why": "a repeated exponent replaces the earlier coefficient "
+               "instead of adding to it; only a term map that spells one "
+               "exponent twice sees it (two tests)",
+        "file": "src/punctual/series.py",
+        "old": "                if e in kept:\n"
+               "                    c += kept[e]\n"
+               "                    if not c:\n"
+               "                        del kept[e]\n",
+        "new": "",
+        "tests": [
+            "tests/test_series_properties.py::"
+            "test_constructor_matches_the_reference",
+            "tests/test_series.py::"
+            "test_constructor_cancels_two_spellings_of_one_exponent",
+        ],
+    },
+    {
+        "name": "chern-paired-without-rescale",
+        "why": "each value's numerator is summed without being put over "
+               "the lcm of the order's denominators; 22 tests kill it, "
+               "the golden corpus among them",
+        "file": "src/punctual/genfun.py",
+        "old": "        total = sum(w * v.numerator * (big // v.denominator)\n",
+        "new": "        total = sum(w * v.numerator\n",
+        "tests": [
+            "tests/test_series_properties.py::"
+            "test_chern_paired_is_the_plain_double_sum",
+            "tests/test_genfun.py::test_gamma_matches_log_vertical",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "class-generators-one-power-short",
+        "why": "the weight of a generator of T-degree j takes D^(j-1), "
+               "not D^j; with integer Chern numbers D = 1 and nothing "
+               "moves, so only Chern data with a denominator sees it "
+               "(12 tests)",
+        "file": "src/punctual/hopf.py",
+        "old": "            (j, val.numerator * den ** j // val.denominator)\n",
+        "new": "            (j, val.numerator * den ** (j - 1) // "
+               "val.denominator)\n",
+        "tests": [
+            "tests/test_cli.py::test_vertical_dt_rational_chern_numbers",
+            "tests/test_hopf_properties.py::"
+            "test_vertical_classes_match_the_naive_recursion",
+            "tests/test_hopf_properties.py::"
+            "test_paired_vertical_series_matches_the_naive_pairing",
         ],
     },
 ]
