@@ -191,12 +191,6 @@ def test_constructor_refuses_a_bad_key_as_the_reference_does(case, data):
         "exponent vector of wrong length" if long else "negative exponent")
 
 
-@pytest.mark.parametrize("key", [(-1,), (1, 2, -1), ("-1",)])
-def test_a_key_of_wrong_length_and_negative_is_refused_for_its_length(key):
-    with pytest.raises(ValueError, match="^exponent vector of wrong length$"):
-        MultiSeries(("a", "b"), (2, 2), {key: 1})
-
-
 # -- genfun._chern_paired ------------------------------------------------------
 
 PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
