@@ -15,7 +15,8 @@ generator to 0; theory_exp inverts theory_log on random generator
 tables, sep and nonsep, and a random primitive table reads its entries, as
 values, primitive values and the primitive values of its exp; the element
 and tensor printers, text and JSON, give the bytes of oracles' reference
-printers."""
+printers, on drawn elements and on the 529- and 520-term outputs of two
+benchmark jobs."""
 
 import json
 from fractions import Fraction
@@ -415,11 +416,11 @@ def test_primitive_tables_read_their_entries(variant, data):
 
 @lru_cache(maxsize=None)
 def runs(d, variant):
-    """Monomials of up to three runs of one factor each, a run up to three
+    """Monomials of up to four runs of one factor each, a run up to five
     long, so that f^k and the unit monomial both occur."""
     factor = rows(d) if variant == "nonsep" else st.tuples(st.integers(1, 3),
                                                            rows(d))
-    return st.lists(st.tuples(factor, st.integers(1, 3)), max_size=3).map(
+    return st.lists(st.tuples(factor, st.integers(1, 5)), max_size=4).map(
         lambda rs: tuple(sorted(g for g, k in rs for _ in range(k))))
 
 
@@ -436,12 +437,12 @@ def test_printers_match_the_reference_printers(kind, data):
     mons = runs(d, variant)
     if kind == "element":
         x = HopfElement(d, variant, basis, data.draw(
-            st.dictionaries(mons, printed_coeffs, max_size=6)))
+            st.dictionaries(mons, printed_coeffs, max_size=8)))
         printers = element_pretty, element_to_obj
         references = oracles.element_pretty, oracles.element_to_obj
     else:
         terms = data.draw(st.dictionaries(st.tuples(mons, mons),
-                                          printed_coeffs, max_size=6))
+                                          printed_coeffs, max_size=8))
         # the unit monomial on the left and on the right
         mon, c = data.draw(mons), data.draw(printed_coeffs)
         terms[(), mon] = terms[mon, ()] = c
@@ -450,6 +451,35 @@ def test_printers_match_the_reference_printers(kind, data):
         references = oracles.tensor_pretty, oracles.tensor_to_obj
     pretty, to_obj = printers
     ref_pretty, ref_to_obj = references
+    assert pretty(x) == ref_pretty(x)
+    assert (json.dumps(to_obj(x), indent=2) ==
+            json.dumps(ref_to_obj(x), indent=2))
+
+
+def _hopf_ops_element(d, monomials):
+    return HopfElement(d, "sep", "q", {
+        mon: c for mon, c in zip(monomials, (Fraction(2, 3), Fraction(-5, 2),
+                                             Fraction(7, 3)))})
+
+
+@pytest.mark.parametrize("kind", ["to_p", "coproduct"])
+def test_printers_match_the_reference_printers_on_large_outputs(kind):
+    """The elements of the benchmark's to-p and coproduct jobs at d = 2:
+    to_p of q_{6,(3,3)} plus two products (529 terms) and the coproduct
+    of a sum of two products (520 terms)."""
+    if kind == "to_p":
+        x = _hopf_ops_element(2, (((6, (3, 3)),),
+                                  ((2, (1, 1)), (4, (3, 2))),
+                                  ((3, (1, 0)), (3, (2, 1))))).to_p()
+        pretty, ref_pretty = element_pretty, oracles.element_pretty
+        to_obj, ref_to_obj = element_to_obj, oracles.element_to_obj
+    else:
+        x = _hopf_ops_element(2, (((3, (2, 1)), (3, (3, 2))),
+                                  ((2, (1, 0)), (2, (1, 1)),
+                                   (2, (2, 2))))).coproduct()
+        pretty, ref_pretty = tensor_pretty, oracles.tensor_pretty
+        to_obj, ref_to_obj = tensor_to_obj, oracles.tensor_to_obj
+    assert len(x.terms) == {"to_p": 529, "coproduct": 520}[kind]
     assert pretty(x) == ref_pretty(x)
     assert (json.dumps(to_obj(x), indent=2) ==
             json.dumps(ref_to_obj(x), indent=2))
