@@ -227,16 +227,17 @@ MUTANTS = [
     {
         "name": "printer-hom-degree-from-n",
         "why": "the printer sorts by a factor's first entry in place of its "
-               "homological degree; only the tensor case of the printer "
-               "property and the golden corpus see it",
+               "homological degree; only the printer property, its two "
+               "large fixed cases and the golden corpus see it",
         "file": "src/punctual/hopf.py",
-        "old": "                                  *_monomial_key((g,), "
-               "variant)[:2])\n",
-        "new": "                                  _monomial_key((g,), "
-               "variant)[0], g[0])\n",
+        "old": "                                  monomial_hom_degree((g,), "
+               "variant), flat)\n",
+        "new": "                                  g[0], flat)\n",
         "tests": [
             "tests/test_hopf_properties.py::"
-            "test_printers_match_the_reference_printers[tensor]",
+            "test_printers_match_the_reference_printers",
+            "tests/test_hopf_properties.py::"
+            "test_printers_match_the_reference_printers_on_large_outputs",
             "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
         ],
     },
@@ -338,6 +339,70 @@ MUTANTS = [
             "test_vertical_classes_match_the_naive_recursion",
             "tests/test_hopf_properties.py::"
             "test_paired_vertical_series_matches_the_naive_pairing",
+        ],
+    },
+    {
+        "name": "check-antipode-always-true",
+        "why": "single-kill: every other test only asserts that checks "
+               "pass, so only the two gates that hand check_antipode a "
+               "wrong coproduct or a sign-flipped antipode see it",
+        "file": "src/punctual/axioms.py",
+        "old": "    return acc == HopfElement.unit(x.d, x.variant, "
+               "x.basis).scaled(x.counit())\n",
+        "new": "    return True\n",
+        "tests": [
+            "tests/test_axioms.py::"
+            "test_checks_fail_on_a_wrong_coproduct[antipode]",
+            "tests/test_axioms.py::"
+            "test_antipode_check_fails_on_a_wrong_antipode",
+        ],
+    },
+    {
+        "name": "suite-hands-y-coproduct-as-x",
+        "why": "the suite checks x against the coproduct of y, so every "
+               "check that takes it fails on the first element (seven "
+               "tests kill it, four listed)",
+        "file": "src/punctual/axioms.py",
+        "old": "                dx = x.coproduct()\n",
+        "new": "                dx = y.coproduct()\n",
+        "tests": [
+            "tests/test_axioms.py::test_suite_counts",
+            "tests/test_acceptance.py::test_criterion_1_hopf_axioms",
+            "tests/test_cli.py::test_axioms",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "monomial-coproduct-left-factor-right",
+        "why": "each step inserts the left factor into the right side too "
+               "(26 tests kill it, four listed)",
+        "file": "src/punctual/hopf.py",
+        "old": "                key = (_insert(l, gl), _insert(r, gr))\n",
+        "new": "                key = (_insert(l, gl), _insert(r, gl))\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_monomial_coproducts_match_the_splitting_oracle",
+            "tests/test_hopf_properties.py::"
+            "test_structure_maps_match_the_fraction_oracles[coproduct]",
+            "tests/test_point_eval.py::test_coproduct_at_two_points",
+            "tests/test_axioms.py::test_suite_counts",
+        ],
+    },
+    {
+        "name": "antipode-images-keyed-by-right",
+        "why": "check_antipode multiplies S(right) into the right monomial; "
+               "a coproduct has the same monomials on both sides, so no "
+               "lookup fails and only the value is wrong (nine tests kill "
+               "it, four listed)",
+        "file": "src/punctual/axioms.py",
+        "old": "        den, s = images[pair[0]]\n",
+        "new": "        den, s = images[pair[1]]\n",
+        "tests": [
+            "tests/test_axioms.py::test_individual_checks",
+            "tests/test_axioms.py::test_suite_counts",
+            "tests/test_axioms.py::"
+            "test_checks_fail_on_a_wrong_coproduct[antipode]",
+            "tests/test_acceptance.py::test_criterion_1_hopf_axioms",
         ],
     },
 ]

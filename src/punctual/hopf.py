@@ -42,9 +42,9 @@ or the number of factors (nonsep); homological degree is twice the sum of
 all column entries; total degree is homological minus 2*d*(cycle degree).
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import factorial, lcm, perm
 
 from .combinat import pad_partition, vector_splittings
@@ -353,13 +353,14 @@ class TensorElement:
         return self._like({(r, l): c for (l, r), c in self.terms.items()})
 
     def left_counit(self):
-        """Apply the counit to the left slot, landing back in the algebra."""
+        """Apply the counit to the left slot, landing back in the algebra:
+        the terms 1 ox r, as r."""
         return _built(HopfElement, self.d, self.variant, self.basis,
-                      _linear(self.terms,
-                              lambda lr: (1, {} if lr[0] else {lr[1]: 1})))
+                      {r: c for (l, r), c in self.terms.items() if not l})
 
     def right_counit(self):
-        return self.swap().left_counit()
+        return _built(HopfElement, self.d, self.variant, self.basis,
+                      {l: c for (l, r), c in self.terms.items() if not r})
 
 
 def tensor(a, b):
@@ -373,8 +374,8 @@ def tensor(a, b):
 
 def _built(cls, d, variant, basis, terms):
     """A HopfElement or TensorElement holding terms as given, canonical keys
-    to nonzero Fractions: a term map from _linear, a relabelling of one or
-    the vertical classes.  Nothing is checked or filtered."""
+    to nonzero Fractions: a term map from _linear, a relabelling or part of
+    one, or the vertical classes.  Nothing is checked or filtered."""
     out = object.__new__(cls)
     out.d, out.variant, out.basis, out.terms = d, variant, basis, terms
     return out
@@ -409,7 +410,8 @@ def _generator_coproduct(n, m):
 
 @lru_cache(maxsize=None)
 def _monomial_coproduct(variant, mon):
-    """Coproduct of a monomial as a map (left mono, right mono) -> count."""
+    """Coproduct of a monomial as a map (left mono, right mono) -> count;
+    each factor's splittings add at most one factor to either side."""
     pairs = {((), ()): 1}
     for g in mon:
         if variant == "sep":
@@ -419,10 +421,18 @@ def _monomial_coproduct(variant, mon):
         nxt = {}
         for (l, r), c in pairs.items():
             for gl, gr, w in opts:
-                key = (tuple(sorted(l + gl)), tuple(sorted(r + gr)))
+                key = (_insert(l, gl), _insert(r, gr))
                 nxt[key] = nxt.get(key, 0) + c * w
         pairs = nxt
     return pairs
+
+
+def _insert(mon, part):
+    """The sorted monomial mon with part's factor (it has at most one)."""
+    if not part:
+        return mon
+    i = bisect(mon, part[0])
+    return mon[:i] + part + mon[i:]
 
 
 def _poly_mul(a, b):
@@ -452,17 +462,19 @@ def _linear(terms, image):
     return {k: fracs[c] for k, c in acc.items() if c}
 
 
+def _expand(mon, expander):
+    """Each factor g of mon replaced by expander(*g), integer numerators
+    (e, {monomial: int}) over e, and multiplied out: (prod e, {mon: int})."""
+    den, prod = 1, {(): 1}
+    for g in mon:
+        e, img = expander(*g)
+        den, prod = den * e, _poly_mul(prod, img)
+    return den, prod
+
+
 def _substitute(terms, expander):
-    """Replace each factor g of every monomial by expander(*g), integer
-    numerators (e, {monomial: int}) over e, and multiply out: the products
-    of the numerators over the products of the e, summed by _linear."""
-    def image(mon):
-        den, prod = 1, {(): 1}
-        for g in mon:
-            e, img = expander(*g)
-            den, prod = den * e, _poly_mul(prod, img)
-        return den, prod
-    return _linear(terms, image)
+    """_expand on every monomial of terms, summed by _linear."""
+    return _linear(terms, lambda mon: _expand(mon, expander))
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +500,8 @@ def _layer(k, n, m):
         for n1 in range(1, n - k + 2):
             g = (n1, a)
             for mon, c in _layer(k - 1, n - n1, b).items():
-                mon = tuple(sorted(mon + (g,)))
+                i = bisect(mon, g)
+                mon = mon[:i] + (g,) + mon[i:]
                 acc[mon] = acc.get(mon, 0) + w * c
     return acc
 
@@ -722,27 +735,34 @@ def _factor_pretty(g, variant, basis):
 
 
 def _printer(variant, basis):
-    """info(mon) -> (_monomial_key(mon), text) for one print call, the text
-    a sorted monomial's factors joined by "*", a run of k equal ones as f^k,
-    the unit as "1".  Each distinct monomial and factor is worked out once,
-    in caches that die with the call; the key's degrees are summed from the
-    factors' own."""
+    """info(mon) -> (key, text) for one print call, in one walk of a sorted
+    monomial: key = (cycle degree, hom degree, *every factor's entries),
+    which sorts as _monomial_key does because all factors of a context
+    have one width, and text its factors joined by "*", a run of k equal
+    ones as f^k, the unit as "1".  Each distinct monomial and factor is
+    worked out once, in caches that die with the call."""
     factors, seen = {}, {}
 
     def info(mon):
         out = seen.get(mon)
         if out is None:
-            parts, cyc, hom = [], 0, 0
-            for g, run in groupby(mon):
+            parts, entries, cyc, hom, k = [], [], 0, 0, 1
+            for g, after in zip(mon, mon[1:] + (None,)):
+                if g == after:  # a run goes on
+                    k += 1
+                    continue
                 if g not in factors:
+                    flat = (g[0], *g[1]) if variant == "sep" else g
                     factors[g] = (_factor_pretty(g, variant, basis),
-                                  *_monomial_key((g,), variant)[:2])
-                f, g_cyc, g_hom = factors[g]
-                k = len(tuple(run))
+                                  monomial_cycle_degree((g,), variant),
+                                  monomial_hom_degree((g,), variant), flat)
+                f, g_cyc, g_hom, flat = factors[g]
                 parts.append(f if k == 1 else "%s^%d" % (f, k))
+                entries += flat * k
                 cyc += k * g_cyc
                 hom += k * g_hom
-            out = seen[mon] = ((cyc, hom, mon), "*".join(parts) or "1")
+                k = 1
+            out = seen[mon] = ((cyc, hom, *entries), "*".join(parts) or "1")
         return out
     return info
 
@@ -751,16 +771,23 @@ def element_pretty(x):
     if not x.terms:
         return "0"
     info = _printer(x.variant, x.basis)
-    return " + ".join(
-        format_rational(c) + "*" + info(mon)[1] if mon else format_rational(c)
-        for mon, c in sorted(x.terms.items(), key=lambda mc: info(mc[0])[0]))
+    rows = []
+    for mon, c in x.terms.items():
+        key, text = info(mon)
+        c = "%d/%d" % (c.numerator, c.denominator)
+        rows.append((key, c + "*" + text if mon else c))
+    rows.sort()  # keys are distinct, so no text is compared
+    return " + ".join(text for _, text in rows)
 
 
 def tensor_pretty(t):
     if not t.terms:
         return "0"
     info = _printer(t.variant, t.basis)
-    return " + ".join(
-        "%s*%s(x)%s" % (format_rational(c), info(l)[1], info(r)[1])
-        for (l, r), c in sorted(t.terms.items(), key=lambda lrc: (
-            info(lrc[0][0])[0], info(lrc[0][1])[0])))
+    rows = []
+    for (l, r), c in t.terms.items():
+        (l_key, l_text), (r_key, r_text) = info(l), info(r)
+        rows.append((l_key, r_key, "%d/%d*%s(x)%s" % (
+            c.numerator, c.denominator, l_text, r_text)))
+    rows.sort()  # key pairs are distinct, so no text is compared
+    return " + ".join(text for _, _, text in rows)

@@ -44,7 +44,7 @@ def test_suite_counts():
 
 
 def test_suite_names_a_failing_check(monkeypatch):
-    monkeypatch.setattr(axioms, "check_counit", lambda x: False)
+    monkeypatch.setattr(axioms, "check_counit", lambda x, *rest: False)
     with pytest.raises(AssertionError,
                        match=r"^counit fails for \{.*\} \(d=1, sep\)$"):
         run_axiom_suite(random.Random(1), dims=(1,), variants=("sep",),
