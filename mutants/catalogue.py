@@ -330,9 +330,8 @@ MUTANTS = [
                "moves, so only Chern data with a denominator sees it "
                "(12 tests)",
         "file": "src/punctual/hopf.py",
-        "old": "            (j, val.numerator * den ** j // val.denominator)\n",
-        "new": "            (j, val.numerator * den ** (j - 1) // "
-               "val.denominator)\n",
+        "old": "(j, c * den ** (j - 1))\n",
+        "new": "(j, c * den ** (j - 1) // den)\n",
         "tests": [
             "tests/test_cli.py::test_vertical_dt_rational_chern_numbers",
             "tests/test_hopf_properties.py::"

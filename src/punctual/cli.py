@@ -25,9 +25,8 @@ from .genfun import (IDENTITY_NAMES, _PathsDisagreeError, curve_series,
 from .hopf import (_factor_pretty, element_from_obj, element_pretty,
                    element_to_obj, tensor_pretty, tensor_to_obj)
 from .rational import format_rational, parse_rational
-from .series import MultiSeries
 from .symfunc import parse_chern_arg
-from .theories import eval_theory, theory_from_spec
+from .theories import _unit_class, eval_theory, theory_from_spec
 
 
 def _load_json_arg(text):
@@ -181,11 +180,8 @@ def _run_verify(args):
     elif name == "inertial-power":
         d = _need(args, "d", "--d")
         _at_least("--d", d, 1)
-        coeffs = [parse_rational(c) for c in
-                  _need(args, "unit_class", "--class").split(",")]
-        cap = max(len(coeffs) - 1, 1)
-        P = MultiSeries(("U",), (cap,),
-                        {(j,): c for j, c in enumerate(coeffs)})
+        P = _unit_class([parse_rational(c) for c in
+                         _need(args, "unit_class", "--class").split(",")])
         params.update(P=P, chern=parse_chern_arg(d, _need(args, "chern",
                                                           "--chern")))
     elif name == "dt-degree-zero":

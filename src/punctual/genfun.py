@@ -22,7 +22,7 @@ from math import comb, factorial, lcm, perm
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _class_generators
-from .rational import _numerators
+from .rational import _nonneg_int, _numerators
 from .series import MultiSeries, _macmahon_log
 from .symfunc import ChernData
 from .theories import (Theory, dt_vertex_theory, inertial_theory,
@@ -321,11 +321,9 @@ def verify_identity(name, **params):
         rhs = (_macmahon_log(n_max, -1) * exponent).exp()
         return IdentityReport(name, lhs, rhs)
     if name == "ck-bivariate":
-        k = int(params["k"])
+        k = _nonneg_int(params["k"], "k")
         n_max = int(params["n_max"])
         m_max = int(params.get("m_max", n_max))
-        if k < 0:
-            raise ValueError("k must be >= 0")
         # the binomial closed form, not ck_theory's table: that is the exp
         # of T (1+U)^k, the same route as the rhs
         lhs = MultiSeries(("T", "U"), (n_max, m_max), {

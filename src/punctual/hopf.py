@@ -48,7 +48,7 @@ from functools import lru_cache
 from math import factorial, lcm, perm
 
 from .combinat import pad_partition, vector_splittings
-from .rational import _numerators, format_rational, parse_rational
+from .rational import _nonneg_int, _numerators, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -99,9 +99,7 @@ def _check_nonsep_factor(g, d):
 
 def _context(d, variant, basis):
     """The dimension d as an int, once (d, variant, basis) is checked."""
-    d = int(d)
-    if d < 0:
-        raise ValueError("dimension must be >= 0")
+    d = _nonneg_int(d, "dimension")
     if variant not in ("sep", "nonsep"):
         raise ValueError("variant must be 'sep' or 'nonsep'")
     if basis not in ("q", "p"):
@@ -568,20 +566,15 @@ def _class_generators(chern, n_max, variant="sep"):
     the Chern numbers' denominators: a map from each sep generator
     g = p_{j, lam+j-1} (nonsep: g = q_lam, j = 1) to its T-degree j and
     integer weight c_g = <m_lam> D^j."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _nonneg_int(n_max, "n_max")
     if variant not in ("sep", "nonsep"):
         raise ValueError("variant must be 'sep' or 'nonsep'")
-    rows = [(pad_partition(lam, chern.d), val)
-            for lam, val in chern.items() if val]
-    den = lcm(*(val.denominator for _, val in rows))
+    den, rows = _numerators({pad_partition(lam, chern.d): val
+                             for lam, val in chern.items() if val})
     if variant == "nonsep":
-        return {row: (1, val.numerator * den // val.denominator)
-                for row, val in rows}, den
-    return {(j, tuple(x + j - 1 for x in row)):
-            (j, val.numerator * den ** j // val.denominator)
-            for j in range(1, n_max + 1) for row, val in rows}, den
+        return {row: (1, c) for row, c in rows.items()}, den
+    return {(j, tuple(x + j - 1 for x in row)): (j, c * den ** (j - 1))
+            for j in range(1, n_max + 1) for row, c in rows.items()}, den
 
 
 def vertical_element(chern, n_max, variant="sep"):

@@ -5,7 +5,8 @@ precision, automatically in lowest terms, positive denominator.  No floating
 point is used anywhere.  The two helpers below fix the one serialization
 format, "num/den" with the denominator always written (possibly "/1"), so
 that output is byte-identical across runs; _numerators puts a coefficient
-map over one denominator for the integer kernels.
+map over one denominator for the integer kernels, and _nonneg_int is the one
+check of a count, cap or dimension given by a caller.
 """
 
 import re
@@ -56,3 +57,11 @@ def _numerators(terms):
     den = lcm(*(c.denominator for c in terms.values()))
     return den, {k: c.numerator * (den // c.denominator)
                  for k, c in terms.items()}
+
+
+def _nonneg_int(x, what):
+    """x as an int, or ValueError("<what> must be >= 0") below zero."""
+    x = int(x)
+    if x < 0:
+        raise ValueError("%s must be >= 0" % what)
+    return x

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import factorial
 from operator import le
 
-from .rational import _numerators, format_rational, parse_rational
+from .rational import _nonneg_int, _numerators, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -116,9 +116,7 @@ class MultiSeries:
         if any(c < 0 for c in caps):
             raise ValueError("caps must be >= 0")
         if total_cap is not None:
-            total_cap = int(total_cap)
-            if total_cap < 0:
-                raise ValueError("total cap must be >= 0")
+            total_cap = _nonneg_int(total_cap, "total cap")
         self.variables = variables
         self.caps = caps
         self.total_cap = total_cap
@@ -360,9 +358,7 @@ def _macmahon_log(cap, sign=1):
     """log M(sign*T) to T^cap, M the MacMahon series: the sum of
     sign^n sigma_2(n)/n T^n, sigma_2(n) the sum of the squares of the
     divisors of n."""
-    cap = int(cap)
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
+    cap = _nonneg_int(cap, "cap")
     return MultiSeries(("T",), (cap,), {(n,): Fraction(sign ** n * sum(
         j * j for j in range(1, n + 1) if n % j == 0), n)
         for n in range(1, cap + 1)})

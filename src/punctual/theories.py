@@ -32,7 +32,7 @@ from math import comb, factorial, prod
 
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
-from .rational import _numerators, parse_rational
+from .rational import _nonneg_int, _numerators, parse_rational
 from .series import MultiSeries, _macmahon_log
 
 _ZERO = Fraction(0)
@@ -222,6 +222,13 @@ def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
                   prim_fn=side)
 
 
+def _unit_class(coeffs):
+    """The class P = sum_j c_j x^j of the coefficients c_0, c_1, ..., to
+    x^max(len - 1, 1)."""
+    return MultiSeries(("x",), (max(len(coeffs) - 1, 1),),
+                       {(j,): c for j, c in enumerate(coeffs)})
+
+
 def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
     """The multiplicative class theory of P: its table is
     F = exp(T P(U1)...P(Ud)), so the value on q_{n,m} is 1/n! times
@@ -235,9 +242,7 @@ def mult_class_theory(P, d, n_cap, m_cap, label=None, variant="sep"):
 def ck_theory(k, d, n_cap, m_cap, variant="sep"):
     """The k-th Chern class theory, P = (1+x)^k: values
     1/n! prod binom(k n, m_i)."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _nonneg_int(k, "k")
     # (1+x)^k is read only to x^m_cap
     cap = max(m_cap, 0)
     P = MultiSeries(("x",), (cap,),
@@ -251,9 +256,7 @@ def ek_theory(k, d, n_cap, m_cap):
     F = exp(T (U1...Ud)^k), so the value on q_{n,m} is 1/n! if every
     m_i = k n and zero otherwise.  (Not a unit class, so this does not
     factor through mult_class_theory.)"""
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _nonneg_int(k, "k")
     return _class_theory(MultiSeries.monomial(("x",), (k,), (k,)), d, n_cap,
                          m_cap, "e^%d" % k)
 
@@ -264,9 +267,7 @@ def coarse_curve_theory(k, kind, n_cap, m_cap):
     kind "chern":  <e, q_{n,m}> = 1/n! [T^m] prod_{i=1..n} (1+iT)^k
     kind "euler":  <e, q_{n,m}> = (n!)^(k-1) if m = nk else 0
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _nonneg_int(k, "k")
     variables, caps = _frame(1, n_cap, m_cap)
     cells = {(0, 0): 1}
     if kind == "chern":
@@ -418,11 +419,8 @@ def theory_from_spec(spec, d, n_cap, m_cap, variant="sep"):
             raise ValueError("the vertex theory needs d = 3")
         return dt_vertex_theory(n_cap, m_cap)
     if form == "mult_class":
-        coeffs = [_spec_rational(c, "mult_class coefficient %d" % i)
-                  for i, c in enumerate(spec["mult_class"], 1)]
-        cap = max(len(coeffs) - 1, 1)
-        P = MultiSeries(("x",), (cap,),
-                        {(j,): c for j, c in enumerate(coeffs)})
+        P = _unit_class([_spec_rational(c, "mult_class coefficient %d" % i)
+                         for i, c in enumerate(spec["mult_class"], 1)])
         return mult_class_theory(P, d, n_cap, m_cap, variant=variant)
     entries = []
     for i, row in enumerate(spec["table"], 1):
