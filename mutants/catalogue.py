@@ -404,4 +404,47 @@ MUTANTS = [
             "tests/test_acceptance.py::test_criterion_1_hopf_axioms",
         ],
     },
+    {
+        "name": "nonneg-int-admits-minus-one",
+        "why": "the one check of d, k, cap, total cap and n_max lets -1 "
+               "through; the exact-message refusals at -1 see it (a k of "
+               "-2 is still refused, so the coarse Euler refusal does not)",
+        "file": "src/punctual/rational.py",
+        "old": "    if x < 0:\n",
+        "new": "    if x < -1:\n",
+        "tests": [
+            "tests/test_hopf.py::test_refusals",
+            "tests/test_series.py::test_constructor_refusals",
+            "tests/test_series.py::test_refusals",
+            "tests/test_theories.py::test_ek_values",
+            "tests/test_theories.py::test_coarse_chern_values",
+            "tests/test_genfun.py::test_refusals",
+        ],
+    },
+    {
+        "name": "nonneg-int-truncates",
+        "why": "the one check of d, k, cap, total cap and n_max truncates "
+               "2.5 to 2 instead of refusing it; single-kill: only the "
+               "non-integer refusals pass such a value",
+        "file": "src/punctual/rational.py",
+        "old": "    x = index(x)\n",
+        "new": "    x = int(x)\n",
+        "tests": [
+            "tests/test_theories.py::"
+            "test_a_non_integer_count_is_refused_not_truncated",
+        ],
+    },
+    {
+        "name": "factor-entries-any-number",
+        "why": "a sep factor's exponent entries are only compared with 0, "
+               "so a float entry is stored and breaks the coproduct later; "
+               "single-kill: every other key is built from ints",
+        "file": "src/punctual/hopf.py",
+        "old": "any(type(x) is not int or x < 0 for x in m)",
+        "new": "any(x < 0 for x in m)",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_constructor_refuses_non_integer_factor_entries",
+        ],
+    },
 ]

@@ -1,10 +1,10 @@
 """Run the seeded mutants of mutants/catalogue.py against their tests.
 
-For each entry (or only those named on the command line) this copies
-src/, tests/, pyproject.toml and README.md to a temporary directory,
-replaces the entry's old snippet with its new one there, runs pytest on the
-entry's tests only, and prints one row per mutant, with how many of its
-listed tests failed:
+For each entry (or only those the command line names, by mutant name or
+by the src file they edit) this copies src/, tests/, pyproject.toml and
+README.md to a temporary directory, replaces the entry's old snippet with
+its new one there, runs pytest on the entry's tests only, and prints one
+row per mutant, with how many of its listed tests failed:
 
     killed    at least one listed test failed
     SURVIVED  every listed test passed
@@ -12,10 +12,11 @@ listed tests failed:
               not run the tests (a node id that no longer exists, say)
     timeout   the tests ran past the time limit (counted as killed)
 
-    python3 mutants/run.py [name ...]
+    python3 mutants/run.py [name | src/punctual/FILE.py ...]
 
-Standard library and pytest only.  Exits 1 if any mutant survived or
-errored, else 0.
+Selecting by file is a quick check while editing that file; the run of
+every entry is the gate.  Standard library and pytest only.  Exits 1 if any
+mutant survived or errored, else 0.
 """
 
 import ast
@@ -74,15 +75,17 @@ def run_one(entry):
     return {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR"), killers
 
 
-def main(names):
+def main(args):
     entries = load_catalogue()
-    unknown = set(names) - {e["name"] for e in entries}
+    unknown = set(args) - {e["name"] for e in entries} - {
+        e["file"] for e in entries}
     if unknown:
-        raise SystemExit("no such mutant: %s" % ", ".join(sorted(unknown)))
+        raise SystemExit("no mutant is named or edits: %s" %
+                         ", ".join(sorted(unknown)))
     bad = 0
     width = max(len(e["name"]) for e in entries)
     for entry in entries:
-        if names and entry["name"] not in names:
+        if args and entry["name"] not in args and entry["file"] not in args:
             continue
         outcome, killers = run_one(entry)
         bad += outcome in ("SURVIVED", "ERROR")

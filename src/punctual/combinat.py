@@ -8,6 +8,7 @@ for dictionary keys.
 
 import itertools
 from math import factorial
+from operator import index
 
 
 def pad_partition(lam, d):
@@ -41,7 +42,7 @@ def partitions_of(k, max_parts, max_part=None):
     >>> partitions_of(0, 2)
     [()]
     """
-    k = int(k)
+    k = index(k)
     if k < 0 or max_parts < 1:
         raise ValueError("need k >= 0 and max_parts >= 1")
     bound = k if max_part is None else min(k, max_part)
@@ -91,7 +92,7 @@ def vector_splittings(v):
     >>> vector_splittings((1,))
     [((0,), (1,)), ((1,), (0,))]
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(map(index, v))
     if any(x < 0 for x in v):
         raise ValueError("negative entry")
     out = []

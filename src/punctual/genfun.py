@@ -19,6 +19,7 @@ the shift) is checked term by term.
 
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
+from operator import index
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _class_generators
@@ -294,14 +295,14 @@ def verify_identity(name, **params):
     if name == "curve-vertical":
         e = params["theory"]
         chi = Fraction(params["chi"])
-        n_max = int(params["n_max"])
+        n_max = index(params["n_max"])
         chern = ChernData(1, {(1,): chi})
         return IdentityReport(name, curve_series(e, chi, n_max),
                               vertical_series(e, chern, n_max))
     if name == "inertial-power":
         P = params["P"]
         chern = params["chern"]
-        n_max = int(params["n_max"])
+        n_max = index(params["n_max"])
         d = chern.d
         e = inertial_theory(P, d, n_max, n_max - 1 + d)
         lhs = vertical_series(e, chern, n_max)
@@ -311,7 +312,7 @@ def verify_identity(name, **params):
         return IdentityReport(name, lhs, rhs)
     if name == "dt-degree-zero":
         chern = params["chern"]
-        n_max = int(params["n_max"])
+        n_max = index(params["n_max"])
         if chern.d != 3:
             raise ContextMismatchError("the vertex identity needs d = 3")
         e = dt_vertex_theory(n_max, n_max - 1 + 3)
@@ -322,8 +323,8 @@ def verify_identity(name, **params):
         return IdentityReport(name, lhs, rhs)
     if name == "ck-bivariate":
         k = _nonneg_int(params["k"], "k")
-        n_max = int(params["n_max"])
-        m_max = int(params.get("m_max", n_max))
+        n_max = index(params["n_max"])
+        m_max = index(params.get("m_max", n_max))
         # the binomial closed form, not ck_theory's table: that is the exp
         # of T (1+U)^k, the same route as the rhs
         lhs = MultiSeries(("T", "U"), (n_max, m_max), {
@@ -337,7 +338,7 @@ def verify_identity(name, **params):
     if name == "gamma-vertical":
         e = params["theory"]
         chern = params["chern"]
-        n_max = int(params["n_max"])
+        n_max = index(params["n_max"])
         lhs, _report = gamma_integral_series(e, chern, n_max)
         rhs = vertical_series(e, chern, n_max).log()
         return IdentityReport(name, lhs, rhs)

@@ -46,6 +46,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, perm
+from operator import index
 
 from .combinat import pad_partition, vector_splittings
 from .rational import _nonneg_int, _numerators, format_rational, parse_rational
@@ -66,8 +67,8 @@ def canonical_generator(n, m):
     n >= 1, the empty monomial () (the unit) for (0, 0), and None (the
     zero element, which has no monomial) for n = 0 with m nonzero.
     """
-    n = int(n)
-    m = tuple(map(int, m))
+    n = index(n)
+    m = tuple(map(index, m))
     if n < 0 or min(m, default=0) < 0:
         raise ValueError("negative entry in generator index")
     if n == 0:
@@ -78,7 +79,7 @@ def canonical_generator(n, m):
 def _canonical_nonsep(lam, d):
     """Canonical form of a nonsep index: lam sorted decreasingly and padded
     with zeros to length d."""
-    lam = tuple(sorted(map(int, lam), reverse=True))
+    lam = tuple(sorted(map(index, lam), reverse=True))
     if lam and lam[-1] < 0:
         raise ValueError("negative part in partition %r" % (lam,))
     return pad_partition(lam, d)
@@ -86,14 +87,16 @@ def _canonical_nonsep(lam, d):
 
 def _check_sep_factor(g, d):
     n, m = g
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ValueError("sep factor needs multiplicity >= 1, got %r" % (g,))
-    if len(m) != d or any(x < 0 for x in m) or list(m) != sorted(m, reverse=True):
+    if len(m) != d or any(type(x) is not int or x < 0 for x in m) or (
+            list(m) != sorted(m, reverse=True)):
         raise ValueError("bad exponent vector in %r for d=%d" % (g, d))
 
 
 def _check_nonsep_factor(g, d):
-    if len(g) != d or any(x < 0 for x in g) or list(g) != sorted(g, reverse=True):
+    if len(g) != d or any(type(x) is not int or x < 0 for x in g) or (
+            list(g) != sorted(g, reverse=True)):
         raise ValueError("bad nonsep factor %r for d=%d" % (g, d))
 
 
@@ -598,7 +601,7 @@ def vertical_element(chern, n_max, variant="sep"):
     because sum k_g <= m.
     """
     coeffs, den = _class_generators(chern, n_max, variant)
-    n_max = int(n_max)
+    n_max = index(n_max)
     vs = [{(): 1}] + [{} for _ in range(n_max)]
     for g in sorted(coeffs, reverse=True):
         j, c = coeffs[g]

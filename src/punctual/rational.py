@@ -12,6 +12,7 @@ check of a count, cap or dimension given by a caller.
 import re
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 Rational = Fraction
 
@@ -61,7 +62,7 @@ def _numerators(terms):
 
 def _nonneg_int(x, what):
     """x as an int, or ValueError("<what> must be >= 0") below zero."""
-    x = int(x)
+    x = index(x)
     if x < 0:
         raise ValueError("%s must be >= 0" % what)
     return x

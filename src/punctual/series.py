@@ -35,7 +35,7 @@ most 74 bits and its denominators are at most 32.
 
 from fractions import Fraction
 from math import factorial
-from operator import le
+from operator import index, le
 
 from .rational import _nonneg_int, _numerators, format_rational, parse_rational
 
@@ -110,7 +110,7 @@ class MultiSeries:
 
     def __init__(self, variables, caps, terms=None, total_cap=None):
         variables = tuple(str(v) for v in variables)
-        caps = tuple(int(c) for c in caps)
+        caps = tuple(map(index, caps))
         if len(caps) != len(variables):
             raise ValueError("need one cap per variable")
         if any(c < 0 for c in caps):
@@ -246,7 +246,7 @@ class MultiSeries:
 
     def __pow__(self, k):
         """Integer power by repeated squaring (k >= 0)."""
-        k = int(k)
+        k = index(k)
         if k < 0:
             raise ValueError("negative integer power, use pow() with a Fraction")
         out = MultiSeries.one(self.variables, self.caps, self.total_cap)

@@ -16,7 +16,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, index
 
 from .combinat import canonical_partition, pad_partition, partitions_of
 from .rational import format_rational, parse_rational
@@ -90,7 +90,7 @@ class ChernData:
     __slots__ = ("d", "monomial_numbers")
 
     def __init__(self, d, monomial_numbers):
-        d = int(d)
+        d = index(d)
         if d < 1:
             raise ValueError("dimension must be positive")
         values = dict.fromkeys(partitions_of(d, d), Fraction(0))

@@ -29,6 +29,7 @@ CapError rather than truncating silently.
 import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import index
 
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
@@ -75,7 +76,7 @@ class Theory:
         if (gen_fn is None) == (prim_fn is None):
             raise ValueError("need exactly one of a generator table and a "
                              "primitive table")
-        self.d = int(d)
+        self.d = index(d)
         self.variant = variant
         self.kind = kind
         self.label = label or kind
@@ -83,8 +84,8 @@ class Theory:
         if not isinstance(side, MultiSeries):
             raise ValueError("a theory's side is a MultiSeries, got %r" %
                              (side,))
-        self.n_cap = int(n_cap)
-        self.m_cap = int(m_cap)
+        self.n_cap = index(n_cap)
+        self.m_cap = index(m_cap)
         want = _frame(self.d, self.n_cap, self.m_cap, variant) + (None,)
         got = side.variables, side.caps, side.total_cap
         if got != want:
@@ -105,7 +106,7 @@ class Theory:
         caps."""
         if self.variant != "sep":
             raise ContextMismatchError("%s is a nonsep theory" % self.label)
-        e = (int(n),) + tuple(map(int, m))
+        e = (index(n),) + tuple(map(index, m))
         if len(e) != self.d + 1:
             raise ValueError("exponent vector of length %d, expected %d" %
                              (len(e) - 1, self.d))

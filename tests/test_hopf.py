@@ -291,6 +291,20 @@ def test_refusals(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("variant, mon, message", (
+    ("sep", ((1, (1.5,)),), "bad exponent vector in (1, (1.5,)) for d=1"),
+    ("sep", ((True, (1,)),),
+     "sep factor needs multiplicity >= 1, got (True, (1,))"),
+    ("nonsep", ((2.0,),), "bad nonsep factor (2.0,) for d=1"),
+), ids=("float-entry", "bool-multiplicity", "float-part"))
+def test_constructor_refuses_non_integer_factor_entries(variant, mon, message):
+    # a stored float entry would print as q_{1,(1.5)} and break the coproduct
+    with pytest.raises(ValueError) as err:
+        HopfElement(1, variant, "q", {mon: 1})
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_sep_to_nonsep_is_algebra_map():
     rng = random.Random(23)
     for _ in range(8):

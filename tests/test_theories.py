@@ -6,9 +6,10 @@ from math import comb, factorial
 
 import pytest
 
-from punctual.genfun import gamma_integral_series, vertical_series
-from punctual.hopf import ContextMismatchError, HopfElement
-from punctual.series import MultiSeries
+from punctual.genfun import (gamma_integral_series, verify_identity,
+                             vertical_series)
+from punctual.hopf import ContextMismatchError, HopfElement, vertical_element
+from punctual.series import MultiSeries, macmahon_series
 from punctual.symfunc import ChernData
 from punctual.theories import (CapError, Theory, ck_theory,
                                coarse_curve_theory, dt_vertex_theory,
@@ -94,6 +95,24 @@ def test_coarse_euler_values():
     assert e3.value(2, (5,)) == 0
     with pytest.raises(ValueError, match="k must be >= 0"):
         coarse_curve_theory(-2, "euler", 3, 3)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: HopfElement(1.5, "sep", "q"),
+    lambda: HopfElement.generator(1, 2.5, (1,)),
+    lambda: HopfElement.nonsep_generator(1, (1.5,)),
+    lambda: vertical_element(ChernData(1, {(1,): F(2)}), 2.5),
+    lambda: ck_theory(2.5, 1, 3, 3),
+    lambda: ck_theory(1, 1, 3, 3).value(1.7, (1,)),
+    lambda: macmahon_series(3.9),
+    lambda: MultiSeries(("T",), (3.5,)),
+    lambda: MultiSeries(("T",), (3,), total_cap=2.5),
+    lambda: verify_identity("ck-bivariate", k=1.5, n_max=2),
+), ids=("dimension", "multiplicity", "partition", "n-max", "k", "index",
+        "macmahon-cap", "cap", "total-cap", "bivariate-k"))
+def test_a_non_integer_count_is_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_primitive_values_match_composition_oracle():
