@@ -1,9 +1,10 @@
 """Linearity of the Hopf structure maps and multiplicativity of the
 coproduct, involutions of the basis changes and the antipode, and the sep
 q-basis antipode against the p-basis sign flip, as Hypothesis properties
-over small sep and nonsep elements; the coproduct, basis changes and
-antipode of elements with mixed coefficient denominators equal the
-Fraction oracles; [Z_n] matches the naive recursion of
+over small sep and nonsep elements; elements and tensors built by
+distributing, cancelling or scaling back compare equal; the coproduct,
+basis changes and antipode of elements with mixed coefficient
+denominators equal the Fraction oracles; [Z_n] matches the naive recursion of
 oracles.vertical_classes on rational Chern numbers, drawn and at fixed
 n_max up to 8, where one generator takes n_max copies, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
@@ -136,6 +137,19 @@ def test_tensor_is_bilinear(xyz, a, b):
                                                  b, tensor(y, z))
     assert tensor(z, combo(a, x, b, y)) == combo(a, tensor(z, x),
                                                  b, tensor(z, y))
+
+
+@examples
+@given(xyz=elements(count=3), tuv=tensors(count=3), c=coeffs)
+def test_equal_elements_built_by_different_routes_compare_equal(xyz, tuv, c):
+    # distributivity, cancellation and a scalar and its inverse must land
+    # on one stored form, whatever route built it
+    for x, y, z in (xyz, tuv):
+        assert x * (y + z) == x * y + x * z
+        assert (x + y) - y == x
+        assert x.scaled(Fraction(1, 2)).scaled(2) == x
+        assert x.scaled(c).scaled(1 / c) == x
+        assert x.scaled(c) + x.scaled(1 - c) == x
 
 
 @examples
