@@ -15,15 +15,13 @@ A mutant that its tests do not kill stays listed, with the reason in its
 MUTANTS = [
     {
         "name": "linear-keeps-zero-sums",
-        "why": "_linear is the one place that drops a coefficient summing "
-               "to 0; without it x - x and 0 * x store zero terms (22 "
+        "why": "_reduced is the one place that drops a numerator summing "
+               "to 0; without it x - x and 0 * x store zero terms (26 "
                "tests kill it, three listed)",
         "file": "src/punctual/hopf.py",
-        "old": "    fracs = {c: Fraction(c, den) for c in set(acc.values()) "
-               "if c}\n"
-               "    return {k: fracs[c] for k, c in acc.items() if c}\n",
-        "new": "    fracs = {c: Fraction(c, den) for c in set(acc.values())}\n"
-               "    return {k: fracs[c] for k, c in acc.items()}\n",
+        "old": "    nums = acc if all(acc.values()) else {k: c for k, c in "
+               "acc.items() if c}\n",
+        "new": "    nums = acc\n",
         "tests": [
             "tests/test_hopf.py::"
             "test_zero_sums_and_zero_scalars_store_no_term",
@@ -31,6 +29,43 @@ MUTANTS = [
             "test_constructors_cancel_one_monomial_in_two_factor_orders",
             "tests/test_hopf_properties.py::test_every_operation_stores_"
             "nonzero_fractions_under_canonical_keys",
+        ],
+    },
+    {
+        "name": "reduced-skips-gcd",
+        "why": "_reduced keeps den and the numerators unreduced, so the "
+               "stored form is not canonical and equal elements built by "
+               "different routes compare unequal (19 tests kill it, four "
+               "listed)",
+        "file": "src/punctual/hopf.py",
+        "old": "    g = gcd(den, *nums.values())\n",
+        "new": "    g = 1\n",
+        "tests": [
+            "tests/test_hopf_properties.py::test_equal_elements_built_by_"
+            "different_routes_compare_equal",
+            "tests/test_hopf_properties.py::test_every_operation_stores_"
+            "nonzero_fractions_under_canonical_keys",
+            "tests/test_hopf.py::"
+            "test_terms_is_a_read_only_view_of_the_integer_form",
+            "tests/test_hopf.py::test_element_serialization_roundtrip",
+        ],
+    },
+    {
+        "name": "pretty-skips-gcd",
+        "why": "the printers write each numerator over the element's one "
+               "denominator without reducing it, so 1/2 + 1/3 prints as "
+               "3/6 and 2/6, in text and JSON; only the four printer "
+               "tests see it",
+        "file": "src/punctual/hopf.py",
+        "old": "        g = gcd(c, den)\n",
+        "new": "        g = 1\n",
+        "tests": [
+            "tests/test_hopf.py::test_pretty",
+            "tests/test_hopf_properties.py::"
+            "test_printers_match_the_reference_printers",
+            "tests/test_hopf_properties.py::"
+            "test_printers_match_the_reference_printers_on_large_outputs",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
         ],
     },
     {

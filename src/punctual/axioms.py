@@ -42,7 +42,7 @@ def _coproduct_in_slot(t, slot):
     def image(pair):
         return 1, {pair[:slot] + ab + pair[slot + 1:]: c for ab, c in
                    _monomial_coproduct(t.variant, pair[slot]).items()}
-    return _linear(t.terms, image)
+    return _linear(t._den, t._nums, image)
 
 
 def check_coassociative(x, dx=None):
@@ -79,12 +79,12 @@ def check_antipode(x, dx=None):
     sep_q = x.variant == "sep" and x.basis == "q"
     images = {left: _expand(left, _antipode_in_q) if sep_q
               else (1, {left: -1 if len(left) % 2 else 1})
-              for left in {left for left, _ in t.terms}}
+              for left in {left for left, _ in t._nums}}
 
     def image(pair):
         den, s = images[pair[0]]
         return den, _poly_mul(s, {pair[1]: 1})
-    acc = x._like(_linear(t.terms, image))
+    acc = x._like(_linear(t._den, t._nums, image))
     return acc == HopfElement.unit(x.d, x.variant, x.basis).scaled(x.counit())
 
 

@@ -68,7 +68,7 @@ def parse_theory_string(text):
 
 def _element_caps(x):
     n_cap, m_cap = 1, 0
-    for mon in x.terms:
+    for mon in x._nums:
         for g in mon:
             if x.variant == "sep":
                 n_cap = max(n_cap, g[0])

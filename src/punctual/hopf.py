@@ -31,11 +31,19 @@ multiplicity 1 as the splittings of m into n columns.  Every one of these
 maps, the coproduct too, is unchanged by permuting columns, so each walks
 the splittings a + b = m once per canonical class (sort a, sort b), weighted
 by the number of ordered splittings in the class (_split_classes).
-Every term map that sums coefficients comes from _linear, the linear
-extension of a map on monomials in integer numerators over one denominator
-(a generator's image is over n!, lcm(1..n), 1 or n!): the structure maps',
-sums', scalar multiples' and the constructor's.  _built stores a result
-unchecked.  Tensors (TensorElement) share HopfElement's body.
+An element is stored as integer numerators over one denominator, in one
+canonical form: (den, {monomial: int}) with no numerator 0 and
+gcd(den, *numerators) = 1, so den is the lcm of the reduced denominators
+and zero is (1, {}).  Equality compares that form, and the printers reduce
+each coefficient by one gcd.  _reduced is the one place that drops a zero
+sum or divides by a gcd.  Every term map that sums coefficients comes from
+_linear, the linear extension of a map on monomials in integer numerators
+over one denominator (a generator's image is over n!, lcm(1..n), 1 or n!):
+the structure maps', sums' and the constructor's; products and scalar
+multiples sum straight into integers.  Each returns through _reduced, and
+_built stores the result unchecked.  The public terms map of Fractions is
+built from the form on first read.  Tensors (TensorElement) share
+HopfElement's body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -45,11 +53,11 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 from operator import index
 
 from .combinat import pad_partition, vector_splittings
-from .rational import _nonneg_int, _numerators, format_rational, parse_rational
+from .rational import _nonneg_int, _numerators, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -123,9 +131,10 @@ def monomial_hom_degree(mon, variant):
 
 
 class HopfElement:
-    """A sparse rational linear combination of monomials in the generators."""
+    """A sparse rational linear combination of monomials in the generators,
+    stored as integer numerators _nums over one denominator _den."""
 
-    __slots__ = ("d", "variant", "basis", "terms")
+    __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
     _unit_key = ()  # the monomial of a scalar
 
     def __init__(self, d, variant, basis, terms=None):
@@ -134,8 +143,20 @@ class HopfElement:
         self.basis = basis
         terms = terms or {}
         mons = [self._canonical(key) for key in terms]  # keys checked first
-        self.terms = _linear(dict(enumerate(map(Fraction, terms.values()))),
-                             lambda i: (1, {mons[i]: 1}))
+        den, nums = _numerators(dict(enumerate(map(Fraction, terms.values()))))
+        self._den, self._nums = _linear(den, nums, lambda i: (1, {mons[i]: 1}))
+        self._terms = None
+
+    @property
+    def terms(self):
+        """{monomial: Fraction}, read-only: built from the stored numerators
+        on first read and kept, equal values sharing one Fraction."""
+        terms = self._terms
+        if terms is None:
+            den, nums = self._den, self._nums
+            fracs = {c: Fraction(c, den) for c in set(nums.values())}
+            terms = self._terms = {k: fracs[c] for k, c in nums.items()}
+        return terms
 
     def _canonical(self, mon):
         """mon as a sorted tuple of factors, each checked for this context."""
@@ -177,28 +198,29 @@ class HopfElement:
                 or self.variant != other.variant or self.basis != other.basis):
             raise ContextMismatchError("elements live in different contexts")
 
-    def _like(self, terms):
-        return _built(type(self), self.d, self.variant, self.basis, terms)
+    def _like(self, form):
+        return _built(type(self), self.d, self.variant, self.basis, form)
 
     def is_zero(self):
-        return not self.terms
+        return not self._nums
 
     def coefficient(self, mon):
         """The coefficient of mon, given in any factor order; a factor
         that is not canonical for this context raises ValueError."""
-        return self.terms.get(self._canonical(mon), _ZERO)
+        return Fraction(self._nums.get(self._canonical(mon), 0), self._den)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return (self.d == other.d and self.variant == other.variant
-                and self.basis == other.basis and self.terms == other.terms)
+                and self.basis == other.basis and self._den == other._den
+                and self._nums == other._nums)
 
     __hash__ = None
 
     def __repr__(self):
         return "HopfElement(d=%d, %s, %s basis, %d terms)" % (
-            self.d, self.variant, self.basis, len(self.terms))
+            self.d, self.variant, self.basis, len(self._nums))
 
     # -- algebra -----------------------------------------------------------
 
@@ -207,9 +229,8 @@ class HopfElement:
             other = type(self)(self.d, self.variant, self.basis,
                                {self._unit_key: other})
         self._check_context(other)
-        parts = (self.terms, other.terms)
-        return self._like(_linear({0: _ONE, 1: _ONE},
-                                  lambda i: _numerators(parts[i])))
+        parts = ((self._den, self._nums), (other._den, other._nums))
+        return self._like(_linear(1, {0: 1, 1: 1}, parts.__getitem__))
 
     __radd__ = __add__
 
@@ -223,16 +244,17 @@ class HopfElement:
         return -self + other
 
     def scaled(self, c):
-        return self._like(_linear({0: Fraction(c)},
-                                  lambda _: _numerators(self.terms)))
+        c = Fraction(c)
+        num = c.numerator
+        return self._like(_reduced(self._den * c.denominator,
+                                   {k: num * x for k, x in self._nums.items()}))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check_context(other)
-        den, b = _numerators(other.terms)
-        return self._like(_linear(self.terms,
-                                  lambda m1: (den, _poly_mul({m1: 1}, b))))
+        return self._like(_reduced(self._den * other._den,
+                                   _poly_mul(self._nums, other._nums)))
 
     __rmul__ = __mul__
 
@@ -252,7 +274,7 @@ class HopfElement:
 
     def counit(self):
         """Coefficient of the empty monomial."""
-        return self.terms.get((), _ZERO)
+        return Fraction(self._nums.get((), 0), self._den)
 
     def coproduct(self):
         """On sep elements in the q basis, and on nonsep elements in either
@@ -260,16 +282,17 @@ class HopfElement:
         if self.variant == "sep" and self.basis != "q":
             raise ValueError("coproduct expects the q basis, convert first")
         return _built(TensorElement, self.d, self.variant, self.basis,
-                      _linear(self.terms, lambda mon: (
+                      _linear(self._den, self._nums, lambda mon: (
                           1, _monomial_coproduct(self.variant, mon))))
 
     def antipode(self):
         """Multiplicative: -1 on each primitive factor (sep p basis and
         nonsep), and S(q_{n,m}) = [T^n U^m] Q^-1 on each sep generator."""
         if self.variant == "sep" and self.basis == "q":
-            return self._like(_substitute(self.terms, _antipode_in_q))
-        return self._like({m: c if len(m) % 2 == 0 else -c
-                           for m, c in self.terms.items()})
+            return self._like(_substitute(self._den, self._nums,
+                                          _antipode_in_q))
+        return self._like((self._den, {m: c if len(m) % 2 == 0 else -c
+                                       for m, c in self._nums.items()}))
 
     # -- basis change ------------------------------------------------------
 
@@ -286,9 +309,9 @@ class HopfElement:
         nonsep (whose generators are primitive) by relabelling."""
         if self.basis == basis:
             return self
-        terms = (dict(self.terms) if self.variant == "nonsep"
-                 else _substitute(self.terms, expander))
-        return _built(HopfElement, self.d, self.variant, basis, terms)
+        form = ((self._den, self._nums) if self.variant == "nonsep"
+                else _substitute(self._den, self._nums, expander))
+        return _built(HopfElement, self.d, self.variant, basis, form)
 
     # -- gradings ----------------------------------------------------------
 
@@ -299,12 +322,13 @@ class HopfElement:
         component), ordered by degree.  Total degree is hom - 2*d*cycle.
         """
         buckets = {}
-        for mon, c in self.terms.items():
+        for mon, c in self._nums.items():
             cyc = monomial_cycle_degree(mon, self.variant)
             hom = monomial_hom_degree(mon, self.variant)
             buckets.setdefault((cyc, hom), {})[mon] = c
         return [(cyc, hom, hom - 2 * self.d * cyc,
-                 self._like(buckets[cyc, hom])) for cyc, hom in sorted(buckets)]
+                 self._like(_reduced(self._den, buckets[cyc, hom])))
+                for cyc, hom in sorted(buckets)]
 
 
 class TensorElement:
@@ -312,10 +336,11 @@ class TensorElement:
     with HopfElement's constructor checks and linear-space body (which keeps
     the two types apart)."""
 
-    __slots__ = ("d", "variant", "basis", "terms")
+    __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
     _unit_key = ((), ())
 
     __init__ = HopfElement.__init__
+    terms = HopfElement.terms
 
     def _canonical(self, pair):
         """A (left, right) pair of monomials, each canonical and checked."""
@@ -335,7 +360,7 @@ class TensorElement:
 
     def __repr__(self):
         return "TensorElement(d=%d, %s, %d terms)" % (self.d, self.variant,
-                                                      len(self.terms))
+                                                      len(self._nums))
 
     def __mul__(self, other):
         """Componentwise product (a ox b)(c ox d) = ac ox bd; a scalar
@@ -343,42 +368,52 @@ class TensorElement:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check_context(other)
-        den, b = _numerators(other.terms)
-        return self._like(_linear(self.terms, lambda lr: (den, {
-            (tuple(sorted(lr[0] + l)), tuple(sorted(lr[1] + r))): c
-            for (l, r), c in b.items()})))
+        acc, b = {}, other._nums.items()
+        for (l1, r1), c1 in self._nums.items():
+            for (l2, r2), c2 in b:
+                key = (tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return self._like(_reduced(self._den * other._den, acc))
 
     __rmul__ = __mul__
 
     def swap(self):
-        return self._like({(r, l): c for (l, r), c in self.terms.items()})
+        return self._like((self._den, {(r, l): c for (l, r), c
+                                       in self._nums.items()}))
 
     def left_counit(self):
         """Apply the counit to the left slot, landing back in the algebra:
         the terms 1 ox r, as r."""
         return _built(HopfElement, self.d, self.variant, self.basis,
-                      {r: c for (l, r), c in self.terms.items() if not l})
+                      _reduced(self._den, {r: c for (l, r), c
+                                           in self._nums.items() if not l}))
 
     def right_counit(self):
         return _built(HopfElement, self.d, self.variant, self.basis,
-                      {l: c for (l, r), c in self.terms.items() if not r})
+                      _reduced(self._den, {l: c for (l, r), c
+                                           in self._nums.items() if not r}))
 
 
 def tensor(a, b):
     """The simple tensor a ox b of two elements in the same context."""
     a._check_context(b)
-    den, nums = _numerators(b.terms)
+    right = b._nums.items()
     return _built(TensorElement, a.d, a.variant, a.basis,
-                  _linear(a.terms, lambda m1: (den, {(m1, m2): c for m2, c
-                                                     in nums.items()})))
+                  _reduced(a._den * b._den, {(m1, m2): c1 * c2 for m1, c1
+                                             in a._nums.items()
+                                             for m2, c2 in right}))
 
 
-def _built(cls, d, variant, basis, terms):
-    """A HopfElement or TensorElement holding terms as given, canonical keys
-    to nonzero Fractions: a term map from _linear, a relabelling or part of
-    one, or the vertical classes.  Nothing is checked or filtered."""
+def _built(cls, d, variant, basis, form):
+    """A HopfElement or TensorElement holding form = (den, {key: int}) as
+    given: canonical keys to nonzero integer numerators over den, with
+    gcd(den, *numerators) = 1.  That is what _reduced returns, and a
+    relabelling or sign flip of it keeps it.  Nothing is checked or
+    filtered."""
     out = object.__new__(cls)
-    out.d, out.variant, out.basis, out.terms = d, variant, basis, terms
+    out.d, out.variant, out.basis = d, variant, basis
+    out._den, out._nums = form
+    out._terms = None
     return out
 
 
@@ -446,21 +481,29 @@ def _poly_mul(a, b):
     return out
 
 
-def _linear(terms, image):
-    """sum coeff * image(key) over the items of terms, the linear extension
-    of image(key) = (e, {key: int}), numerators over e, summed in integers
-    over the lcm of every coeff's denominator times e; zero sums are
-    dropped, and equal ones share one Fraction."""
-    parts = [(coeff.numerator, coeff.denominator * e, img) for coeff, (e, img)
-             in zip(terms.values(), map(image, terms))]
-    den = lcm(*(e for _, e, _ in parts))
+def _reduced(den, acc):
+    """The stored form of acc, integer numerators over den: the zero sums
+    dropped and den and every numerator divided by their gcd, so zero is
+    (1, {}).  No other place drops a term or divides."""
+    nums = acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {k: c // g for k, c in nums.items()}
+
+
+def _linear(den, nums, image):
+    """sum nums[key] / den * image(key) over the keys of nums, the linear
+    extension of image(key) = (e, {key: int}), numerators over e, summed
+    in integers over den times the lcm of every e, and _reduced."""
+    parts = [(c, e, img) for c, (e, img) in zip(nums.values(), map(image, nums))]
+    big = lcm(*(e for _, e, _ in parts))
     acc = {}
     for num, e, img in parts:
-        num *= den // e
+        num *= big // e
         for k, c in img.items():
             acc[k] = acc.get(k, 0) + num * c
-    fracs = {c: Fraction(c, den) for c in set(acc.values()) if c}
-    return {k: fracs[c] for k, c in acc.items() if c}
+    return _reduced(den * big, acc)
 
 
 def _expand(mon, expander):
@@ -473,9 +516,9 @@ def _expand(mon, expander):
     return den, prod
 
 
-def _substitute(terms, expander):
-    """_expand on every monomial of terms, summed by _linear."""
-    return _linear(terms, lambda mon: _expand(mon, expander))
+def _substitute(den, nums, expander):
+    """_expand on every monomial of nums / den, summed by _linear."""
+    return _linear(den, nums, lambda mon: _expand(mon, expander))
 
 
 @lru_cache(maxsize=None)
@@ -559,7 +602,8 @@ def sep_to_nonsep(x):
         raise ContextMismatchError("sep_to_nonsep expects the sep variant")
     image = (_sep_gen_image if x.basis == "q"
              else lambda n, m: (1, {(m,): 1} if n == 1 else {}))
-    return _built(HopfElement, x.d, "nonsep", "q", _substitute(x.terms, image))
+    return _built(HopfElement, x.d, "nonsep", "q",
+                  _substitute(x._den, x._nums, image))
 
 
 # -- vertical classes ------------------------------------------------------
@@ -587,7 +631,7 @@ def vertical_element(chern, n_max, variant="sep"):
     as a series in T, returned in the p basis.  nonsep variant:
     coefficients of exp(T * sum_lam <m_lam> q_lam), in the q basis.  Both
     are built over the integers as V_n = n! D^n [Z_n], with D the lcm of
-    the Chern numbers' denominators, and returned with Fraction coefficients.
+    the Chern numbers' denominators, and stored as V_n over n! D^n.
 
     With the weights c_g of _class_generators, V_n = n! [T^n] exp(sum_g c_g
     g T^j), so by the exponential formula its monomial prod g^(k_g) has
@@ -615,9 +659,7 @@ def vertical_element(chern, n_max, variant="sep"):
                     v[mon] = x
     basis = "p" if variant == "sep" else "q"
     scales = [factorial(n) * den ** n for n in range(n_max + 1)]
-    # every weight c_g is nonzero, so no term is 0
-    return [_built(HopfElement, chern.d, variant, basis,
-                   {mon: Fraction(x, scale) for mon, x in v.items()})
+    return [_built(HopfElement, chern.d, variant, basis, _reduced(scale, v))
             for scale, v in zip(scales, vs)]
 
 
@@ -688,14 +730,26 @@ def _context_and_terms(obj, what, *sides):
     return d, variant, basis, terms
 
 
+def _coeff_texts(den, nums):
+    """{numerator: "num/den"} for each distinct numerator over den, in
+    lowest terms by one gcd."""
+    texts = {}
+    for c in set(nums.values()):
+        g = gcd(c, den)
+        texts[c] = "%d/%d" % (c // g, den // g)
+    return texts
+
+
 def element_to_obj(x):
-    mons = sorted(x.terms, key=lambda mon: _monomial_key(mon, x.variant))
+    nums = x._nums
+    mons = sorted(nums, key=lambda mon: _monomial_key(mon, x.variant))
+    texts = _coeff_texts(x._den, nums)
     return {
         "d": x.d,
         "variant": x.variant,
         "basis": x.basis,
         "terms": [{"monomial": _monomial_to_obj(mon, x.variant),
-                   "coeff": format_rational(x.terms[mon])} for mon in mons],
+                   "coeff": texts[nums[mon]]} for mon in mons],
     }
 
 
@@ -706,15 +760,17 @@ def element_from_obj(obj):
 
 
 def tensor_to_obj(t):
-    keys = sorted(t.terms, key=lambda p: (_monomial_key(p[0], t.variant),
-                                          _monomial_key(p[1], t.variant)))
+    nums = t._nums
+    keys = sorted(nums, key=lambda p: (_monomial_key(p[0], t.variant),
+                                       _monomial_key(p[1], t.variant)))
+    texts = _coeff_texts(t._den, nums)
     return {
         "d": t.d,
         "variant": t.variant,
         "basis": t.basis,
         "terms": [{"left": _monomial_to_obj(l, t.variant),
                    "right": _monomial_to_obj(r, t.variant),
-                   "coeff": format_rational(t.terms[(l, r)])}
+                   "coeff": texts[nums[l, r]]}
                   for (l, r) in keys],
     }
 
@@ -764,26 +820,27 @@ def _printer(variant, basis):
 
 
 def element_pretty(x):
-    if not x.terms:
+    if not x._nums:
         return "0"
     info = _printer(x.variant, x.basis)
+    texts = _coeff_texts(x._den, x._nums)
     rows = []
-    for mon, c in x.terms.items():
+    for mon, c in x._nums.items():
         key, text = info(mon)
-        c = "%d/%d" % (c.numerator, c.denominator)
+        c = texts[c]
         rows.append((key, c + "*" + text if mon else c))
     rows.sort()  # keys are distinct, so no text is compared
     return " + ".join(text for _, text in rows)
 
 
 def tensor_pretty(t):
-    if not t.terms:
+    if not t._nums:
         return "0"
     info = _printer(t.variant, t.basis)
+    texts = _coeff_texts(t._den, t._nums)
     rows = []
-    for (l, r), c in t.terms.items():
+    for (l, r), c in t._nums.items():
         (l_key, l_text), (r_key, r_text) = info(l), info(r)
-        rows.append((l_key, r_key, "%d/%d*%s(x)%s" % (
-            c.numerator, c.denominator, l_text, r_text)))
+        rows.append((l_key, r_key, "%s*%s(x)%s" % (texts[c], l_text, r_text)))
     rows.sort()  # key pairs are distinct, so no text is compared
     return " + ".join(text for _, _, text in rows)

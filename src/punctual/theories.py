@@ -167,12 +167,12 @@ class Theory:
         else:
             lookup = self.primitive_value if x.basis == "p" else self.value
             get = lambda g: lookup(*g)
-        terms = x.terms
+        c_den, nums = x._den, x._nums
         if self.kind == "primitive":
-            terms = {mon: c for mon, c in terms.items() if len(mon) == 1}
+            nums = {mon: c for mon, c in nums.items() if len(mon) == 1}
         values = {g: Fraction(get(g)) for g in
-                  dict.fromkeys(itertools.chain.from_iterable(terms))}
-        (e_den, ints), (c_den, nums) = _numerators(values), _numerators(terms)
+                  dict.fromkeys(itertools.chain.from_iterable(nums))}
+        e_den, ints = _numerators(values)
         sums = {}
         for mon, c in nums.items():
             k = len(mon)

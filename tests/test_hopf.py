@@ -499,6 +499,21 @@ def test_zero_sums_and_zero_scalars_store_no_term():
         assert all(type(c) is F for c in y.terms.values())
 
 
+def test_terms_is_a_read_only_view_of_the_integer_form():
+    g = ((1, (1,)),)
+    x = HopfElement(1, "sep", "q", {g: F(2, 4), (): F(-3, 6)})
+    assert (x._den, x._nums) == (2, {g: 1, (): -1})
+    assert x.terms == {g: F(1, 2), (): F(-1, 2)} and x.terms is x.terms
+    t = tensor(x, x)
+    assert (t._den, t._nums) == (4, {(g, g): 1, (g, ()): -1, ((), g): -1,
+                                     ((), ()): 1})
+    for y in (x, t):
+        with pytest.raises(AttributeError):
+            y.terms = {}
+    zero = x - x
+    assert (zero._den, zero._nums) == (1, {}) and zero.terms == {}
+
+
 def test_constructors_check_every_key_before_any_coefficient():
     bad, good = ((0, (1,)),), ((1, (1,)),)
     for terms in ({bad: 1, good: "x"}, {good: "x", bad: 1}):

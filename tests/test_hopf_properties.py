@@ -9,7 +9,8 @@ oracles.vertical_classes on rational Chern numbers, drawn and at fixed
 n_max up to 8, where one generator takes n_max copies, and n! [Z_n] is
 integral for integer ones; the nonsep [Z_n] is c^n/n! built from products;
 every operation, [Z_n] included, stores only nonzero Fractions under
-canonical keys, scalars 0 among its inputs; the pair route of
+canonical keys, scalars 0 among its inputs, over an integer form in lowest
+terms; the pair route of
 vertical_series equals the naive pairing of those classes for theories
 with fractional primitive values and for theories that pair every
 generator to 0; theory_exp inverts theory_log on random generator
@@ -23,7 +24,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -282,6 +283,15 @@ def _stored_canonically(x):
             and type(x)(x.d, x.variant, x.basis, x.terms).terms == x.terms)
 
 
+def _integer_form_is_canonical(x):
+    """x's numerators over its denominator are nonzero with gcd 1 (so zero
+    is 1 over nothing), and terms reads each as a Fraction over it."""
+    den, nums = x._den, x._nums
+    return (type(den) is int and den >= 1 and gcd(den, *nums.values()) == 1
+            and all(type(c) is int and c for c in nums.values())
+            and x.terms == {k: Fraction(c, den) for k, c in nums.items()})
+
+
 scalars = st.one_of(coeffs, st.sampled_from((0, Fraction(0), 1, -2)))
 
 
@@ -293,7 +303,9 @@ def test_every_operation_stores_nonzero_fractions_under_canonical_keys(data):
     t, u = tensor(x, y), tensor(y, x)
     outs = [x + y, x - y, x - x, x + c, c + x, c - x, x.scaled(c), c * x,
             x * y, x.antipode(), x.to_p(), x.to_q(), t, t + u, t - t,
-            c + t, t - c, c - t, t.scaled(c), c * t, t * u]
+            c + t, t - c, c - t, t.scaled(c), c * t, t * u, t.swap(),
+            t.left_counit(), t.right_counit()]
+    outs += [z for *_, z in (x * y).grade()]
     if x.variant == "nonsep" or x.basis == "q":
         outs.append(x.coproduct())
     if x.variant == "sep":
@@ -303,6 +315,7 @@ def test_every_operation_stores_nonzero_fractions_under_canonical_keys(data):
                              variant=data.draw(st.sampled_from(("sep",
                                                                 "nonsep"))))
     for i, out in enumerate(outs):
+        assert _integer_form_is_canonical(out), (i, out._den, out._nums)
         assert _stored_canonically(out), (i, out.terms)
 
 
