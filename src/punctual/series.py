@@ -125,6 +125,10 @@ class MultiSeries:
             nvars = len(caps)
             for exps, c in terms.items():
                 e = tuple(map(int, exps))
+                if e != exps and any(not isinstance(x, str) and x != k
+                                     for x, k in zip(exps, e)):
+                    raise TypeError("exponent vector %r has a non-integer "
+                                    "entry" % (exps,))
                 if len(e) != nvars:
                     raise ValueError("exponent vector of wrong length")
                 if e and min(e) < 0:

@@ -211,3 +211,16 @@ def test_constructor_cancels_two_spellings_of_one_exponent():
     s = MultiSeries(("T",), (3,), {(1,): F(1, 2), ("1",): F(-1, 2),
                                    (2,): 1})
     assert s.terms == {(2,): 1}
+
+
+@pytest.mark.parametrize("exps", ((1.5,), (F(3, 2),), (1, 0.5)),
+                         ids=("float", "fraction", "second-entry"))
+def test_a_non_integer_exponent_is_refused_not_truncated(exps):
+    with pytest.raises(TypeError, match="non-integer entry"):
+        MultiSeries(("T", "U")[:len(exps)], (3,) * len(exps), {exps: 1})
+
+
+def test_integral_exponents_of_any_type_keep_their_value():
+    s = MultiSeries(("T", "U"), (3, 3), {(2.0, F(1)): 1, ("1", "0"): 2,
+                                         "03": 3, (True, 2): 4})
+    assert s.terms == {(2, 1): 1, (1, 0): 2, (0, 3): 3, (1, 2): 4}
