@@ -176,7 +176,7 @@ def parse_chern_arg(d, text):
             lam = canonical_partition(tuple(int(ch) for ch in key[1:]))
         elif key.startswith("c"):
             kind = "c"
-            if not re.fullmatch(r"(c\d+(\^\d+)?)+", key):
+            if _CLASS_FACTOR_RE.sub("", key):  # not only factors
                 raise ValueError("malformed Chern key %r" % key)
             idx = []
             for index, power in _CLASS_FACTOR_RE.findall(key):

@@ -1,8 +1,10 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punctual.combinat import num_orderings, pad_partition, partitions_of
 from punctual.symfunc import (ChernData, chern_data_from_classes,
@@ -182,3 +184,18 @@ def test_parse_chern_rejects():
 def test_parse_chern_accumulates_duplicates():
     ch = parse_chern_arg(1, "m1=2,m1=3")
     assert ch.value((1,)) == 5
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(key=st.text(alphabet="c^12x", max_size=8))
+def test_malformed_chern_keys_are_those_no_factor_string_matches(key):
+    # a c-key is refused as malformed exactly when it is not a string of
+    # factors c<digits> or c<digits>^<digits>; a key that is one goes on to
+    # the degree check
+    try:
+        parse_chern_arg(3, key + "=1")
+    except ValueError as err:
+        malformed = str(err) == "malformed Chern key %r" % key
+    else:
+        malformed = False
+    assert malformed == (re.fullmatch(r"(c\d+(\^\d+)?)+", key) is None)
