@@ -247,7 +247,8 @@ class HopfElement:
         c = Fraction(c)
         num = c.numerator
         return self._like(_reduced(self._den * c.denominator,
-                                   {k: num * x for k, x in self._nums.items()}))
+                                   {k: num * x for k, x
+                                    in self._nums.items()}))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -496,7 +497,8 @@ def _linear(den, nums, image):
     """sum nums[key] / den * image(key) over the keys of nums, the linear
     extension of image(key) = (e, {key: int}), numerators over e, summed
     in integers over den times the lcm of every e, and _reduced."""
-    parts = [(c, e, img) for c, (e, img) in zip(nums.values(), map(image, nums))]
+    parts = [(c, e, img) for c, (e, img)
+             in zip(nums.values(), map(image, nums))]
     big = lcm(*(e for _, e, _ in parts))
     acc = {}
     for num, e, img in parts:
