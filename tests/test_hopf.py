@@ -179,6 +179,9 @@ def test_antipode_involutive_on_corpus():
 ORACLE_ROWS = [(n, m) for d in range(4) for n in range(1, 5)
                for m in combinations_with_replacement((2, 1, 0), d)]
 ORACLE_ROWS += [(5, (2, 2)), (5, (2, 2, 1))]
+# rows with many equal (mostly zero) columns, where one monomial collects
+# the compositions of several column orders
+ORACLE_ROWS += [(8, (0,)), (7, (0, 0)), (7, (1, 0)), (6, (1, 1, 0))]
 
 
 @pytest.mark.parametrize("expansion, den, weight", [
