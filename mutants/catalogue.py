@@ -71,11 +71,15 @@ MUTANTS = [
     {
         "name": "layer-first-row-cap-8",
         "why": "rows of multiplicity 9 and more drop out of every "
-               "composition layer; the enumerating oracles stop at n = 8, "
-               "so only these three point evaluations at n = 10 see it",
+               "composition layer (each distribution of n over a column "
+               "tuple whose largest multiplicity exceeds 8); the "
+               "enumerating oracles stop at n = 8, so only these three "
+               "point evaluations at n = 10 see it",
         "file": "src/punctual/hopf.py",
-        "old": "        for n1 in range(1, n - k + 2):\n",
-        "new": "        for n1 in range(1, min(n - k + 2, 9)):\n",
+        "old": "                                              "
+               "dict.fromkeys(cols))))}\n",
+        "new": "                                              "
+               "dict.fromkeys(cols)))) if max(ns) <= 8}\n",
         "tests": [
             "tests/test_point_eval.py::"
             "test_structure_maps_at_a_point[to_p-q10,44]",
@@ -83,6 +87,35 @@ MUTANTS = [
             "test_structure_maps_at_a_point[to_q-q10,44]",
             "tests/test_point_eval.py::"
             "test_structure_maps_at_a_point[antipode-q10,44]",
+        ],
+    },
+    {
+        "name": "columns-drops-class-weight",
+        "why": "each canonical splitting class of the column table counts "
+               "once instead of w times, so every layer and sep image with "
+               "two or more columns is miscounted; 32 test cases in 12 "
+               "test functions kill it, one case of each listed",
+        "file": "src/punctual/hopf.py",
+        "old": "            acc[cols] = acc.get(cols, 0) + w * c\n",
+        "new": "            acc[cols] = acc.get(cols, 0) + c\n",
+        "tests": [
+            "tests/test_acceptance.py::test_criterion_1_hopf_axioms",
+            "tests/test_acceptance.py::test_criterion_10_nonsep_pushforward",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+            "tests/test_hopf.py::test_p2_11_in_q_basis_d2",
+            "tests/test_hopf.py::test_generator_expansions_match_the_"
+            "composition_oracle[q_in_p]",
+            "tests/test_hopf.py::test_column_tables_match_the_splitting_oracle",
+            "tests/test_hopf.py::"
+            "test_structure_maps_leave_the_cached_tables_as_computed",
+            "tests/test_hopf.py::test_sep_generator_images_match_the_oracle",
+            "tests/test_hopf_properties.py::"
+            "test_structure_maps_match_the_fraction_oracles[to_q]",
+            "tests/test_point_eval.py::"
+            "test_structure_maps_at_a_point[to_p-q8,332]",
+            "tests/test_point_eval.py::test_sep_to_nonsep_at_a_point[q8,332]",
+            "tests/test_sympy_oracles.py::"
+            "test_hopf_structure_maps_match_sympy[3-2-2-sep_gen_image]",
         ],
     },
     {

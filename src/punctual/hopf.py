@@ -24,13 +24,13 @@ over ordered compositions of (n, m) into k nonzero rows, and inversely
 q_{n,m} = sum_k 1/k! sum p_{n_1,m_1} ... p_{n_k,m_k}.  The formal sum
 Q = sum q_{n,m} T^n U^m (q_{0,0} = 1) is group-like, so the antipode is
 S(Q) = Q^-1, that is S(q_{n,m}) = sum_k (-1)^k sum q_{n_1,m_1} ...
-q_{n_k,m_k} over the same compositions; on primitives S is -1.  The three
-sums share one table of composition counts per canonical row (_layer), and
-so does the sep-to-nonsep map, which reads the layer of n rows of
-multiplicity 1 as the splittings of m into n columns.  Every one of these
-maps, the coproduct too, is unchanged by permuting columns, so each walks
-the splittings a + b = m once per canonical class (sort a, sort b), weighted
-by the number of ordered splittings in the class (_split_classes).
+q_{n_k,m_k} over the same compositions; on primitives S is -1.  A
+composition pairs one of n into k parts with an ordered splitting of m
+into k columns, chosen independently, so these sums and the sep-to-nonsep
+map share one table of column splittings per m (_columns), over which each
+layer (_layer) hands out n once per monomial.  Every map, the coproduct
+too, is unchanged by permuting entries of m, so each walks the splittings
+a + b = m once per class (sort a, sort b), weighted by its size.
 An element is stored as integer numerators over one denominator, in one
 canonical form: (den, {monomial: int}) with no numerator 0 and
 gcd(den, *numerators) = 1, so den is the lcm of the reduced denominators
@@ -53,7 +53,7 @@ all column entries; total degree is homological minus 2*d*(cycle degree).
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from operator import index
 
 from .combinat import pad_partition, vector_splittings
@@ -510,9 +510,10 @@ def _linear(den, nums, image):
 
 def _expand(mon, expander):
     """Each factor g of mon replaced by expander(*g), integer numerators
-    (e, {monomial: int}) over e, and multiplied out: (prod e, {mon: int})."""
-    den, prod = 1, {(): 1}
-    for g in mon:
+    (e, {monomial: int}) over e, and multiplied out: (prod e, {mon: int});
+    a single factor's image comes back as given, so callers only read it."""
+    den, prod = expander(*mon[0]) if mon else (1, {(): 1})
+    for g in mon[1:]:
         e, img = expander(*g)
         den, prod = den * e, _poly_mul(prod, img)
     return den, prod
@@ -524,32 +525,49 @@ def _substitute(den, nums, expander):
 
 
 @lru_cache(maxsize=None)
-def _layer(k, n, m):
-    """A_k(n, m): the ordered compositions of the canonical row (n, m) into
-    k rows with positive multiplicities, counted by monomial as
-    {monomial: int}.
-
-    A_1(n, m) = {((n, m),): 1}, and peeling off the first row (n1, a),
-    A_k(n, m) = sum over n1 >= 1 and a <= m entrywise of
-    q_{n1, sort a} A_(k-1)(n - n1, sort(m - a)).  Permuting the columns
-    maps compositions to compositions, so A_k depends only on the
-    canonical row and the layers are shared by every row and basis change.
-    For the same reason a term depends on the splitting a + (m - a) only
-    through its class (sort a, sort(m - a)), so the sum runs once per class,
-    times the number w of splittings in it (_split_classes): m = (3, 3) has
-    16 splittings in 10 classes, (3, 3, 2) has 48 in 30.
-    """
+def _columns(k, m):
+    """A_k(k, m): the ordered splittings of m into k columns, as {sorted
+    column tuple: count}.  Peeling off the first column a, A_k(k, m) sums
+    (sort a) A_(k-1)(k-1, sort(m - a)) once per class (sort a, sort(m - a)),
+    times the w splittings in it (_split_classes): m = (3, 3) has 16
+    splittings in 10 classes, (3, 3, 2) has 48 in 30."""
     if k == 1:
-        return {((n, m),): 1}
+        return {(m,): 1}
     acc = {}
     for (a, b), w in _split_classes(m):
-        for n1 in range(1, n - k + 2):
-            g = (n1, a)
-            for mon, c in _layer(k - 1, n - n1, b).items():
-                i = bisect(mon, g)
-                mon = mon[:i] + (g,) + mon[i:]
-                acc[mon] = acc.get(mon, 0) + w * c
+        for cols, c in _columns(k - 1, b).items():
+            cols = _insert(cols, (a,))
+            acc[cols] = acc.get(cols, 0) + w * c
     return acc
+
+
+@lru_cache(maxsize=None)
+def _shares(n, runs):
+    """Each distinct way to hand n out over runs of e_1, e_2, ... equal
+    columns, each at least 1, as (multiplicities, weight): a run of e takes
+    a partition of its share into e parts, weighted by the e!/prod mult!
+    compositions that sort to it.  One run's parts are all equal, or j < e
+    are the smallest, v, and the others v plus a partition of n - e v."""
+    e, rest = runs[0], runs[1:]
+    if rest:
+        return [(p + q, w * v) for s in range(e, n - sum(rest) + 1)
+                for p, w in _shares(s, (e,)) for q, v in _shares(n - s, rest)]
+    return [((n // e,) * e, 1)] * (n % e == 0) + [
+        ((v,) * j + tuple(x + v for x in p), comb(e, j) * w)
+        for v in range(1, n // e + 1)
+        for j in range(max(1, e * (v + 1) - n), e)
+        for p, w in _shares(n - e * v, (e - j,))]
+
+
+@lru_cache(maxsize=None)
+def _layer(k, n, m):
+    """A_k(n, m): the ordered compositions of the canonical row (n, m) into
+    k rows with positive multiplicities, as {monomial: count}: each column
+    tuple of A_k(k, m) takes every distribution of n from _shares once."""
+    return {tuple(sorted(zip(ns, cols))): c * w
+            for cols, c in _columns(k, m).items()
+            for ns, w in _shares(n, tuple(map(cols.count,
+                                              dict.fromkeys(cols))))}
 
 
 def _composition_sum(n, m, den, weight):
@@ -584,12 +602,9 @@ def _antipode_in_q(n, m):
 
 @lru_cache(maxsize=None)
 def _sep_gen_image(n, m):
-    """Image of the sep generator q_{n,m}: 1/n! times the sum over ordered
-    splittings of m into n columns of the product of nonsep generators.
-    Those splittings are the compositions of (n, m) into n rows of
-    multiplicity 1, so A_n(n, m) over n! counts them, columns as factors."""
-    return factorial(n), {tuple(a for _, a in mon): c
-                          for mon, c in _layer(n, n, m).items()}
+    """Image of the sep generator q_{n,m}: A_n(n, m) over n!, the ordered
+    splittings of m into n columns, each column a nonsep generator."""
+    return factorial(n), _columns(n, m)
 
 
 def sep_to_nonsep(x):

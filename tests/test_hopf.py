@@ -1,14 +1,15 @@
 import json
 import operator
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 import pytest
 
-from punctual import hopf
-from punctual.axioms import check_primitive, random_element
+from punctual import axioms, hopf
+from punctual.axioms import check_primitive, random_element, run_axiom_suite
 from punctual.hopf import (ContextMismatchError, HopfElement, TensorElement,
                            element_from_obj, element_pretty, element_to_obj,
                            sep_to_nonsep, tensor, tensor_from_obj,
@@ -198,6 +199,59 @@ def test_generator_expansions_match_the_composition_oracle(expansion, den,
         assert e == den(n) and all(type(c) is int for c in nums.values())
         assert {mon: F(c, e) for mon, c in nums.items()} == \
             oracles.composition_sum(n, m, weight), (n, m)
+
+
+def test_column_tables_match_the_splitting_oracle():
+    # A_k(k, m) counts the ordered splittings of m into k columns by their
+    # sorted tuple of sorted columns, for d <= 3, k <= 5 and entries <= 2
+    for d in range(4):
+        for m in combinations_with_replacement((2, 1, 0), d):
+            for k in range(1, 6):
+                expected = Counter(
+                    tuple(sorted(tuple(sorted(c, reverse=True)) for c in cols))
+                    for cols in oracles.vector_splits(m, k))
+                assert hopf._columns(k, m) == dict(expected), (k, m)
+
+
+CACHED_TABLES = ("_q_in_p", "_p_in_q", "_antipode_in_q", "_sep_gen_image",
+                 "_columns")
+
+
+def _clear_hopf_caches():
+    for table in vars(hopf).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+
+
+def test_structure_maps_leave_the_cached_tables_as_computed(monkeypatch):
+    # _expand and _sep_gen_image hand out a cached table's own dict, so a
+    # caller that wrote to it would change every later read: after the
+    # structure maps and the axiom suite, each entry they read still equals
+    # a fresh recomputation
+    _clear_hopf_caches()
+    seen = {name: set() for name in CACHED_TABLES}
+    for name in CACHED_TABLES:
+        def recorded(*args, table=getattr(hopf, name), keys=seen[name]):
+            keys.add(args)
+            return table(*args)
+        monkeypatch.setattr(hopf, name, recorded)
+    monkeypatch.setattr(axioms, "_antipode_in_q", hopf._antipode_in_q)
+    rng = random.Random(7)
+    for d in (1, 2, 3):
+        for _ in range(6):
+            x = random_element(rng, d, "sep", max_cycle_degree=5, max_m=2)
+            y = x.to_p()
+            assert y.to_q() == x
+            x.antipode(), y.antipode(), x.coproduct()
+            sep_to_nonsep(x), sep_to_nonsep(y)
+    run_axiom_suite(random.Random(3), variants=("sep",), count=4)
+    monkeypatch.undo()
+    assert all(seen.values())
+    kept = {(name, args): getattr(hopf, name)(*args)
+            for name, keys in seen.items() for args in keys}
+    _clear_hopf_caches()
+    for (name, args), value in kept.items():
+        assert getattr(hopf, name)(*args) == value, (name, args)
 
 
 # sep monomials of one or two factors over the rows with n <= 3, d <= 2 and
