@@ -30,7 +30,7 @@ into k columns, chosen independently, so these sums and the sep-to-nonsep
 map share one table of column splittings per m (_columns), over which each
 layer (_layer) hands out n once per monomial.  Every map, the coproduct
 too, is unchanged by permuting entries of m, so each walks the splittings
-a + b = m once per class (sort a, sort b), weighted by its size.
+a + b = m once per class (sort a, sort b), times its size (_split_classes).
 An element is stored as integer numerators over one denominator, in one
 canonical form: (den, {monomial: int}) with no numerator 0 and
 gcd(den, *numerators) = 1, so den is the lcm of the reduced denominators
