@@ -105,7 +105,8 @@ MUTANTS = [
             "tests/test_hopf.py::test_p2_11_in_q_basis_d2",
             "tests/test_hopf.py::test_generator_expansions_match_the_"
             "composition_oracle[q_in_p]",
-            "tests/test_hopf.py::test_column_tables_match_the_splitting_oracle",
+            "tests/test_hopf.py::"
+            "test_column_tables_match_the_splitting_oracle",
             "tests/test_hopf.py::"
             "test_structure_maps_leave_the_cached_tables_as_computed",
             "tests/test_hopf.py::test_sep_generator_images_match_the_oracle",
