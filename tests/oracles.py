@@ -198,6 +198,36 @@ def dt_vertex_primitive(n_cap, m_cap):
     return out
 
 
+# -- closed-form theory sides and Chern conversion, as first written ------
+
+def class_side(P, d, caps, first):
+    """first * P(U1) ... P(Ud) within caps, one schoolbook product per
+    factor: P maps (j,) to the coefficient of x^j, first maps exponents
+    (n,) + m in T, U1..Ud to coefficients."""
+    one = (0,) * (d + 1)
+    side = poly_mul({one: Fraction(1)}, first, caps)
+    for i in range(1, d + 1):
+        side = poly_mul(side, {one[:i] + (j,) + one[i + 1:]: Fraction(c)
+                               for (j,), c in P.items()}, caps)
+    return side
+
+
+def chern_from_classes(rows, numbers):
+    """{lam: sum_mu rows[lam][mu] * numbers[mu]}, summed as Fractions with
+    lam and mu in the order of rows; the first mu met that numbers lacks
+    raises ValueError naming it."""
+    out = {}
+    for lam, row in rows.items():
+        total = Fraction(0)
+        for mu, coeff in row.items():
+            if mu not in numbers:
+                raise ValueError("missing Chern class number for c_%s" %
+                                 "".join(str(i) for i in mu))
+            total += coeff * numbers[mu]
+        out[lam] = total
+    return out
+
+
 # -- the gamma integral from the generator table ---------------------------
 
 def gamma_route(value, d, numbers, n_max):

@@ -139,6 +139,37 @@ def test_classes_missing_key():
         chern_data_from_classes(2, {(2,): F(5)})
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 5))
+def test_classes_to_monomials_match_the_fraction_loop(data, d):
+    # fractional class numbers, some of them missing: the same numbers, or
+    # the same first missing c_mu in row order, as the loop over Fractions
+    lams = partitions_of(d, d)
+    rows = {lam: {mu: row[mu] for mu in lams if mu in row} for lam in lams
+            for row in (monomial_to_elementary(lam, d),)}
+    value = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    numbers = data.draw(st.dictionaries(st.sampled_from(lams), value,
+                                        min_size=max(len(lams) - 2, 0)))
+    try:
+        want = oracles.chern_from_classes(rows, numbers)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            chern_data_from_classes(d, numbers)
+        assert str(got.value) == str(exc)
+    else:
+        assert chern_data_from_classes(d, numbers).monomial_numbers == want
+
+
+@pytest.mark.parametrize("d, numbers, named", [
+    (3, {(3,): 1}, "c_21"), (3, {(1, 1, 1): 1}, "c_3"),
+    (4, {(4,): 1, (3, 1): 2}, "c_22"), (4, {(1, 1, 1, 1): 1}, "c_4")])
+def test_several_missing_classes_name_the_first_in_row_order(d, numbers,
+                                                             named):
+    with pytest.raises(ValueError) as got:
+        chern_data_from_classes(d, numbers)
+    assert str(got.value) == "missing Chern class number for " + named
+
+
 def test_parse_chern_m_keys():
     ch = parse_chern_arg(3, "m21=12,m111=4")
     assert ch.value((2, 1)) == 12

@@ -209,6 +209,42 @@ def test_dt_vertex_theory_lookups(n_cap, extra):
     check_lookups(e, _exp(prim, caps), prim)
 
 
+@settings(examples, max_examples=120)
+@given(form=st.sampled_from(("mult_class", "ck", "ek", "inertial")),
+       t=st.lists(coeffs, max_size=3), k=st.integers(0, 3),
+       d=st.integers(0, 3), n_cap=st.integers(-1, 3), m_cap=st.integers(-1, 4),
+       nonsep=st.booleans())
+def test_class_sides_match_the_series_products(form, t, k, d, n_cap, m_cap,
+                                               nonsep):
+    # the closed-form primitive side first * P(U1)...P(Ud), against one
+    # schoolbook product per factor; m_cap falls below and above deg P
+    variant = "nonsep" if nonsep and form in ("mult_class", "ck") else "sep"
+    caps = ((max(n_cap, 0) if variant == "sep" else 1,) +
+            (max(m_cap, 0),) * d)
+    first = {(1,) + (0,) * d: 1}
+    if form == "ck":
+        P = {(j,): comb(k, j) for j in range(k + 1)}
+        e = ck_theory(k, d, n_cap, m_cap, variant=variant)
+    elif form == "ek":
+        P = {(k,): 1}
+        e = ek_theory(k, d, n_cap, m_cap)
+    else:
+        P = dict(((j,), c) for j, c in enumerate([Fraction(1)] + t))
+        unit = MultiSeries(("x",), (len(t),), P)
+        if form == "inertial":
+            first = {(n,) + (n - 1,) * d: Fraction(1, n)
+                     for n in range(1, n_cap + 1)}
+            e = inertial_theory(unit, d, n_cap, m_cap)
+        else:
+            e = mult_class_theory(unit, d, n_cap, m_cap, variant=variant)
+    side = e._series(True)
+    assert (side.variables, side.caps) == (e._series(False).variables, caps)
+    assert side.terms == oracles.class_side(P, d, caps, first)
+    assert all(type(c) is Fraction for c in side.terms.values())
+    if variant == "nonsep":
+        assert e._series(False) is side
+
+
 @st.composite
 def paired_theories(draw):
     """A table (either kind), ck, DT vertex, logarithm or nonsep theory."""
