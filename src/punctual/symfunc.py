@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import add, index
 
 from .combinat import canonical_partition, pad_partition, partitions_of
-from .rational import format_rational, parse_rational
+from .rational import _numerators, format_rational, parse_rational
 
 
 def _expand_e_monomial(mu, d):
@@ -53,7 +53,7 @@ def _m_to_e_table(d):
     With lam' the conjugate of lam, e_lam' = m_lam + sum_nu [x^nu]e_lam' m_nu
     over nu strictly below lam in dominance order, all of which come after
     lam in partitions_of.  Walking that list backwards, m_lam is e_lam'
-    minus already expanded m_nu, in ints.
+    minus already expanded m_nu, in ints; the rows stay ints.
     """
     lams = partitions_of(d, d)
     rows = {}
@@ -66,8 +66,8 @@ def _m_to_e_table(d):
             for mu, x in nu_row.items():
                 row[mu] = row.get(mu, 0) - c * x
         rows[lam] = row
-    return {lam: {mu: Fraction(rows[lam][mu]) for mu in lams
-                  if rows[lam].get(mu)} for lam in lams}
+    return {lam: {mu: rows[lam][mu] for mu in lams if rows[lam].get(mu)}
+            for lam in lams}
 
 
 def monomial_to_elementary(lam, d):
@@ -81,7 +81,8 @@ def monomial_to_elementary(lam, d):
     >>> monomial_to_elementary((2,), 2) == {(1, 1): Fraction(1), (2,): Fraction(-2)}
     True
     """
-    return dict(_m_to_e_table(d)[_partition_of(lam, d)])
+    return {mu: Fraction(c)
+            for mu, c in _m_to_e_table(d)[_partition_of(lam, d)].items()}
 
 
 class ChernData:
@@ -134,19 +135,18 @@ def chern_data_from_classes(d, class_numbers):
 
     class_numbers maps partitions mu of d (index multisets, e.g. (2, 1) for
     c_2 c_1) to rationals and must contain every monomial of total degree d
-    that occurs in some m_lam expansion.
+    that occurs in some m_lam expansion.  Each <m_lam> is summed in ints.
     """
-    numbers = {_partition_of(mu, d): Fraction(v)
-               for mu, v in class_numbers.items()}
+    den, numbers = _numerators({_partition_of(mu, d): Fraction(v)
+                                for mu, v in class_numbers.items()})
     values = {}
     for lam, row in _m_to_e_table(d).items():
-        total = Fraction(0)
-        for mu, coeff in row.items():
-            if mu not in numbers:
-                raise ValueError("missing Chern class number for c_%s" %
-                                 "".join(str(i) for i in mu))
-            total += coeff * numbers[mu]
-        values[lam] = total
+        try:
+            values[lam] = Fraction(sum(c * numbers[mu]
+                                       for mu, c in row.items()), den)
+        except KeyError as exc:
+            raise ValueError("missing Chern class number for c_%s" %
+                             "".join(map(str, exc.args[0]))) from None
     return ChernData(d, values)
 
 

@@ -29,7 +29,7 @@ CapError rather than truncating silently.
 import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
-from operator import index
+from operator import index, le
 
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
@@ -207,20 +207,26 @@ def theory_exp(p):
 def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
     """The multiplicative theory whose primitive side is, in closed form,
     first * P(U1) ... P(Ud) for a series P in one variable; first is a term
-    mapping in T, U1..Ud and defaults to T.  For a nonsep theory the
-    product is also the generator side: q_lam takes the value
-    prod_i [x^(lam_i)] P of q_{1,lam}."""
+    mapping in T, U1..Ud, one term per power of T, and defaults to T.  For
+    a nonsep theory the product is also the generator side: q_lam takes the
+    value prod_i [x^(lam_i)] P of q_{1,lam}.  It is taken in ints, one U_i
+    at a time and within the caps, so no two of its terms ever meet."""
     if len(P.variables) != 1:
         raise ValueError("expected a series in one variable")
     variables, caps = _frame(d, n_cap, m_cap, variant)
-    side = MultiSeries(variables, caps,
-                       {(1,) + (0,) * d: 1} if first is None else first)
-    for i in range(d):
-        side = side * MultiSeries(variables, caps, {
-            (0,) * (i + 1) + e + (0,) * (d - 1 - i): c
-            for e, c in P.terms.items()})
+    f_den, side = _numerators({(1,) + (0,) * d: 1} if first is None
+                              else first)
+    p_den, p = _numerators(P.terms)
+    side = {e: c for e, c in side.items() if all(map(le, e, caps))}
+    for i in range(1, d + 1):
+        side = {e[:i] + (e[i] + j,) + e[i + 1:]: c * x
+                for e, c in side.items() for (j,), x in p.items()
+                if e[i] + j <= caps[i]}
+    den = f_den * p_den ** d  # one Fraction per distinct numerator
+    fracs = {c: Fraction(c, den) for c in set(side.values())}
     return Theory(d, "multiplicative", label, n_cap, m_cap, variant,
-                  prim_fn=side)
+                  prim_fn=MultiSeries(variables, caps, {
+                      e: fracs[c] for e, c in side.items()}))
 
 
 def _unit_class(coeffs):
@@ -324,9 +330,10 @@ def dt_vertex_theory(n_cap, m_cap):
     variables, caps = _frame(3, n_cap, m_cap)
     cells = {}
     for (n,), a in _macmahon_log(caps[0], -1).terms.items():
-        cells[n, n, n, n] = -2 * a
+        a = -a
+        cells[n, n, n, n] = 2 * a
         for m in itertools.permutations((n + 1, n, n - 1)):
-            cells[(n,) + m] = -a
+            cells[(n,) + m] = a
     # the constructor drops the cells beyond the caps
     return Theory(3, "multiplicative", "e_DT", n_cap, m_cap,
                   prim_fn=MultiSeries(variables, caps, cells))
