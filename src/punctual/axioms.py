@@ -120,6 +120,6 @@ def run_axiom_suite(rng, dims=(1, 2, 3), variants=("sep", "nonsep"),
                         ("antipode", check_antipode(x, dx))):
                     if not ok:
                         raise AssertionError("%s fails for %r (d=%d, %s)" %
-                                             (name, x.terms, d, variant))
+                                             (name, dict(x.terms), d, variant))
                     counts[name] += 1
     return counts

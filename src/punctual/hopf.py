@@ -42,8 +42,8 @@ over one denominator (a generator's image is over n!, lcm(1..n), 1 or n!):
 the structure maps', sums' and the constructor's; products and scalar
 multiples sum straight into integers.  Each returns through _reduced, and
 _built stores the result unchecked.  The public terms map of Fractions is
-built from the form on first read.  Tensors (TensorElement) share
-HopfElement's body.
+a read-only view built from the form on first read.  Tensors
+(TensorElement) share HopfElement's body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -55,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
 from operator import index
+from types import MappingProxyType
 
 from .combinat import pad_partition, vector_splittings
 from .rational import _nonneg_int, _numerators, parse_rational
@@ -149,13 +150,14 @@ class HopfElement:
 
     @property
     def terms(self):
-        """{monomial: Fraction}, read-only: built from the stored numerators
+        """A read-only {monomial: Fraction} view: built from the numerators
         on first read and kept, equal values sharing one Fraction."""
         terms = self._terms
         if terms is None:
             den, nums = self._den, self._nums
             fracs = {c: Fraction(c, den) for c in set(nums.values())}
-            terms = self._terms = {k: fracs[c] for k, c in nums.items()}
+            terms = self._terms = MappingProxyType(
+                {k: fracs[c] for k, c in nums.items()})
         return terms
 
     def _canonical(self, mon):
@@ -574,7 +576,7 @@ def _composition_sum(n, m, den, weight):
     """(den, sum_k weight(k) A_k(n, m)), the weights integer numerators
     over den.  Every monomial of A_k has k factors, so no two layers share
     one and no coefficient cancels."""
-    return den, {mon: weight(k) * c for k in range(1, n + 1)
+    return den, {mon: w * c for k in range(1, n + 1) for w in (weight(k),)
                  for mon, c in _layer(k, n, m).items()}
 
 

@@ -571,6 +571,23 @@ def test_terms_is_a_read_only_view_of_the_integer_form():
     assert (zero._den, zero._nums) == (1, {}) and zero.terms == {}
 
 
+def test_terms_refuses_writes_and_keeps_agreeing_with_the_form():
+    g, h = ((1, (1, 0)),), ((2, (1, 1)),)
+    y = HopfElement(2, "sep", "q", {g: 1})
+    t = tensor(y, y)
+    for z, key in ((y, g), (t, (g, g))):
+        view = z.terms
+        with pytest.raises(TypeError):
+            z.terms[key] = 5
+        with pytest.raises(TypeError):
+            z.terms[h] = 1
+        with pytest.raises(TypeError):
+            del z.terms[key]
+        assert z.terms is view and z.terms == {key: F(1)}
+    assert y == HopfElement(2, "sep", "q", {g: 1})
+    assert dict(y.terms) == {g: F(1)} and y.terms == {g: 1}
+
+
 def test_constructors_check_every_key_before_any_coefficient():
     bad, good = ((0, (1,)),), ((1, (1,)),)
     for terms in ({bad: 1, good: "x"}, {good: "x", bad: 1}):
