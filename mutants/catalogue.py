@@ -294,6 +294,41 @@ MUTANTS = [
         ],
     },
     {
+        "name": "class-side-without-first-denominator",
+        "why": "the closed-form class side is put over p_den^d alone, so "
+               "the inertial side, whose first T^n (U1...Ud)^(n-1) / n is "
+               "over lcm(1..n_cap), is that lcm times too large; a side "
+               "with first = T is unchanged (10 tests kill it, five "
+               "listed)",
+        "file": "src/punctual/theories.py",
+        "old": "    den = f_den * p_den ** d",
+        "new": "    den = p_den ** d",
+        "tests": [
+            "tests/test_theory_properties.py::"
+            "test_class_sides_match_the_series_products",
+            "tests/test_theory_properties.py::test_inertial_theory_lookups",
+            "tests/test_theories.py::test_inertial_primitives",
+            "tests/test_acceptance.py::test_criterion_5_inertial_power",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "chern-sum-without-lcm-denominator",
+        "why": "each <m_lam> is the integer sum over the class numbers' "
+               "common denominator, never divided by it, so fractional "
+               "class numbers give numbers den times too large; integral "
+               "ones are unchanged (3 tests kill it, all listed)",
+        "file": "src/punctual/symfunc.py",
+        "old": "for mu, c in row.items()), den)\n",
+        "new": "for mu, c in row.items()))\n",
+        "tests": [
+            "tests/test_symfunc.py::"
+            "test_classes_to_monomials_match_the_fraction_loop",
+            "tests/test_symfunc.py::test_class_numbers_round_trip",
+            "tests/test_cli.py::test_vertical_dt_rational_chern_numbers",
+        ],
+    },
+    {
         "name": "printer-hom-degree-from-n",
         "why": "the printer sorts by a factor's first entry in place of its "
                "homological degree; only the printer property, its two "
