@@ -53,7 +53,7 @@ def _m_to_e_table(d):
     With lam' the conjugate of lam, e_lam' = m_lam + sum_nu [x^nu]e_lam' m_nu
     over nu strictly below lam in dominance order, all of which come after
     lam in partitions_of.  Walking that list backwards, m_lam is e_lam'
-    minus already expanded m_nu, in ints; the rows stay ints.
+    minus already expanded m_nu, in ints, and the rows stay ints.
     """
     lams = partitions_of(d, d)
     rows = {}

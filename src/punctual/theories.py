@@ -330,10 +330,10 @@ def dt_vertex_theory(n_cap, m_cap):
     variables, caps = _frame(3, n_cap, m_cap)
     cells = {}
     for (n,), a in _macmahon_log(caps[0], -1).terms.items():
-        a = -a
-        cells[n, n, n, n] = 2 * a
+        neg = -a
+        cells[n, n, n, n] = 2 * neg
         for m in itertools.permutations((n + 1, n, n - 1)):
-            cells[(n,) + m] = a
+            cells[(n,) + m] = neg
     # the constructor drops the cells beyond the caps
     return Theory(3, "multiplicative", "e_DT", n_cap, m_cap,
                   prim_fn=MultiSeries(variables, caps, cells))
