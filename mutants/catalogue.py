@@ -317,14 +317,87 @@ MUTANTS = [
         "why": "each <m_lam> is the integer sum over the class numbers' "
                "common denominator, never divided by it, so fractional "
                "class numbers give numbers den times too large; integral "
-               "ones are unchanged (3 tests kill it, all listed)",
+               "ones are unchanged (4 tests kill it, all listed)",
         "file": "src/punctual/symfunc.py",
         "old": "for mu, c in row.items()), den)\n",
         "new": "for mu, c in row.items()))\n",
         "tests": [
             "tests/test_symfunc.py::"
+            "test_parse_chern_c_keys_match_the_fraction_loop",
+            "tests/test_symfunc.py::"
             "test_classes_to_monomials_match_the_fraction_loop",
             "tests/test_symfunc.py::test_class_numbers_round_trip",
+            "tests/test_cli.py::test_vertical_dt_rational_chern_numbers",
+        ],
+    },
+    {
+        "name": "dt-vertex-side-past-caps",
+        "why": "the vertex side keeps its cells past m_cap, which _built "
+               "stores unchecked; the side's own lookups refuse them, but "
+               "the generator side derived by exp packs them into fields "
+               "too narrow for them and reads wrong values at small caps "
+               "(2 tests kill it, both listed)",
+        "file": "src/punctual/theories.py",
+        "old": "    for (n,), a in _macmahon_log(min(caps[:2]), -1).terms."
+               "items():\n"
+               "        neg = -a\n"
+               "        cells[n, n, n, n] = 2 * neg\n"
+               "        if n < caps[1]:\n",
+        "new": "    for (n,), a in _macmahon_log(caps[0], -1).terms.items():\n"
+               "        neg = -a\n"
+               "        cells[n, n, n, n] = 2 * neg\n"
+               "        if True:\n",
+        "tests": [
+            "tests/test_unchecked_series.py::"
+            "test_closed_form_sides_are_built_as_validated",
+            "tests/test_theories.py::"
+            "test_dt_vertex_at_small_caps_reads_the_values_at_ample_caps",
+        ],
+    },
+    {
+        "name": "vertical-pair-keeps-zero-terms",
+        "why": "the pair route stores each b_n = 0 as a zero term (every "
+               "n >= 1 for the vertex when c3 = c1c2), so its series no "
+               "longer equals the exp route's and the \"both\" path "
+               "raises (13 tests kill it, four listed)",
+        "file": "src/punctual/genfun.py",
+        "old": "            for n, b in enumerate(bs) if b})\n",
+        "new": "            for n, b in enumerate(bs)})\n",
+        "tests": [
+            "tests/test_unchecked_series.py::"
+            "test_vertex_series_at_c3_equal_to_c1c2_is_one",
+            "tests/test_unchecked_series.py::"
+            "test_vertical_series_is_built_as_validated",
+            "tests/test_genfun.py::test_dt_formula_three_inputs",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "chern-duplicate-keys-last-wins",
+        "why": "ChernData keeps the last of two keys that name one "
+               "partition, (2, 1) and (1, 2) say; single-kill: every other "
+               "caller hands it canonical keys",
+        "file": "src/punctual/symfunc.py",
+        "old": "            values[_partition_of(lam, d)] += Fraction(v)\n",
+        "new": "            values[_partition_of(lam, d)] = Fraction(v)\n",
+        "tests": [
+            "tests/test_symfunc.py::"
+            "test_constructors_sum_two_spellings_of_one_partition",
+        ],
+    },
+    {
+        "name": "class-ints-without-denominator",
+        "why": "parse_chern_arg reads each c-key's value as its own "
+               "numerator, not put over the values' common denominator, "
+               "so fractional class numbers give wrong <m_lam>; integral "
+               "ones are unchanged (2 tests kill it, both listed)",
+        "file": "src/punctual/symfunc.py",
+        "old": "    den, numbers = _numerators(entries)\n",
+        "new": "    den, numbers = 1, {mu: v.numerator for mu, v in "
+               "entries.items()}\n",
+        "tests": [
+            "tests/test_symfunc.py::"
+            "test_parse_chern_c_keys_match_the_fraction_loop",
             "tests/test_cli.py::test_vertical_dt_rational_chern_numbers",
         ],
     },

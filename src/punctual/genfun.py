@@ -24,7 +24,7 @@ from operator import index
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _class_generators
 from .rational import _nonneg_int, _numerators
-from .series import MultiSeries, _macmahon_log
+from .series import MultiSeries, _built, _macmahon_log
 from .symfunc import ChernData
 from .theories import (Theory, dt_vertex_theory, inertial_theory,
                        table_theory)
@@ -104,6 +104,7 @@ def _require_mult(e, chern=None, variant="sep"):
 def _chern_paired(chern, n_max, value):
     """sum_n T^n sum_lam <m_lam> value(n, lam + (n-1)), to T^n_max: each
     [T^n] is one int sum over W E_n, the lcms of the <m_lam> and values."""
+    _nonneg_int(n_max, "caps")  # as MultiSeries refuses a negative cap
     den, rows = _numerators({pad_partition(lam, chern.d): w
                              for lam, w in chern.items() if w})
     terms = {}
@@ -115,7 +116,7 @@ def _chern_paired(chern, n_max, value):
                     for w, v in values)
         if total:
             terms[(n,)] = Fraction(total, den * big)
-    return MultiSeries(("T",), (n_max,), terms)
+    return _built(("T",), (n_max,), terms)
 
 
 def paired_primitive_series(e, chern, n_max):
@@ -160,9 +161,9 @@ def vertical_series(e, chern, n_max, path="both"):
         for n in range(1, n_max + 1):
             bs.append(sum(j * perm(n - 1, j - 1) * w * bs[n - j]
                           for j, w in sums.items() if j <= n))
-        paired = MultiSeries(("T",), (n_max,), {
+        paired = _built(("T",), (n_max,), {
             (n,): Fraction(b, factorial(n) * (den * big) ** n)
-            for n, b in enumerate(bs)})
+            for n, b in enumerate(bs) if b})
     if path in ("both", "exp"):
         expd = paired_primitive_series(e, chern, n_max).exp()
     if path == "both" and paired != expd:

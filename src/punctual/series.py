@@ -5,8 +5,8 @@ in a fixed ordered tuple of variables, together with hard truncation caps: a
 per-variable maximum exponent, and optionally a total-degree cap.  Every
 operation truncates eagerly, so term counts stay bounded and results are
 reproducible.  Values are immutable after construction and all operations
-are pure.  The constructor runs its per-term checks as C builtins and keeps
-a coefficient that is exactly a Fraction as given.
+are pure.  The constructor checks caller input with C builtins and keeps an
+exact Fraction as given; internal code hands its terms over through _built.
 
 exp and log run a layer recursion on total degree (differentiate, multiply,
 integrate back), which costs about one series multiplication in total and
@@ -181,9 +181,8 @@ class MultiSeries:
         return _Packing(self.caps, self._degree_bound())
 
     def _like(self, terms):
-        s = MultiSeries.zero(self.variables, self.caps, self.total_cap)
-        s.terms = {e: c for e, c in terms.items() if c}
-        return s
+        return _built(self.variables, self.caps,
+                      {e: c for e, c in terms.items() if c}, self.total_cap)
 
     def _check_compatible(self, other):
         if (self.variables != other.variables or self.caps != other.caps
@@ -358,12 +357,20 @@ class MultiSeries:
         return " + ".join(parts)
 
 
+def _built(variables, caps, terms, total_cap=None):
+    """A MultiSeries holding terms, in-cap int tuples mapped to nonzero
+    Fractions, as given; nothing is checked or filtered."""
+    s = object.__new__(MultiSeries)
+    s.variables, s.caps, s.terms, s.total_cap = variables, caps, terms, total_cap
+    return s
+
+
 def _macmahon_log(cap, sign=1):
     """log M(sign*T) to T^cap, M the MacMahon series: the sum of
     sign^n sigma_2(n)/n T^n, sigma_2(n) the sum of the squares of the
     divisors of n."""
     cap = _nonneg_int(cap, "cap")
-    return MultiSeries(("T",), (cap,), {(n,): Fraction(sign ** n * sum(
+    return _built(("T",), (cap,), {(n,): Fraction(sign ** n * sum(
         j * j for j in range(1, n + 1) if n % j == 0), n)
         for n in range(1, cap + 1)})
 

@@ -95,8 +95,8 @@ class ChernData:
         if d < 1:
             raise ValueError("dimension must be positive")
         values = dict.fromkeys(partitions_of(d, d), Fraction(0))
-        for lam, v in monomial_numbers.items():
-            values[_partition_of(lam, d)] = Fraction(v)
+        for lam, v in monomial_numbers.items():  # two spellings add up
+            values[_partition_of(lam, d)] += Fraction(v)
         self.d = d
         self.monomial_numbers = values
 
@@ -135,11 +135,20 @@ def chern_data_from_classes(d, class_numbers):
 
     class_numbers maps partitions mu of d (index multisets, e.g. (2, 1) for
     c_2 c_1) to rationals and must contain every monomial of total degree d
-    that occurs in some m_lam expansion.  Each <m_lam> is summed in ints.
+    that occurs in some m_lam expansion; two spellings of one mu add up.
     """
-    den, numbers = _numerators({_partition_of(mu, d): Fraction(v)
-                                for mu, v in class_numbers.items()})
-    values = {}
+    numbers = {}
+    for mu, v in class_numbers.items():
+        mu = _partition_of(mu, d)
+        numbers[mu] = numbers.get(mu, Fraction(0)) + Fraction(v)
+    return _from_class_ints(d, *_numerators(numbers))
+
+
+def _from_class_ints(d, den, numbers):
+    """ChernData of the class numbers numbers[mu] / den, mu canonical: each
+    <m_lam> is one int sum over its m->e row, one Fraction, stored in the
+    table's order unchecked; the first mu in row order missing raises."""
+    d, values = index(d), {}
     for lam, row in _m_to_e_table(d).items():
         try:
             values[lam] = Fraction(sum(c * numbers[mu]
@@ -147,7 +156,9 @@ def chern_data_from_classes(d, class_numbers):
         except KeyError as exc:
             raise ValueError("missing Chern class number for c_%s" %
                              "".join(map(str, exc.args[0]))) from None
-    return ChernData(d, values)
+    out = object.__new__(ChernData)
+    out.d, out.monomial_numbers = d, values
+    return out
 
 
 _CLASS_FACTOR_RE = re.compile(r"c(\d+)(?:\^(\d+))?")
@@ -179,8 +190,8 @@ def parse_chern_arg(d, text):
             if _CLASS_FACTOR_RE.sub("", key):  # not only factors
                 raise ValueError("malformed Chern key %r" % key)
             idx = []
-            for index, power in _CLASS_FACTOR_RE.findall(key):
-                idx.extend([int(index)] * (int(power) if power else 1))
+            for i, power in _CLASS_FACTOR_RE.findall(key):
+                idx.extend([int(i)] * (int(power) if power else 1))
             lam = canonical_partition(idx)
         else:
             raise ValueError("malformed Chern key %r" % key)
@@ -191,9 +202,9 @@ def parse_chern_arg(d, text):
         if sum(lam) != d:
             raise ValueError("Chern key %r has total degree %d, expected %d" %
                              (key, sum(lam), d))
-        entries[lam] = entries.get(lam, Fraction(0)) + value
-    if family == "c" or family is None:
-        full = {mu: entries.get(mu, Fraction(0))
-                for mu in partitions_of(d, d)}
-        return chern_data_from_classes(d, full)
-    return ChernData(d, entries)
+        entries[lam] = entries[lam] + value if lam in entries else value
+    if family == "m":
+        return ChernData(d, entries)
+    den, numbers = _numerators(entries)
+    return _from_class_ints(d, den, dict.fromkeys(
+        _m_to_e_table(index(d)), 0) | numbers)

@@ -14,16 +14,15 @@ with a p-basis monomial as the product of its primitive values.
 A Theory holds each side as its generating series, a MultiSeries in T and
 U1..Ud truncated at the declared caps n <= n_cap, m_i <= m_cap: F on the
 generator side, whose constant term is the value on the unit, and log F on
-the primitive side.  A theory is given one side, a series that its
-constructor builds in the frame of its d, caps and variant, which the
-Theory checks.  Every value of a primitive or nonsep theory is primitive,
-so its one series is both sides; otherwise the other side is derived
-whole, by log or exp, on its first lookup.  Class, Euler power and
+the primitive side.  It is given one side, in the frame of its d, caps and
+variant, and derives the other (see Theory).  Class, Euler power and
 inertial theories are given their primitive side in closed form,
 log F = first * P(U1)...P(Ud) with first = T for a class, and the DT
-vertex is given its own; table and coarse theories their generator side.
-A lookup reads one coefficient; evaluating outside the caps raises
-CapError rather than truncating silently.
+vertex its own: each is built within the caps and handed over unchecked
+through series._built.  Table and coarse theories hand their generator
+side, as a caller does, to the validating MultiSeries constructor.  A
+lookup reads one coefficient; evaluating outside the caps raises CapError
+rather than truncating silently.
 """
 
 import itertools
@@ -34,7 +33,7 @@ from operator import index, le
 from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
 from .rational import _nonneg_int, _numerators, parse_rational
-from .series import MultiSeries, _macmahon_log
+from .series import MultiSeries, _built, _macmahon_log
 
 _ZERO = Fraction(0)
 
@@ -225,7 +224,7 @@ def _class_theory(P, d, n_cap, m_cap, label, first=None, variant="sep"):
     den = f_den * p_den ** d  # one Fraction per distinct numerator
     fracs = {c: Fraction(c, den) for c in set(side.values())}
     return Theory(d, "multiplicative", label, n_cap, m_cap, variant,
-                  prim_fn=MultiSeries(variables, caps, {
+                  prim_fn=_built(variables, caps, {
                       e: fracs[c] for e, c in side.items()}))
 
 
@@ -252,8 +251,8 @@ def ck_theory(k, d, n_cap, m_cap, variant="sep"):
     k = _nonneg_int(k, "k")
     # (1+x)^k is read only to x^m_cap
     cap = max(m_cap, 0)
-    P = MultiSeries(("x",), (cap,),
-                    {(j,): comb(k, j) for j in range(min(k, cap) + 1)})
+    P = _built(("x",), (cap,),
+               {(j,): Fraction(comb(k, j)) for j in range(min(k, cap) + 1)})
     return mult_class_theory(P, d, n_cap, m_cap, label="c^%d" % k,
                              variant=variant)
 
@@ -329,14 +328,15 @@ def dt_vertex_theory(n_cap, m_cap):
     """
     variables, caps = _frame(3, n_cap, m_cap)
     cells = {}
-    for (n,), a in _macmahon_log(caps[0], -1).terms.items():
+    # within the caps: m_cap bounds n, and n + 1 past (n; n, n, n)
+    for (n,), a in _macmahon_log(min(caps[:2]), -1).terms.items():
         neg = -a
         cells[n, n, n, n] = 2 * neg
-        for m in itertools.permutations((n + 1, n, n - 1)):
-            cells[(n,) + m] = neg
-    # the constructor drops the cells beyond the caps
+        if n < caps[1]:
+            for m in itertools.permutations((n + 1, n, n - 1)):
+                cells[(n,) + m] = neg
     return Theory(3, "multiplicative", "e_DT", n_cap, m_cap,
-                  prim_fn=MultiSeries(variables, caps, cells))
+                  prim_fn=_built(variables, caps, cells))
 
 
 def table_theory(entries, d, n_cap, m_cap, kind="multiplicative",

@@ -217,6 +217,57 @@ def test_parse_chern_accumulates_duplicates():
     assert ch.value((1,)) == 5
 
 
+def test_constructors_sum_two_spellings_of_one_partition():
+    # (2, 1), (1, 2) and (2, 1, 0) all name lam = (2, 1): their numbers add
+    for spellings in ({(2, 1): 5, (1, 2): 3}, {(2, 1): 5, (2, 1, 0): 3}):
+        assert ChernData(3, spellings) == ChernData(3, {(2, 1): 8})
+        classes = {(3,): F(1, 2), (1, 1, 1): 2, **spellings}
+        assert chern_data_from_classes(3, classes) == chern_data_from_classes(
+            3, {(3,): F(1, 2), (1, 1, 1): 2, (2, 1): 8})
+    assert ChernData(2, {(2,): F(1, 3), (2, 0): F(-1, 3)}).value((2,)) == 0
+
+
+def _spelled(draw, mu):
+    """A c-key for the class monomial c_mu: its factors in a drawn order,
+    a run of equal ones sometimes written as a power."""
+    parts = draw(st.permutations(mu))
+    out, i = [], 0
+    while i < len(parts):
+        j = i
+        while j < len(parts) and parts[j] == parts[i]:
+            j += 1
+        if j - i > 1 and draw(st.booleans()):
+            out.append("c%d^%d" % (parts[i], j - i))
+        else:
+            out.extend("c%d" % parts[i] for _ in range(i, j))
+        i = j
+    return "".join(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 4))
+def test_parse_chern_c_keys_match_the_fraction_loop(data, d):
+    # fractional values, omitted classes (read as 0), repeated classes
+    # under other spellings (summed) and empty text: the monomial numbers
+    # of the loop over Fractions, in partitions_of order
+    lams = partitions_of(d, d)
+    value = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(lams), value),
+                                 max_size=2 * len(lams)))
+    text = ",".join("%s=%s" % (_spelled(data.draw, mu), v)
+                    for mu, v in entries)
+    numbers = dict.fromkeys(lams, F(0))
+    for mu, v in entries:
+        numbers[mu] += v
+    rows = {lam: monomial_to_elementary(lam, d) for lam in lams}
+    ch = parse_chern_arg(d, text)
+    assert ch.d == d
+    assert list(ch.monomial_numbers) == lams
+    assert ch.monomial_numbers == oracles.chern_from_classes(rows, numbers)
+    assert all(type(v) is F for v in ch.monomial_numbers.values())
+    assert parse_chern_arg(d, " ") == ChernData(d, {})
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(key=st.text(alphabet="c^12x", max_size=8))
 def test_malformed_chern_keys_are_those_no_factor_string_matches(key):
