@@ -596,6 +596,8 @@ MUTANTS = [
             "tests/test_theories.py::test_ek_values",
             "tests/test_theories.py::test_coarse_chern_values",
             "tests/test_genfun.py::test_refusals",
+            "tests/test_genfun.py::"
+            "test_every_entry_point_reads_n_max_as_a_count",
         ],
     },
     {
@@ -609,6 +611,8 @@ MUTANTS = [
         "tests": [
             "tests/test_theories.py::"
             "test_a_non_integer_count_is_refused_not_truncated",
+            "tests/test_genfun.py::"
+            "test_every_entry_point_reads_n_max_as_a_count",
         ],
     },
     {
@@ -622,6 +626,67 @@ MUTANTS = [
         "tests": [
             "tests/test_hopf.py::"
             "test_constructor_refuses_non_integer_factor_entries",
+        ],
+    },
+    {
+        "name": "verify-without-name-check",
+        "why": "verify_identity runs an unknown name as gamma-vertical, "
+               "its last branch, and fails on the missing theory with a "
+               "KeyError instead of naming the identity; the CLI's choices "
+               "refuse such a name first, so only the library refusals see "
+               "it",
+        "file": "src/punctual/genfun.py",
+        "old": "    if name not in IDENTITY_NAMES:\n"
+               "        raise ValueError(\"unknown identity %r\" % name)\n",
+        "new": "    pass\n",
+        "tests": [
+            "tests/test_genfun.py::test_refusals",
+            "tests/test_genfun.py::test_verify_identity_reports",
+        ],
+    },
+    {
+        "name": "genfun-n-max-unchecked",
+        "why": "_require_mult hands n_max back unchecked, so n_max = -1 "
+               "returns a series with a negative cap from the gamma "
+               "integral and the paired primitive series (the pair route "
+               "still refuses it in _class_generators); single-kill: only "
+               "the n_max refusals pass a negative order",
+        "file": "src/punctual/genfun.py",
+        "old": "    return _nonneg_int(n_max, \"n_max\")\n",
+        "new": "    return n_max\n",
+        "tests": [
+            "tests/test_genfun.py::"
+            "test_every_entry_point_reads_n_max_as_a_count",
+        ],
+    },
+    {
+        "name": "class-integral-reads-t0",
+        "why": "chern_class_integral reads the T^0 coefficient of the "
+               "Chern pairing, which is always 0, instead of its T^1 "
+               "coefficient",
+        "file": "src/punctual/genfun.py",
+        "old": "        P.coefficient((part,)) for part in lam))"
+               ".coefficient((1,))\n",
+        "new": "        P.coefficient((part,)) for part in lam))"
+               ".coefficient((0,))\n",
+        "tests": [
+            "tests/test_genfun.py::test_chern_class_integral_values",
+            "tests/test_genfun.py::test_inertial_power_identity_grid",
+            "tests/test_series_properties.py::"
+            "test_chern_class_integral_matches_the_fraction_loop",
+            "tests/test_acceptance.py::test_criterion_5_inertial_power",
+        ],
+    },
+    {
+        "name": "theory-option-unstripped",
+        "why": "parse_theory_string keeps the blanks around a non-integer "
+               "option value, so \"k= x \" is refused as ' x '; no golden "
+               "argv spaces a bad value, so only the option refusals see it",
+        "file": "src/punctual/cli.py",
+        "old": "                v = v.strip()\n",
+        "new": "                pass\n",
+        "tests": [
+            "tests/test_cli.py::test_builtin_option_refusals",
         ],
     },
 ]

@@ -55,11 +55,10 @@ def parse_theory_string(text):
             if not eq:
                 raise ValueError("malformed theory option %r" % p)
             try:
-                spec[key.strip()] = int(v)
-            except ValueError:
-                raise ValueError("builtin theory %r: option %r must be an "
-                                 "integer, got %r" % (parts[0], key.strip(),
-                                                      v.strip())) from None
+                v = int(v)
+            except ValueError:  # left for theory_from_spec to refuse
+                v = v.strip()
+            spec[key.strip()] = v
         return spec
     if head == "mult_class":
         return {"mult_class": [c.strip() for c in rest.split(",")]}
@@ -285,15 +284,6 @@ _VERBS = {
 }
 
 
-def _add_verb(parser, verb):
-    """Give parser the run function and flags of verb."""
-    func, _, flags = _VERBS[verb]
-    parser.set_defaults(func=func)
-    for flag, kw in _SHARED + flags:
-        parser.add_argument(flag, **kw)
-    return parser
-
-
 @lru_cache(maxsize=1)  # built only for help and usage errors
 def _build_parser():
     import argparse
@@ -302,8 +292,11 @@ def _build_parser():
         description="Tautological Hopf algebras of 0-cycles in d-folds: "
                     "tables, basis changes, invariant series, checks.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, blurb, _) in _VERBS.items():
-        _add_verb(sub.add_parser(verb, help=blurb), verb)
+    for verb, (func, blurb, flags) in _VERBS.items():
+        verb_parser = sub.add_parser(verb, help=blurb)
+        verb_parser.set_defaults(func=func)
+        for flag, kw in _SHARED + flags:
+            verb_parser.add_argument(flag, **kw)
     return parser
 
 

@@ -18,8 +18,7 @@ the shift) is checked term by term.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
-from operator import index
+from math import comb, factorial, lcm, perm, prod
 
 from .combinat import pad_partition
 from .hopf import ContextMismatchError, _class_generators
@@ -91,7 +90,8 @@ class IdentityReport:
         ])
 
 
-def _require_mult(e, chern=None, variant="sep"):
+def _require_mult(e, n_max, chern=None, variant="sep"):
+    """Check e against its use and chern, then return n_max as a count."""
     if e.variant != variant:
         raise ContextMismatchError("expected a %s theory" % variant)
     if e.kind != "multiplicative":
@@ -99,12 +99,12 @@ def _require_mult(e, chern=None, variant="sep"):
     if chern is not None and e.d != chern.d:
         raise ContextMismatchError("theory is for d=%d, Chern data for d=%d" %
                                    (e.d, chern.d))
+    return _nonneg_int(n_max, "n_max")
 
 
 def _chern_paired(chern, n_max, value):
     """sum_n T^n sum_lam <m_lam> value(n, lam + (n-1)), to T^n_max: each
     [T^n] is one int sum over W E_n, the lcms of the <m_lam> and values."""
-    _nonneg_int(n_max, "caps")  # as MultiSeries refuses a negative cap
     den, rows = _numerators({pad_partition(lam, chern.d): w
                              for lam, w in chern.items() if w})
     terms = {}
@@ -121,7 +121,7 @@ def _chern_paired(chern, n_max, value):
 
 def paired_primitive_series(e, chern, n_max):
     """sum_n T^n sum_{|lam|=d} <m_lam> <e, p_{n, lam+(n-1)}>."""
-    _require_mult(e, chern)
+    n_max = _require_mult(e, n_max, chern)
     return _chern_paired(chern, n_max, e.primitive_value)
 
 
@@ -144,7 +144,7 @@ def vertical_series(e, chern, n_max, path="both"):
     b_n = sum_j j (n-1)!/(n-j)! W_j b_(n-j) over plain ints, so no class
     is built, and <e, [Z_n]> = b_n / (n! (D E)^n).
     """
-    _require_mult(e, chern)
+    n_max = _require_mult(e, n_max, chern)
     if path not in ("both", "pair", "exp"):
         raise ValueError("path must be 'both', 'pair' or 'exp'")
     paired = expd = None
@@ -185,7 +185,7 @@ def curve_series(e, chi, n_max):
     """
     if e.d != 1:
         raise ContextMismatchError("curve series needs d = 1")
-    _require_mult(e)
+    n_max = _require_mult(e, n_max)
     diag = {(n,): e.value(n, (n,)) for n in range(n_max + 1)}
     return MultiSeries(("T",), (n_max,), diag).pow(Fraction(chi))
 
@@ -202,7 +202,7 @@ def gamma_integral_series(e, chern, n_max):
     """
     if chern is None:
         raise ValueError("gamma integral needs Chern data, got None")
-    _require_mult(e, chern)
+    n_max = _require_mult(e, n_max, chern)
     d = e.d
     cap = n_max - 1 + d
     if n_max > 0:
@@ -237,10 +237,10 @@ def nonsep_vertical_series(e_values, chern, n_max):
     if not isinstance(e_values, Theory):
         e_values = table_theory(dict(e_values).items(), d, 1, d,
                                 variant="nonsep")
-    _require_mult(e_values, chern, "nonsep")
-    a = _ZERO
-    for lam, w in chern.items():
-        a += w * e_values.nonsep_value(pad_partition(lam, d))
+    n_max = _require_mult(e_values, n_max, chern, "nonsep")
+    # <c,[X]> is the T^1 coefficient of the Chern pairing with c's values
+    a = _chern_paired(chern, 1, lambda _, lam: e_values.nonsep_value(lam)
+                      ).coefficient((1,))
     return MultiSeries(("T",), (n_max,),
                        {(n,): a ** n / factorial(n) for n in range(n_max + 1)})
 
@@ -254,17 +254,9 @@ def chern_class_integral(P, chern):
     """
     if P.constant_term() != 1:
         raise ValueError("class integral needs P(0) = 1")
-    total = _ZERO
-    for lam, w in chern.items():
-        if not w:
-            continue
-        v = w
-        for part in lam:
-            v *= P.coefficient((part,))
-            if not v:
-                break
-        total += v
-    return total
+    # the T^1 coefficient of the Chern pairing with prod t_{lam_i}
+    return _chern_paired(chern, 1, lambda _, lam: prod(
+        P.coefficient((part,)) for part in lam)).coefficient((1,))
 
 
 def verify_identity(name, **params):
@@ -293,27 +285,25 @@ def verify_identity(name, **params):
                      the "both" path checks against the exp of the
                      paired primitive series.
     """
+    if name not in IDENTITY_NAMES:
+        raise ValueError("unknown identity %r" % name)
+    n_max = _nonneg_int(params["n_max"], "n_max")
     if name == "curve-vertical":
         e = params["theory"]
         chi = Fraction(params["chi"])
-        n_max = index(params["n_max"])
-        chern = ChernData(1, {(1,): chi})
-        return IdentityReport(name, curve_series(e, chi, n_max),
-                              vertical_series(e, chern, n_max))
-    if name == "inertial-power":
+        lhs = curve_series(e, chi, n_max)
+        rhs = vertical_series(e, ChernData(1, {(1,): chi}), n_max)
+    elif name == "inertial-power":
         P = params["P"]
         chern = params["chern"]
-        n_max = index(params["n_max"])
         d = chern.d
         e = inertial_theory(P, d, n_max, n_max - 1 + d)
         lhs = vertical_series(e, chern, n_max)
         one_minus_t = (MultiSeries.one(("T",), (n_max,)) -
                        MultiSeries.var(("T",), (n_max,), "T"))
         rhs = one_minus_t.pow(-chern_class_integral(P, chern))
-        return IdentityReport(name, lhs, rhs)
-    if name == "dt-degree-zero":
+    elif name == "dt-degree-zero":
         chern = params["chern"]
-        n_max = index(params["n_max"])
         if chern.d != 3:
             raise ContextMismatchError("the vertex identity needs d = 3")
         e = dt_vertex_theory(n_max, n_max - 1 + 3)
@@ -321,11 +311,9 @@ def verify_identity(name, **params):
         # <c3 - c1 c2> = -2 <m_111> - <m_21>
         exponent = -2 * chern.value((1, 1, 1)) - chern.value((2, 1))
         rhs = (_macmahon_log(n_max, -1) * exponent).exp()
-        return IdentityReport(name, lhs, rhs)
-    if name == "ck-bivariate":
+    elif name == "ck-bivariate":
         k = _nonneg_int(params["k"], "k")
-        n_max = index(params["n_max"])
-        m_max = index(params.get("m_max", n_max))
+        m_max = _nonneg_int(params.get("m_max", n_max), "m_max")
         # the binomial closed form, not ck_theory's table: that is the exp
         # of T (1+U)^k, the same route as the rhs
         lhs = MultiSeries(("T", "U"), (n_max, m_max), {
@@ -335,15 +323,12 @@ def verify_identity(name, **params):
         t = MultiSeries.var(variables, caps, "T")
         u = MultiSeries.var(variables, caps, "U")
         rhs = (t * (MultiSeries.one(variables, caps) + u) ** k).exp()
-        return IdentityReport(name, lhs, rhs)
-    if name == "gamma-vertical":
+    else:  # gamma-vertical
         e = params["theory"]
         chern = params["chern"]
-        n_max = index(params["n_max"])
         lhs, _report = gamma_integral_series(e, chern, n_max)
         rhs = vertical_series(e, chern, n_max).log()
-        return IdentityReport(name, lhs, rhs)
-    raise ValueError("unknown identity %r" % name)
+    return IdentityReport(name, lhs, rhs)
 
 
 IDENTITY_NAMES = ("curve-vertical", "inertial-power", "dt-degree-zero",

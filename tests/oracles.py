@@ -271,6 +271,33 @@ def gamma_route(value, d, numbers, n_max):
     return offenders, series, (n_max, cap, len(log))
 
 
+# -- Chern integrals, as first written -------------------------------------
+
+def class_integral(t, numbers):
+    """sum_lam <m_lam> prod_i t(lam_i) over numbers {lam: <m_lam>}, one
+    Fraction product per nonzero number, stopping at a zero factor."""
+    total = Fraction(0)
+    for lam, w in numbers.items():
+        if not w:
+            continue
+        v = w
+        for part in lam:
+            v *= t(part)
+            if not v:
+                break
+        total += v
+    return total
+
+
+def nonsep_vertical(value, d, numbers, n_max):
+    """{(n,): a^n / n!} for n <= n_max, with a = sum_lam <m_lam> value(lam)
+    over numbers {lam: <m_lam>} and each lam padded to length d."""
+    a = Fraction(0)
+    for lam, w in numbers.items():
+        a += w * value(tuple(lam) + (0,) * (d - len(lam)))
+    return {(n,): a ** n / factorial(n) for n in range(n_max + 1)}
+
+
 # -- exhaustive theory values ----------------------------------------------
 
 def compositions(n, k):

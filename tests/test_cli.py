@@ -41,6 +41,26 @@ def test_parse_theory_string():
         parse_theory_string("builtin:")
     with pytest.raises(ValueError):
         parse_theory_string("wat:1")
+    # int() reads the option, underscores included
+    assert parse_theory_string("builtin:ck,k=1_0") == {"builtin": "ck",
+                                                       "k": 10}
+
+
+@pytest.mark.parametrize("theory, message", (
+    ("builtin:ck,k=x",
+     "builtin theory 'ck': option 'k' must be an integer, got 'x'"),
+    ("builtin:ck,k= x ",
+     "builtin theory 'ck': option 'k' must be an integer, got 'x'"),
+    ("builtin:coarse-ck,k=2.5",
+     "builtin theory 'coarse-ck': option 'k' must be an integer, got '2.5'"),
+    # an option the theory does not take is named before its value is read
+    ("builtin:dt,k=x", "builtin theory 'dt' does not take option 'k'"),
+    ("builtin:ck,j=x", "builtin theory 'ck' does not take option 'j'"),
+), ids=("ck-k-x", "ck-k-spaced-x", "coarse-ck-k-2.5", "dt-k-x", "ck-j-x"))
+def test_builtin_option_refusals(capsys, theory, message):
+    status, out, err = run(capsys, "table", "--theory", theory, "--d", "1",
+                           "--max-n", "1", "--max-m", "1")
+    assert (status, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_verify_curve_vertical_text(capsys):

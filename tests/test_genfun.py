@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -103,13 +104,51 @@ def test_vertical_refuses_an_unknown_path():
      ValueError, "gamma integral needs Chern data, got None"),
     (lambda: gamma_integral_series(ck_theory(2, 1, 3, 3), None, 3),
      ValueError, "gamma integral needs Chern data, got None"),
+    (lambda: verify_identity("ck-bivariate", k=2, n_max=2, m_max=-1),
+     ValueError, "m_max must be >= 0"),
+    (lambda: verify_identity("no-such-identity", n_max=3), ValueError,
+     "unknown identity 'no-such-identity'"),
+    (lambda: vertical_series(ck_theory(1, 1, 3, 3, variant="nonsep"),
+                             curve_data(1), -1), ContextMismatchError,
+     "expected a sep theory"),
+    (lambda: gamma_integral_series(ck_theory(2, 1, 3, 3), None, -1),
+     ValueError, "gamma integral needs Chern data, got None"),
+    (lambda: nonsep_vertical_series(ck_theory(1, 2, 3, 2, variant="nonsep"),
+                                    curve_data(1), -1), ContextMismatchError,
+     "theory is for d=2, Chern data for d=1"),
 ), ids=("dt-d", "ck-k", "nonsep-theory", "gamma-no-chern-d0",
-        "gamma-no-chern-d1"))
+        "gamma-no-chern-d1", "ck-m-max", "unknown-identity",
+        "theory-before-n-max", "chern-before-n-max", "d-before-n-max"))
 def test_refusals(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+CK = ck_theory(2, 1, 3, 3)
+N_MAX_CALLS = {
+    "gamma": partial(gamma_integral_series, CK, curve_data(1)),
+    "paired": partial(paired_primitive_series, CK, curve_data(1)),
+    **{"vertical-" + path: partial(vertical_series, CK, curve_data(1),
+                                   path=path)
+       for path in ("both", "pair", "exp")},
+    "nonsep": partial(nonsep_vertical_series,
+                      ck_theory(1, 1, 3, 1, variant="nonsep"), curve_data(1)),
+    "curve": partial(curve_series, CK, 1),
+    "verify-ck": lambda n: verify_identity("ck-bivariate", k=2, n_max=n),
+}
+
+
+@pytest.mark.parametrize("call", N_MAX_CALLS.values(), ids=N_MAX_CALLS)
+def test_every_entry_point_reads_n_max_as_a_count(call):
+    assert call(2) is not None
+    with pytest.raises(ValueError) as err:
+        call(-1)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "n_max must be >= 0"
+    with pytest.raises(TypeError):
+        call(2.5)
 
 
 @pytest.mark.parametrize("path, n_max", (

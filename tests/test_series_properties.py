@@ -6,7 +6,9 @@ constructor and genfun._chern_paired, which build every series the
 vertical and gamma routes return, are checked against plain references:
 raw term maps with spelled exponents, repeats and cells past the caps, and
 Chern data with zero numbers paired against values with mixed
-denominators."""
+denominators.  chern_class_integral and nonsep_vertical_series, which read
+the T^1 coefficient of _chern_paired, are checked against the Fraction
+loops they replaced."""
 
 from fractions import Fraction
 from math import prod
@@ -18,9 +20,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from punctual.combinat import pad_partition
-from punctual.genfun import _chern_paired
+from punctual.genfun import (_chern_paired, chern_class_integral,
+                             nonsep_vertical_series)
 from punctual.series import MultiSeries
 from punctual.symfunc import ChernData
+from punctual.theories import ck_theory, mult_class_theory, table_theory
 
 import oracles
 
@@ -233,3 +237,75 @@ def test_chern_paired_is_the_plain_double_sum(case):
                                                          None)
     assert got.terms == expected
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# -- the T^1 readers of _chern_paired ------------------------------------------
+
+PARTITIONS_TO_4 = {**PARTITIONS,
+                   4: [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]}
+
+
+@st.composite
+def chern_numbers(draw):
+    """Chern data for d <= 4, some or all of its numbers zero."""
+    d = draw(st.integers(1, 4))
+    return ChernData(d, {lam: draw(maybe_zero) for lam in PARTITIONS_TO_4[d]})
+
+
+@examples
+@given(chern=chern_numbers(),
+       t=st.lists(maybe_zero, max_size=5).map(lambda t: [Fraction(1)] + t))
+@example(chern=ChernData(3, {}), t=[Fraction(1), Fraction(2)])
+@example(chern=ChernData(2, {(2,): 3, (1, 1): 5}), t=[Fraction(1), 0, 0])
+def test_chern_class_integral_matches_the_fraction_loop(chern, t):
+    # t_0 .. t_cap, zeros among them; a part past the cap reads 0
+    P = MultiSeries(("U",), (len(t) - 1,), {(j,): c for j, c in enumerate(t)})
+    got = chern_class_integral(P, chern)
+    assert type(got) is Fraction
+    assert got == oracles.class_integral(
+        lambda j: t[j] if j < len(t) else 0, dict(chern.items()))
+
+
+@st.composite
+def nonsep_cases(draw):
+    """(values, value function, chern, n_max): nonsep values as a plain
+    mapping (keys padded or not) or as a ck, class or table Theory."""
+    chern = draw(chern_numbers())
+    d = chern.d
+    form = draw(st.sampled_from(("mapping", "ck", "class", "table")))
+    if form == "ck":
+        values = ck_theory(draw(st.integers(0, 3)), d, 1, d, variant="nonsep")
+    elif form == "class":
+        t = [Fraction(1)] + draw(st.lists(maybe_zero, max_size=d))
+        values = mult_class_theory(
+            MultiSeries(("x",), (len(t) - 1,), {(j,): c for j, c in
+                                                 enumerate(t)}),
+            d, 1, d, variant="nonsep")
+    else:
+        mapping = {pad_partition(lam, d) if draw(st.booleans()) else lam:
+                   draw(maybe_zero) for lam in PARTITIONS_TO_4[d]
+                   if draw(st.booleans())}
+        values = (mapping if form == "mapping" else
+                  table_theory(mapping.items(), d, 1, d, variant="nonsep"))
+        padded = {pad_partition(lam, d): v for lam, v in mapping.items()}
+        return (values, lambda lam: padded.get(lam, 0), chern,
+                draw(st.integers(0, 4)))
+    return values, values.nonsep_value, chern, draw(st.integers(0, 4))
+
+
+CK2_D3 = ck_theory(2, 3, 1, 3, variant="nonsep")
+
+
+@examples
+@given(case=nonsep_cases())
+@example(case=({}, lambda lam: 0, ChernData(2, {(2,): 3}), 3))
+@example(case=({(2,): Fraction(1, 2)}, lambda lam: Fraction(
+    1, 2) if lam == (2, 0) else 0, ChernData(2, {(2,): 3}), 2))
+@example(case=(CK2_D3, CK2_D3.nonsep_value, ChernData(3, {}), 2))
+def test_nonsep_vertical_series_matches_the_fraction_loop(case):
+    values, value, chern, n_max = case
+    got = nonsep_vertical_series(values, chern, n_max)
+    expected = oracles.nonsep_vertical(value, chern.d, dict(chern.items()),
+                                       n_max)
+    assert (got.variables, got.caps) == (("T",), (n_max,))
+    assert got.terms == {k: c for k, c in expected.items() if c}
