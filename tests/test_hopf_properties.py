@@ -18,13 +18,18 @@ tables, sep and nonsep, and a random primitive table reads its entries, as
 values, primitive values and the primitive values of its exp; the element
 and tensor printers, text and JSON, give the bytes of oracles' reference
 printers, on drawn elements and on the 529- and 520-term outputs of two
-benchmark jobs."""
+benchmark jobs; the product, coproduct, basis changes, antipode and
+sep_to_nonsep of drawn products give the terms, printed text and JSON of
+references computed on nested-tuple monomials alone."""
 
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd
+from operator import methodcaller
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +37,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from punctual.axioms import random_element
 from punctual.combinat import partitions_of
 from punctual.genfun import vertical_series
 from punctual.hopf import (HopfElement, TensorElement, element_pretty,
@@ -510,3 +516,70 @@ def test_printers_match_the_reference_printers_on_large_outputs(kind):
     assert pretty(x) == ref_pretty(x)
     assert (json.dumps(to_obj(x), indent=2) ==
             json.dumps(ref_to_obj(x), indent=2))
+
+
+# (map name, argument basis) -> the composition weight of one sep
+# generator's image
+_WEIGHTS = {("to_p", "q"): lambda k: Fraction(1, factorial(k)),
+            ("to_q", "p"): lambda k: Fraction((-1) ** (k + 1), k),
+            ("antipode", "q"): lambda k: Fraction((-1) ** k)}
+
+
+def _nested_reference(name, x):
+    """(variant, basis, terms) of the map name applied to x, from x's
+    {nested monomial: Fraction} terms alone."""
+    variant, basis, terms = x.variant, x.basis, x.terms
+    if name == "coproduct":
+        return variant, basis, oracles.linear(
+            terms, partial(oracles.monomial_coproduct, variant))
+    if name == "sep_to_nonsep":
+        image = (oracles.sep_generator_image if basis == "q" else
+                 lambda n, m: {(m,): Fraction(1)} if n == 1 else {})
+        variant, basis = "nonsep", "q"
+    else:
+        basis = {"to_p": "p", "to_q": "q"}.get(name, basis)
+        weight = _WEIGHTS.get((name, x.basis)) if variant == "sep" else None
+        if weight is None:  # a relabelling, or -1 on each primitive factor
+            sign = -1 if name == "antipode" else 1
+            return variant, basis, {mon: sign ** len(mon) * c
+                                    for mon, c in terms.items()}
+        image = partial(oracles.composition_sum, weight=weight)
+    return variant, basis, oracles.linear(
+        terms, partial(oracles.substitute, expansion=image))
+
+
+@pytest.mark.parametrize("variant, basis", [("sep", "q"), ("sep", "p"),
+                                            ("nonsep", "q")])
+@settings(examples, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3))
+def test_maps_of_drawn_products_match_the_nested_references(variant, basis,
+                                                            seed, d):
+    # axioms.random_element draws each factor of a monomial afresh, with
+    # coefficients over mixed denominators; the product of two is checked,
+    # then every structure map of that product, on terms, text and JSON
+    rng = random.Random(seed)
+    x, y = (HopfElement(d, variant, basis, random_element(
+        rng, d, variant, cycles, max_terms=k, max_m=3 - d).terms)
+            for cycles, k in ((3, 3), (2, 2)))
+    xy = x * y
+    cases = [(xy, (variant, basis, oracles._dict_mul(x.terms, y.terms)))]
+    names = ["to_p", "to_q", "antipode"]
+    names += ["coproduct"] * (variant == "nonsep" or basis == "q")
+    names += ["sep_to_nonsep"] * (variant == "sep")
+    for name in names:
+        f = sep_to_nonsep if name == "sep_to_nonsep" else methodcaller(name)
+        cases.append((f(xy), _nested_reference(name, xy)))
+    for z, (variant, basis, terms) in cases:
+        ref = SimpleNamespace(d=d, variant=variant, basis=basis, terms=terms)
+        assert z.terms == terms
+        if isinstance(z, HopfElement):
+            pretty, to_obj = element_pretty, element_to_obj
+            ref_pretty, ref_to_obj = (oracles.element_pretty,
+                                      oracles.element_to_obj)
+        else:
+            pretty, to_obj = tensor_pretty, tensor_to_obj
+            ref_pretty, ref_to_obj = (oracles.tensor_pretty,
+                                      oracles.tensor_to_obj)
+        assert pretty(z) == ref_pretty(ref)
+        assert (json.dumps(to_obj(z), indent=2) ==
+                json.dumps(ref_to_obj(ref), indent=2))
