@@ -120,6 +120,41 @@ MUTANTS = [
         ],
     },
     {
+        "name": "intern-shares-an-id",
+        "why": "every second generator met is given its predecessor's id, "
+               "so two generators share one and decode to the first of "
+               "them; nearly every Hopf test kills it, four listed",
+        "file": "src/punctual/hopf.py",
+        "old": "        i = self[g] = len(_GENS)\n",
+        "new": "        i = self[g] = len(_GENS) // 2 * 2\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_each_generator_keeps_one_id_that_decodes_back_to_it",
+            "tests/test_hopf.py::test_generator_expansions_match_the_"
+            "composition_oracle[q_in_p]",
+            "tests/test_hopf_properties.py::test_maps_of_drawn_products_"
+            "match_the_nested_references[sep-q]",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
+        "name": "decode-keeps-id-order",
+        "why": "a decoded monomial keeps its factors in id order, so terms, "
+               "grade and the JSON writers show them in the order they "
+               "were first met wherever that is not nested order; the "
+               "printed text, sorted per id, does not see it",
+        "file": "src/punctual/hopf.py",
+        "old": "    return tuple(sorted(map(_GENS.__getitem__, mon)))\n",
+        "new": "    return tuple(map(_GENS.__getitem__, mon))\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_terms_decode_to_nested_order_against_the_id_order",
+            "tests/test_hopf_properties.py::test_maps_of_drawn_products_"
+            "match_the_nested_references[sep-q]",
+            "tests/test_cli_golden.py::test_cli_outputs_match_golden_digests",
+        ],
+    },
+    {
         "name": "vertical-classes-stop-at-order-9",
         "why": "no child is built past V_9, so [Z_n] for n >= 10 loses "
                "every monomial; only these two point evaluations at order "
@@ -138,8 +173,8 @@ MUTANTS = [
         "why": "each canonical splitting class counts once instead of w "
                "times; six tests kill it",
         "file": "src/punctual/hopf.py",
-        "old": "                out.append((left, right, w))\n",
-        "new": "                out.append((left, right, 1))\n",
+        "old": "                out.append((_ids(left), _ids(right), w))\n",
+        "new": "                out.append((_ids(left), _ids(right), 1))\n",
         "tests": [
             "tests/test_hopf.py::"
             "test_monomial_coproducts_match_the_splitting_oracle",
@@ -407,9 +442,9 @@ MUTANTS = [
                "homological degree; only the printer property, its two "
                "large fixed cases and the golden corpus see it",
         "file": "src/punctual/hopf.py",
-        "old": "                                  monomial_hom_degree((g,), "
-               "variant), flat)\n",
-        "new": "                                  g[0], flat)\n",
+        "old": "                              monomial_hom_degree((h,), "
+               "variant))\n",
+        "new": "                              h[0])\n",
         "tests": [
             "tests/test_hopf_properties.py::"
             "test_printers_match_the_reference_printers",

@@ -5,13 +5,13 @@ structured text (or JSON with --format json); identical invocations give
 byte-identical output.  A verb returns its JSON object and its text as
 zero-argument callables, and main builds only the one --format asks for.
 _VERBS is the one flag table.  A well-formed argv is read straight off it;
-argparse is imported, and its parser built, only for help and usage errors.
+argparse is imported, and its parser built, only for help and usage errors,
+and json only where JSON is read or written.
 Exit status: 0 on success and passing checks, 1 when a verification fails
 (a failing verify, or the two vertical-series paths disagreeing), 2 on bad
 input or an output that cannot be written.
 """
 
-import json
 import random
 import sys
 from functools import lru_cache, partial
@@ -31,6 +31,7 @@ from .theories import _unit_class, eval_theory, theory_from_spec
 
 def _load_json_arg(text):
     """Inline JSON, @path, or - for stdin."""
+    import json
     if text == "-":
         return json.load(sys.stdin)
     if text.startswith("@"):
@@ -66,15 +67,10 @@ def parse_theory_string(text):
 
 
 def _element_caps(x):
-    n_cap, m_cap = 1, 0
-    for mon in x._nums:
-        for g in mon:
-            if x.variant == "sep":
-                n_cap = max(n_cap, g[0])
-                m_cap = max(m_cap, max(g[1], default=0))
-            else:
-                m_cap = max(m_cap, max(g, default=0))
-    return n_cap, m_cap
+    rows = [g if x.variant == "sep" else (1, g)
+            for mon in x.terms for g in mon]
+    return (max([1] + [n for n, _ in rows]),
+            max([0] + [e for _, m in rows for e in m]))
 
 
 def _build_theory(args, d, n_cap, m_cap, variant="sep"):
@@ -340,6 +336,8 @@ def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         obj, text, status = args.func(args)
+        if args.format == "json":
+            import json
         payload = (json.dumps(obj(), indent=2) if args.format == "json"
                    else text()) + "\n"
         if args.output:

@@ -31,19 +31,23 @@ map share one table of column splittings per m (_columns), over which each
 layer (_layer) hands out n once per monomial.  Every map, the coproduct
 too, is unchanged by permuting entries of m, so each walks the splittings
 a + b = m once per class (sort a, sort b), times its size (_split_classes).
-An element is stored as integer numerators over one denominator, in one
-canonical form: (den, {monomial: int}) with no numerator 0 and
-gcd(den, *numerators) = 1, so den is the lcm of the reduced denominators
-and zero is (1, {}).  Equality compares that form, and the printers reduce
-each coefficient by one gcd.  _reduced is the one place that drops a zero
-sum or divides by a gcd.  Every term map that sums coefficients comes from
-_linear, the linear extension of a map on monomials in integer numerators
-over one denominator (a generator's image is over n!, lcm(1..n), 1 or n!):
-the structure maps', sums' and the constructor's; products and scalar
-multiples sum straight into integers.  Each returns through _reduced, and
-_built stores the result unchecked.  The public terms map of Fractions is
-a read-only view built from the form on first read.  Tensors
-(TensorElement) share HopfElement's body.
+A monomial is the sorted tuple of its generators' ids, which hash and
+compare as ints; the sort keeps its form unique.  _IDS numbers each
+canonical generator on first sight, in one process-wide table that is never
+cleared, so it holds each distinct generator met, once; _GENS maps ids
+back.  Ids go back to sorted nested factors (_decode) only at the boundary:
+terms, the JSON writers, grade, Theory.pair and the CLI's caps; the text
+printers keep each id's entries, text and degrees.  An element is stored as
+(den, {monomial: int}), integer numerators over one denominator, none 0,
+with gcd(den, *numerators) = 1, so zero is (1, {}).  Equality compares that
+form.  _reduced is the one place that drops a zero sum or divides by a gcd.
+Every term map that sums coefficients comes from _linear, the linear
+extension of a map on monomials in integer numerators over one denominator
+(a generator's image is over n!, lcm(1..n), 1 or n!): the structure maps',
+sums' and the constructor's; products and scalar multiples sum straight
+into integers.  Each returns through _reduced, and _built stores the result
+unchecked.  terms is a read-only {nested monomial: Fraction} view built on
+first read.  Tensors (TensorElement) share HopfElement's body.
 
 Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
 or the number of factors (nonsep); homological degree is twice the sum of
@@ -109,6 +113,28 @@ def _check_nonsep_factor(g, d):
         raise ValueError("bad nonsep factor %r for d=%d" % (g, d))
 
 
+class _Ids(dict):
+    """generator -> id, the next id given on first sight; _GENS[id] -> g."""
+
+    def __missing__(self, g):
+        i = self[g] = len(_GENS)
+        _GENS.append(g)
+        return i
+
+
+_IDS, _GENS = _Ids(), []
+
+
+def _ids(gens):
+    """The id monomial of the canonical generators gens: their sorted ids."""
+    return tuple(sorted(map(_IDS.__getitem__, gens)))
+
+
+def _decode(mon):
+    """The nested monomial of the id monomial mon: its sorted generators."""
+    return tuple(sorted(map(_GENS.__getitem__, mon)))
+
+
 def _context(d, variant, basis):
     """The dimension d as an int, once (d, variant, basis) is checked."""
     d = _nonneg_int(d, "dimension")
@@ -137,6 +163,7 @@ class HopfElement:
 
     __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
     _unit_key = ()  # the monomial of a scalar
+    _decoded = staticmethod(_decode)  # a key's nested monomial
 
     def __init__(self, d, variant, basis, terms=None):
         self.d = _context(d, variant, basis)
@@ -157,18 +184,18 @@ class HopfElement:
             den, nums = self._den, self._nums
             fracs = {c: Fraction(c, den) for c in set(nums.values())}
             terms = self._terms = MappingProxyType(
-                {k: fracs[c] for k, c in nums.items()})
+                {self._decoded(k): fracs[c] for k, c in nums.items()})
         return terms
 
     def _canonical(self, mon):
-        """mon as a sorted tuple of factors, each checked for this context."""
+        """mon's id monomial, each factor checked for this context."""
         check = (_check_sep_factor if self.variant == "sep"
                  else _check_nonsep_factor)
-        mon = tuple(sorted(tuple(g) if self.variant == "nonsep" else
-                           (g[0], tuple(g[1])) for g in mon))
+        mon = sorted(tuple(g) if self.variant == "nonsep" else
+                     (g[0], tuple(g[1])) for g in mon)
         for g in mon:
             check(g, self.d)
-        return mon
+        return _ids(mon)
 
     # -- constructors ------------------------------------------------------
 
@@ -326,8 +353,9 @@ class HopfElement:
         """
         buckets = {}
         for mon, c in self._nums.items():
-            cyc = monomial_cycle_degree(mon, self.variant)
-            hom = monomial_hom_degree(mon, self.variant)
+            gens = _decode(mon)
+            cyc = monomial_cycle_degree(gens, self.variant)
+            hom = monomial_hom_degree(gens, self.variant)
             buckets.setdefault((cyc, hom), {})[mon] = c
         return [(cyc, hom, hom - 2 * self.d * cyc,
                  self._like(_reduced(self._den, buckets[cyc, hom])))
@@ -350,6 +378,9 @@ class TensorElement:
         left, right = pair
         return (HopfElement._canonical(self, left),
                 HopfElement._canonical(self, right))
+
+    def _decoded(self, pair):
+        return tuple(map(_decode, pair))
 
     _like = HopfElement._like
     _check_context = HopfElement._check_context
@@ -443,7 +474,7 @@ def _generator_coproduct(n, m):
             left = canonical_generator(n1, a)
             right = canonical_generator(n - n1, b)
             if left is not None and right is not None:
-                out.append((left, right, w))
+                out.append((_ids(left), _ids(right), w))
     return tuple(out)
 
 
@@ -454,7 +485,7 @@ def _monomial_coproduct(variant, mon):
     pairs = {((), ()): 1}
     for g in mon:
         if variant == "sep":
-            opts = _generator_coproduct(g[0], g[1])
+            opts = _generator_coproduct(*_GENS[g])
         else:
             opts = (((g,), (), 1), ((), (g,), 1))
         nxt = {}
@@ -511,12 +542,12 @@ def _linear(den, nums, image):
 
 
 def _expand(mon, expander):
-    """Each factor g of mon replaced by expander(*g), integer numerators
+    """Each id g of mon replaced by expander(*_GENS[g]), integer numerators
     (e, {monomial: int}) over e, and multiplied out: (prod e, {mon: int});
     a single factor's image comes back as given, so callers only read it."""
-    den, prod = expander(*mon[0]) if mon else (1, {(): 1})
+    den, prod = expander(*_GENS[mon[0]]) if mon else (1, {(): 1})
     for g in mon[1:]:
-        e, img = expander(*g)
+        e, img = expander(*_GENS[g])
         den, prod = den * e, _poly_mul(prod, img)
     return den, prod
 
@@ -566,7 +597,7 @@ def _layer(k, n, m):
     """A_k(n, m): the ordered compositions of the canonical row (n, m) into
     k rows with positive multiplicities, as {monomial: count}: each column
     tuple of A_k(k, m) takes every distribution of n from _shares once."""
-    return {tuple(sorted(zip(ns, cols))): c * w
+    return {_ids(zip(ns, cols)): c * w
             for cols, c in _columns(k, m).items()
             for ns, w in _shares(n, tuple(map(cols.count,
                                               dict.fromkeys(cols))))}
@@ -606,7 +637,7 @@ def _antipode_in_q(n, m):
 def _sep_gen_image(n, m):
     """Image of the sep generator q_{n,m}: A_n(n, m) over n!, the ordered
     splittings of m into n columns, each column a nonsep generator."""
-    return factorial(n), _columns(n, m)
+    return factorial(n), {_ids(cols): c for cols, c in _columns(n, m).items()}
 
 
 def sep_to_nonsep(x):
@@ -620,7 +651,7 @@ def sep_to_nonsep(x):
     if x.variant != "sep":
         raise ContextMismatchError("sep_to_nonsep expects the sep variant")
     image = (_sep_gen_image if x.basis == "q"
-             else lambda n, m: (1, {(m,): 1} if n == 1 else {}))
+             else lambda n, m: (1, {(_IDS[m],): 1} if n == 1 else {}))
     return _built(HopfElement, x.d, "nonsep", "q",
                   _substitute(x._den, x._nums, image))
 
@@ -655,19 +686,19 @@ def vertical_element(chern, n_max, variant="sep"):
     With the weights c_g of _class_generators, V_n = n! [T^n] exp(sum_g c_g
     g T^j), so by the exponential formula its monomial prod g^(k_g) has
     V_n = n! prod c_g^(k_g) / k_g!.  Taking the generators from the highest
-    down, every monomial made of generators above g = (j, .) gets 1, 2, ...
-    copies of g, reading the V_n n descending: a child lands in a higher V,
-    already read for g, so each monomial is built once, from its parent that
-    lacks one g, and g prepended to it keeps it sorted.  A child of T-degree
-    m with k copies of g is worth its parent's value times c_g m!/(m-j)! / k.
-    That division is exact: the quotient is the child's V_m, an integer
-    because sum k_g <= m.
+    id down, every monomial made of generators above g = (j, .) gets 1, 2,
+    ... copies of g, reading the V_n n descending: a child lands in a higher
+    V, already read for g, so each monomial is built once, from its parent
+    that lacks one g, and g's id prepended to it keeps it sorted.  A child
+    of T-degree m with k copies of g is worth its parent's value times c_g
+    m!/(m-j)! / k.  That division is exact: the quotient is the child's
+    V_m, an integer because sum k_g <= m.
     """
     coeffs, den = _class_generators(chern, n_max, variant)
     n_max = index(n_max)
     vs = [{(): 1}] + [{} for _ in range(n_max)]
-    for g in sorted(coeffs, reverse=True):
-        j, c = coeffs[g]
+    for g, (j, c) in sorted(((_IDS[g], jc) for g, jc in coeffs.items()),
+                            reverse=True):
         for n in range(n_max - j, -1, -1):
             steps = [(vs[m], c * perm(m, j), k) for k, m in
                      enumerate(range(n + j, n_max + 1, j), 1)]
@@ -760,15 +791,15 @@ def _coeff_texts(den, nums):
 
 
 def element_to_obj(x):
-    nums = x._nums
-    mons = sorted(nums, key=lambda mon: _monomial_key(mon, x.variant))
-    texts = _coeff_texts(x._den, nums)
+    texts = _coeff_texts(x._den, x._nums)
+    rows = sorted((_monomial_key(_decode(mon), x.variant), c)
+                  for mon, c in x._nums.items())  # keys are distinct
     return {
         "d": x.d,
         "variant": x.variant,
         "basis": x.basis,
-        "terms": [{"monomial": _monomial_to_obj(mon, x.variant),
-                   "coeff": texts[nums[mon]]} for mon in mons],
+        "terms": [{"monomial": _monomial_to_obj(key[2], x.variant),
+                   "coeff": texts[c]} for key, c in rows],
     }
 
 
@@ -779,18 +810,18 @@ def element_from_obj(obj):
 
 
 def tensor_to_obj(t):
-    nums = t._nums
-    keys = sorted(nums, key=lambda p: (_monomial_key(p[0], t.variant),
-                                       _monomial_key(p[1], t.variant)))
-    texts = _coeff_texts(t._den, nums)
+    texts = _coeff_texts(t._den, t._nums)
+    rows = sorted((_monomial_key(_decode(l), t.variant),
+                   _monomial_key(_decode(r), t.variant), c)
+                  for (l, r), c in t._nums.items())  # key pairs are distinct
     return {
         "d": t.d,
         "variant": t.variant,
         "basis": t.basis,
-        "terms": [{"left": _monomial_to_obj(l, t.variant),
-                   "right": _monomial_to_obj(r, t.variant),
-                   "coeff": texts[nums[l, r]]}
-                  for (l, r) in keys],
+        "terms": [{"left": _monomial_to_obj(l_key[2], t.variant),
+                   "right": _monomial_to_obj(r_key[2], t.variant),
+                   "coeff": texts[c]}
+                  for l_key, r_key, c in rows],
     }
 
 
@@ -806,42 +837,43 @@ def _factor_pretty(g, variant, basis):
 
 
 def _printer(variant, basis):
-    """info(mon) -> (key, text) for one print call, in one walk of a sorted
-    monomial: key = (cycle degree, hom degree, *every factor's entries),
-    which sorts as _monomial_key does because all factors of a context
-    have one width, and text its factors joined by "*", a run of k equal
-    ones as f^k, the unit as "1".  Each distinct monomial and factor is
-    worked out once, in caches that die with the call."""
-    factors, seen = {}, {}
+    """info(mon) -> (key, text) of an id monomial for one print call: key =
+    (cycle degree, hom degree, *every factor's entries), which sorts as
+    _monomial_key does because all factors of a context have one width,
+    and text its factors joined by "*", a run of k equal ones as f^k, the
+    unit as "1", runs in nested order (by their distinct entries).  Each
+    id's entries, text and degrees are worked out once per call."""
+    factors = {}
 
     def info(mon):
-        out = seen.get(mon)
-        if out is None:
-            parts, entries, cyc, hom, k = [], [], 0, 0, 1
-            for g, after in zip(mon, mon[1:] + (None,)):
-                if g == after:  # a run goes on
-                    k += 1
-                    continue
-                if g not in factors:
-                    flat = (g[0], *g[1]) if variant == "sep" else g
-                    factors[g] = (_factor_pretty(g, variant, basis),
-                                  monomial_cycle_degree((g,), variant),
-                                  monomial_hom_degree((g,), variant), flat)
-                f, g_cyc, g_hom, flat = factors[g]
-                parts.append(f if k == 1 else "%s^%d" % (f, k))
-                entries += flat * k
-                cyc += k * g_cyc
-                hom += k * g_hom
-                k = 1
-            out = seen[mon] = ((cyc, hom, *entries), "*".join(parts) or "1")
-        return out
+        runs, k = [], 1
+        for g, after in zip(mon, mon[1:] + (None,)):
+            if g == after:  # a run goes on
+                k += 1
+                continue
+            if g not in factors:
+                h = _GENS[g]
+                factors[g] = ((h[0], *h[1]) if variant == "sep" else h,
+                              _factor_pretty(h, variant, basis),
+                              monomial_cycle_degree((h,), variant),
+                              monomial_hom_degree((h,), variant))
+            runs.append((factors[g], k))
+            k = 1
+        runs.sort()
+        parts, entries, cyc, hom = [], [], 0, 0
+        for (flat, f, g_cyc, g_hom), k in runs:
+            parts.append(f if k == 1 else "%s^%d" % (f, k))
+            entries += flat * k
+            cyc += k * g_cyc
+            hom += k * g_hom
+        return (cyc, hom, *entries), "*".join(parts) or "1"
     return info
 
 
 def element_pretty(x):
     if not x._nums:
         return "0"
-    info = _printer(x.variant, x.basis)
+    info = _printer(x.variant, x.basis)  # each monomial is printed once
     texts = _coeff_texts(x._den, x._nums)
     rows = []
     for mon, c in x._nums.items():
@@ -855,7 +887,7 @@ def element_pretty(x):
 def tensor_pretty(t):
     if not t._nums:
         return "0"
-    info = _printer(t.variant, t.basis)
+    info = lru_cache(maxsize=None)(_printer(t.variant, t.basis))  # sides recur
     texts = _coeff_texts(t._den, t._nums)
     rows = []
     for (l, r), c in t._nums.items():

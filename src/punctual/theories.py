@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import index, le
 
-from .hopf import (ContextMismatchError, _canonical_nonsep, _fields,
+from .hopf import (_GENS, ContextMismatchError, _canonical_nonsep, _fields,
                    _monomial_from_obj, canonical_generator)
 from .rational import _nonneg_int, _numerators, parse_rational
 from .series import MultiSeries, _built, _macmahon_log
@@ -169,7 +169,7 @@ class Theory:
         c_den, nums = x._den, x._nums
         if self.kind == "primitive":
             nums = {mon: c for mon, c in nums.items() if len(mon) == 1}
-        values = {g: Fraction(get(g)) for g in
+        values = {g: Fraction(get(_GENS[g])) for g in
                   dict.fromkeys(itertools.chain.from_iterable(nums))}
         e_den, ints = _numerators(values)
         sums = {}

@@ -574,6 +574,23 @@ def test_well_formed_jobs_never_import_argparse(capsys):
     assert json.loads(proc.stdout) == [[0] * len(jobs), []]
 
 
+def test_text_jobs_never_import_json():
+    # in a fresh interpreter, neither importing the CLI nor a job that
+    # reads and writes no JSON imports json
+    script = ("import sys\n"
+              "import punctual.cli\n"
+              "imported = 'json' in sys.modules\n"
+              "punctual.cli.main(sys.argv[1:])\n"
+              "print(imported, 'json' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["table", *VERB_JOBS["table"]]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
 @pytest.mark.parametrize("pick", [
     lambda argv: argv == ["--help"],
     lambda argv: argv == [],

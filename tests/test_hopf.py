@@ -193,11 +193,12 @@ ORACLE_ROWS += [(8, (0,)), (7, (0, 0)), (7, (1, 0)), (6, (1, 1, 0))]
 ], ids=["q_in_p", "p_in_q", "antipode_in_q"])
 def test_generator_expansions_match_the_composition_oracle(expansion, den,
                                                            weight):
-    # each expansion is a map of integer numerators over one denominator
+    # each expansion is a map of integer numerators over one denominator,
+    # read through the decode of its id monomials
     for n, m in ORACLE_ROWS:
         e, nums = expansion(n, m)
         assert e == den(n) and all(type(c) is int for c in nums.values())
-        assert {mon: F(c, e) for mon, c in nums.items()} == \
+        assert {hopf._decode(mon): F(c, e) for mon, c in nums.items()} == \
             oracles.composition_sum(n, m, weight), (n, m)
 
 
@@ -279,8 +280,11 @@ COPRODUCT_MONOMIALS += [("nonsep", mon) for d in (1, 2) for k in (1, 2, 3)
 
 
 def test_monomial_coproducts_match_the_splitting_oracle():
+    # the cached coproduct of the id monomial, its pairs decoded
     for variant, mon in COPRODUCT_MONOMIALS:
-        assert hopf._monomial_coproduct(variant, mon) == \
+        pairs = hopf._monomial_coproduct(variant, hopf._ids(mon))
+        assert {(hopf._decode(l), hopf._decode(r)): c
+                for (l, r), c in pairs.items()} == \
             oracles.monomial_coproduct(variant, mon), (variant, mon)
 
 
@@ -556,19 +560,55 @@ def test_zero_sums_and_zero_scalars_store_no_term():
         assert all(type(c) is F for c in y.terms.values())
 
 
+def _decoded_form(y):
+    """y's denominator and numerators, keyed by decoded monomials."""
+    return y._den, {y._decoded(key): c for key, c in y._nums.items()}
+
+
 def test_terms_is_a_read_only_view_of_the_integer_form():
     g = ((1, (1,)),)
     x = HopfElement(1, "sep", "q", {g: F(2, 4), (): F(-3, 6)})
-    assert (x._den, x._nums) == (2, {g: 1, (): -1})
+    assert _decoded_form(x) == (2, {g: 1, (): -1})
     assert x.terms == {g: F(1, 2), (): F(-1, 2)} and x.terms is x.terms
     t = tensor(x, x)
-    assert (t._den, t._nums) == (4, {(g, g): 1, (g, ()): -1, ((), g): -1,
-                                     ((), ()): 1})
+    assert _decoded_form(t) == (4, {(g, g): 1, (g, ()): -1, ((), g): -1,
+                                    ((), ()): 1})
     for y in (x, t):
         with pytest.raises(AttributeError):
             y.terms = {}
     zero = x - x
-    assert (zero._den, zero._nums) == (1, {}) and zero.terms == {}
+    assert _decoded_form(zero) == (1, {}) and zero.terms == {}
+
+
+def test_each_generator_keeps_one_id_that_decodes_back_to_it():
+    # ids are given on first sight and never reused, whatever the context
+    gens = [(n, m) for d in range(3) for n in (1, 2, 5)
+            for m in combinations_with_replacement((3, 1, 0), d)]
+    gens += [lam for d in (1, 2) for lam in
+             combinations_with_replacement((4, 2, 0), d)]
+    ids = [hopf._IDS[g] for g in gens]
+    assert len(set(ids)) == len(gens)
+    assert [hopf._GENS[i] for i in ids] == gens
+    assert [hopf._IDS[g] for g in reversed(gens)] == ids[::-1]
+
+
+def test_terms_decode_to_nested_order_against_the_id_order():
+    # generators of a context no other test uses, met one at a time from
+    # the highest down, so that their ids run against nested order
+    d, gens = 7, [(n, (9,) * 7) for n in (3, 2, 1)]
+    for g in gens:
+        q(d, *g)
+    assert [hopf._IDS[g] for g in gens] == sorted(hopf._IDS[g] for g in gens)
+    mon = tuple(sorted(gens))
+    x = HopfElement(d, "sep", "q", {tuple(gens): F(1, 2)})
+    assert list(x.terms) == [mon] and x.coefficient(gens) == F(1, 2)
+    assert list(tensor(x, x).terms) == [(mon, mon)]
+    assert element_to_obj(x)["terms"] == [
+        {"monomial": [[n, list(m)] for n, m in mon], "coeff": "1/2"}]
+    assert element_pretty(x) == "1/2*" + "*".join(
+        "q_{%d,(%s)}" % (n, ",".join(map(str, m))) for n, m in mon)
+    (*_, part), = x.grade()
+    assert list(part.terms) == [mon]
 
 
 def test_terms_refuses_writes_and_keeps_agreeing_with_the_form():

@@ -291,11 +291,13 @@ def _stored_canonically(x):
 
 def _integer_form_is_canonical(x):
     """x's numerators over its denominator are nonzero with gcd 1 (so zero
-    is 1 over nothing), and terms reads each as a Fraction over it."""
+    is 1 over nothing), and terms reads each as a Fraction over it, under
+    the decoded key."""
     den, nums = x._den, x._nums
     return (type(den) is int and den >= 1 and gcd(den, *nums.values()) == 1
             and all(type(c) is int and c for c in nums.values())
-            and x.terms == {k: Fraction(c, den) for k, c in nums.items()})
+            and x.terms == {x._decoded(k): Fraction(c, den)
+                            for k, c in nums.items()})
 
 
 scalars = st.one_of(coeffs, st.sampled_from((0, Fraction(0), 1, -2)))

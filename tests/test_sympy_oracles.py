@@ -190,8 +190,9 @@ def test_hopf_structure_maps_match_sympy(name, d, n_max, m_max):
     rows = sorted({(n, _desc(v)) for n in range(1, n_max + 1)
                    for v in product(range(m_max + 1), repeat=d)})
     for n, m in rows:
-        den, nums = expansion(n, m)
-        assert {mon: Fraction(c, den) for mon, c in nums.items()} == \
+        den, nums = expansion(n, m)  # id monomials, read decoded
+        assert {hopf._decode(mon): Fraction(c, den)
+                for mon, c in nums.items()} == \
             want.get((n, m), {}), (n, m)
     # elements of up to three terms, each a product of one to three rows
     rng = random.Random("%s/%d" % (name, d))
