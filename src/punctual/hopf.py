@@ -188,7 +188,7 @@ class HopfElement:
         return terms
 
     def _canonical(self, mon):
-        """mon's id monomial, each factor checked for this context."""
+        """mon's id monomial, its factors checked in nested order."""
         check = (_check_sep_factor if self.variant == "sep"
                  else _check_nonsep_factor)
         mon = sorted(tuple(g) if self.variant == "nonsep" else
