@@ -155,6 +155,44 @@ MUTANTS = [
         ],
     },
     {
+        "name": "nonsep-interned-bare",
+        "why": "the constructor interns a nonsep q_lam as lam, not as its "
+               "row (1, lam), so it no longer shares the sep q_{1,lam}'s "
+               "id, its ids differ from those sep_to_nonsep and "
+               "vertical_element intern, and every reader of a row "
+               "misreads it",
+        "file": "src/punctual/hopf.py",
+        "old": "        return _ids(self._rows(mon))\n",
+        "new": "        return _ids(r if self.variant == \"sep\" else r[1] "
+               "for r in self._rows(mon))\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_a_sep_q_1_lam_and_a_nonsep_q_lam_share_one_id",
+            "tests/test_hopf_properties.py::test_maps_of_drawn_products_"
+            "match_the_nested_references[nonsep-q]",
+            "tests/test_hopf.py::test_vertical_element_nonsep",
+        ],
+    },
+    {
+        "name": "nonsep-decoded-as-rows",
+        "why": "_decoded hands nonsep rows (1, lam) back as they are "
+               "stored, so nonsep terms and tensor terms are keyed by rows "
+               "instead of lam; the writers read ids, so only the tests "
+               "that read terms see it (20 tests, three listed)",
+        "file": "src/punctual/hopf.py",
+        "old": "        return rows if self.variant == \"sep\" else "
+               "tuple(m for _, m in rows)\n",
+        "new": "        return rows\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_a_sep_q_1_lam_and_a_nonsep_q_lam_share_one_id",
+            "tests/test_hopf.py::"
+            "test_sep_generator_images_match_the_oracle",
+            "tests/test_hopf_properties.py::test_maps_of_drawn_products_"
+            "match_the_nested_references[nonsep-q]",
+        ],
+    },
+    {
         "name": "vertical-classes-stop-at-order-9",
         "why": "no child is built past V_9, so [Z_n] for n >= 10 loses "
                "every monomial; only these two point evaluations at order "
@@ -438,13 +476,14 @@ MUTANTS = [
     },
     {
         "name": "printer-hom-degree-from-n",
-        "why": "the printer sorts by a factor's first entry in place of its "
-               "homological degree; only the printer property, its two "
-               "large fixed cases and the golden corpus see it",
+        "why": "_degrees reads a monomial's homological degree from its "
+               "multiplicities n, so the printers and the JSON writers "
+               "sort by it and grade buckets by it; the printer property, "
+               "its two large fixed cases and the golden corpus see it",
         "file": "src/punctual/hopf.py",
-        "old": "                              monomial_hom_degree((h,), "
-               "variant))\n",
-        "new": "                              h[0])\n",
+        "old": "    return sum(n for n, _ in rows), 2 * sum(sum(m) for _, m "
+               "in rows)\n",
+        "new": "    return sum(n for n, _ in rows), sum(n for n, _ in rows)\n",
         "tests": [
             "tests/test_hopf_properties.py::"
             "test_printers_match_the_reference_printers",

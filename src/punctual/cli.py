@@ -22,7 +22,7 @@ from .combinat import _desc_vectors
 from .genfun import (IDENTITY_NAMES, _PathsDisagreeError, curve_series,
                      gamma_integral_series, nonsep_vertical_series,
                      verify_identity, vertical_series)
-from .hopf import (_factor_pretty, element_from_obj, element_pretty,
+from .hopf import (_GENS, _factor_pretty, element_from_obj, element_pretty,
                    element_to_obj, tensor_pretty, tensor_to_obj)
 from .rational import format_rational, parse_rational
 from .symfunc import parse_chern_arg
@@ -67,8 +67,7 @@ def parse_theory_string(text):
 
 
 def _element_caps(x):
-    rows = [g if x.variant == "sep" else (1, g)
-            for mon in x.terms for g in mon]
+    rows = [_GENS[g] for mon in x._nums for g in mon]
     return (max([1] + [n for n, _ in rows]),
             max([0] + [e for _, m in rows for e in m]))
 
@@ -104,7 +103,7 @@ def _run_table(args):
                  for n in range(1, args.max_n + 1)
                  for m in _desc_vectors(args.d, args.max_m)]
     else:
-        cells = [(lam, {"lambda": list(lam)}, e.nonsep_value(lam))
+        cells = [((1, lam), {"lambda": list(lam)}, e.nonsep_value(lam))
                  for lam in _desc_vectors(args.d, args.max_m)]
     return (lambda: {"d": args.d, "variant": args.variant, "theory": e.label,
                      "values": [dict(index, value=format_rational(v))

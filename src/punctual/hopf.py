@@ -33,25 +33,28 @@ too, is unchanged by permuting entries of m, so each walks the splittings
 a + b = m once per class (sort a, sort b), times its size (_split_classes).
 A monomial is the sorted tuple of its generators' ids, which hash and
 compare as ints; the sort keeps its form unique.  _IDS numbers each
-canonical generator on first sight, in one process-wide table that is never
-cleared, so it holds each distinct generator met, once; _GENS maps ids
-back.  Ids go back to sorted nested factors (_decode) only at the boundary:
-terms, the JSON writers, grade, Theory.pair and the CLI's caps; the text
-printers keep each id's entries, text and degrees.  An element is stored as
-(den, {monomial: int}), integer numerators over one denominator, none 0,
-with gcd(den, *numerators) = 1, so zero is (1, {}).  Equality compares that
-form.  _reduced is the one place that drops a zero sum or divides by a gcd.
-Every term map that sums coefficients comes from _linear, the linear
-extension of a map on monomials in integer numerators over one denominator
-(a generator's image is over n!, lcm(1..n), 1 or n!): the structure maps',
-sums' and the constructor's; products and scalar multiples sum straight
-into integers.  Each returns through _reduced, and _built stores the result
-unchecked.  terms is a read-only {nested monomial: Fraction} view built on
-first read.  Tensors (TensorElement) share HopfElement's body.
+generator's index row, a nonsep q_lam's being (1, lam), on first sight, in
+one process-wide table that is never cleared; _GENS maps ids back.  A sep
+q_{1,lam} and a nonsep q_lam share an id, read by variant (the coproduct
+cache is keyed on it, a printer lives for one call).  Ids go back to sorted
+rows (_decode) only at the boundary: the JSON writers, grade, Theory.pair
+and the CLI's caps; terms reads them through _decoded, which turns nonsep
+rows back into lam.  The text printers keep each id's entries, text and
+degrees.  An element is (den, {monomial: int}), integer numerators over one
+denominator, none 0, with gcd(den, *numerators) = 1, so zero is (1, {}).
+Equality compares that form.  _reduced is the one place that drops a zero
+sum or divides by a gcd.  Every term map that sums coefficients comes from
+_linear, the linear extension of a map on monomials in integer numerators
+over one denominator (a generator's image is over n!, lcm(1..n), 1 or n!):
+the structure maps', sums' and the constructor's; products and scalar
+multiples sum straight into integers.  Each returns through _reduced, and
+_built stores the result unchecked.  terms is a read-only {nested monomial:
+Fraction} view built on first read.  Tensors (TensorElement) share
+HopfElement's body.
 
-Gradings per monomial: cycle degree is the sum of the multiplicities n (sep)
-or the number of factors (nonsep); homological degree is twice the sum of
-all column entries; total degree is homological minus 2*d*(cycle degree).
+Gradings per monomial (_degrees): cycle degree is the sum of the rows'
+multiplicities n (for nonsep, the number of factors); homological degree is
+twice the sum of all column entries; total is hom - 2*d*(cycle degree).
 """
 
 from bisect import bisect
@@ -98,19 +101,14 @@ def _canonical_nonsep(lam, d):
     return pad_partition(lam, d)
 
 
-def _check_sep_factor(g, d):
-    n, m = g
+def _check_row(row, d, sep):
+    n, m = row
     if not (type(n) is int and n >= 1):
-        raise ValueError("sep factor needs multiplicity >= 1, got %r" % (g,))
+        raise ValueError("sep factor needs multiplicity >= 1, got %r" % (row,))
     if len(m) != d or any(type(x) is not int or x < 0 for x in m) or (
             list(m) != sorted(m, reverse=True)):
-        raise ValueError("bad exponent vector in %r for d=%d" % (g, d))
-
-
-def _check_nonsep_factor(g, d):
-    if len(g) != d or any(type(x) is not int or x < 0 for x in g) or (
-            list(g) != sorted(g, reverse=True)):
-        raise ValueError("bad nonsep factor %r for d=%d" % (g, d))
+        raise ValueError("bad exponent vector in %r for d=%d" % (row, d) if sep
+                         else "bad nonsep factor %r for d=%d" % (m, d))
 
 
 class _Ids(dict):
@@ -131,8 +129,13 @@ def _ids(gens):
 
 
 def _decode(mon):
-    """The nested monomial of the id monomial mon: its sorted generators."""
+    """The sorted rows of the id monomial mon."""
     return tuple(sorted(map(_GENS.__getitem__, mon)))
+
+
+def _degrees(rows):
+    """(cycle degree, homological degree) of a monomial's rows."""
+    return sum(n for n, _ in rows), 2 * sum(sum(m) for _, m in rows)
 
 
 def _context(d, variant, basis):
@@ -145,25 +148,12 @@ def _context(d, variant, basis):
     return d
 
 
-def monomial_cycle_degree(mon, variant):
-    if variant == "sep":
-        return sum(g[0] for g in mon)
-    return len(mon)
-
-
-def monomial_hom_degree(mon, variant):
-    if variant == "sep":
-        return 2 * sum(sum(g[1]) for g in mon)
-    return 2 * sum(sum(g) for g in mon)
-
-
 class HopfElement:
     """A sparse rational linear combination of monomials in the generators,
     stored as integer numerators _nums over one denominator _den."""
 
     __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
     _unit_key = ()  # the monomial of a scalar
-    _decoded = staticmethod(_decode)  # a key's nested monomial
 
     def __init__(self, d, variant, basis, terms=None):
         self.d = _context(d, variant, basis)
@@ -187,15 +177,22 @@ class HopfElement:
                 {self._decoded(k): fracs[c] for k, c in nums.items()})
         return terms
 
+    def _rows(self, mon):
+        """mon's factors as rows (lam as (1, lam)), checked in nested order."""
+        sep = self.variant == "sep"
+        rows = sorted((g[0], tuple(g[1])) if sep else (1, tuple(g))
+                      for g in mon)
+        for row in rows:
+            _check_row(row, self.d, sep)
+        return rows
+
     def _canonical(self, mon):
-        """mon's id monomial, its factors checked in nested order."""
-        check = (_check_sep_factor if self.variant == "sep"
-                 else _check_nonsep_factor)
-        mon = sorted(tuple(g) if self.variant == "nonsep" else
-                     (g[0], tuple(g[1])) for g in mon)
-        for g in mon:
-            check(g, self.d)
-        return _ids(mon)
+        return _ids(self._rows(mon))
+
+    def _decoded(self, mon):
+        """The nested monomial of the id monomial mon, (1, lam) as lam."""
+        rows = _decode(mon)
+        return rows if self.variant == "sep" else tuple(m for _, m in rows)
 
     # -- constructors ------------------------------------------------------
 
@@ -234,9 +231,10 @@ class HopfElement:
         return not self._nums
 
     def coefficient(self, mon):
-        """The coefficient of mon, given in any factor order; a factor
-        that is not canonical for this context raises ValueError."""
-        return Fraction(self._nums.get(self._canonical(mon), 0), self._den)
+        """The coefficient of mon in any factor order (ValueError if a factor
+        is not canonical here); an unmet generator, id -1, is not interned."""
+        ids = [_IDS.get(row, -1) for row in self._rows(mon)]
+        return Fraction(self._nums.get(tuple(sorted(ids)), 0), self._den)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -353,9 +351,7 @@ class HopfElement:
         """
         buckets = {}
         for mon, c in self._nums.items():
-            gens = _decode(mon)
-            cyc = monomial_cycle_degree(gens, self.variant)
-            hom = monomial_hom_degree(gens, self.variant)
+            cyc, hom = _degrees([_GENS[g] for g in mon])
             buckets.setdefault((cyc, hom), {})[mon] = c
         return [(cyc, hom, hom - 2 * self.d * cyc,
                  self._like(_reduced(self._den, buckets[cyc, hom])))
@@ -372,6 +368,7 @@ class TensorElement:
 
     __init__ = HopfElement.__init__
     terms = HopfElement.terms
+    _rows = HopfElement._rows
 
     def _canonical(self, pair):
         """A (left, right) pair of monomials, each canonical and checked."""
@@ -380,7 +377,7 @@ class TensorElement:
                 HopfElement._canonical(self, right))
 
     def _decoded(self, pair):
-        return tuple(map(_decode, pair))
+        return tuple(HopfElement._decoded(self, side) for side in pair)
 
     _like = HopfElement._like
     _check_context = HopfElement._check_context
@@ -637,7 +634,8 @@ def _antipode_in_q(n, m):
 def _sep_gen_image(n, m):
     """Image of the sep generator q_{n,m}: A_n(n, m) over n!, the ordered
     splittings of m into n columns, each column a nonsep generator."""
-    return factorial(n), {_ids(cols): c for cols, c in _columns(n, m).items()}
+    return factorial(n), {_ids((1, col) for col in cols): c
+                          for cols, c in _columns(n, m).items()}
 
 
 def sep_to_nonsep(x):
@@ -651,7 +649,7 @@ def sep_to_nonsep(x):
     if x.variant != "sep":
         raise ContextMismatchError("sep_to_nonsep expects the sep variant")
     image = (_sep_gen_image if x.basis == "q"
-             else lambda n, m: (1, {(_IDS[m],): 1} if n == 1 else {}))
+             else lambda n, m: (1, {(_IDS[n, m],): 1} if n == 1 else {}))
     return _built(HopfElement, x.d, "nonsep", "q",
                   _substitute(x._den, x._nums, image))
 
@@ -660,18 +658,16 @@ def sep_to_nonsep(x):
 
 def _class_generators(chern, n_max, variant="sep"):
     """The generators of [Z] = exp(sum_g <m_lam> g T^j) and D, the lcm of
-    the Chern numbers' denominators: a map from each sep generator
-    g = p_{j, lam+j-1} (nonsep: g = q_lam, j = 1) to its T-degree j and
-    integer weight c_g = <m_lam> D^j."""
+    the Chern numbers' denominators: a map from the row of each sep
+    generator g = p_{j, lam+j-1} (nonsep: g = q_lam, the layer j = 1 alone)
+    to its T-degree j and integer weight c_g = <m_lam> D^j."""
     n_max = _nonneg_int(n_max, "n_max")
-    if variant not in ("sep", "nonsep"):
-        raise ValueError("variant must be 'sep' or 'nonsep'")
+    _context(chern.d, variant, "q")
     den, rows = _numerators({pad_partition(lam, chern.d): val
                              for lam, val in chern.items() if val})
-    if variant == "nonsep":
-        return {row: (1, c) for row, c in rows.items()}, den
+    top = n_max if variant == "sep" else 1
     return {(j, tuple(x + j - 1 for x in row)): (j, c * den ** (j - 1))
-            for j in range(1, n_max + 1) for row, c in rows.items()}, den
+            for j in range(1, top + 1) for row, c in rows.items()}, den
 
 
 def vertical_element(chern, n_max, variant="sep"):
@@ -715,16 +711,13 @@ def vertical_element(chern, n_max, variant="sep"):
 
 # -- serialization ---------------------------------------------------------
 
-def _monomial_key(mon, variant):
-    return (monomial_cycle_degree(mon, variant),
-            monomial_hom_degree(mon, variant), mon)
+def _monomial_key(mon):
+    rows = _decode(mon)
+    return (*_degrees(rows), rows)
 
 
-def _monomial_to_obj(mon, variant):
-    if variant == "sep":
-        return [[g[0], list(g[1])] for g in mon]
-    # nonsep factors are serialized with multiplicity 1
-    return [[1, list(g)] for g in mon]
+def _monomial_to_obj(rows):
+    return [[n, list(m)] for n, m in rows]
 
 
 def _fields(obj, what, *keys):
@@ -792,13 +785,13 @@ def _coeff_texts(den, nums):
 
 def element_to_obj(x):
     texts = _coeff_texts(x._den, x._nums)
-    rows = sorted((_monomial_key(_decode(mon), x.variant), c)
+    rows = sorted((_monomial_key(mon), c)
                   for mon, c in x._nums.items())  # keys are distinct
     return {
         "d": x.d,
         "variant": x.variant,
         "basis": x.basis,
-        "terms": [{"monomial": _monomial_to_obj(key[2], x.variant),
+        "terms": [{"monomial": _monomial_to_obj(key[2]),
                    "coeff": texts[c]} for key, c in rows],
     }
 
@@ -811,15 +804,14 @@ def element_from_obj(obj):
 
 def tensor_to_obj(t):
     texts = _coeff_texts(t._den, t._nums)
-    rows = sorted((_monomial_key(_decode(l), t.variant),
-                   _monomial_key(_decode(r), t.variant), c)
+    rows = sorted((_monomial_key(l), _monomial_key(r), c)
                   for (l, r), c in t._nums.items())  # key pairs are distinct
     return {
         "d": t.d,
         "variant": t.variant,
         "basis": t.basis,
-        "terms": [{"left": _monomial_to_obj(l_key[2], t.variant),
-                   "right": _monomial_to_obj(r_key[2], t.variant),
+        "terms": [{"left": _monomial_to_obj(l_key[2]),
+                   "right": _monomial_to_obj(r_key[2]),
                    "coeff": texts[c]}
                   for l_key, r_key, c in rows],
     }
@@ -829,11 +821,11 @@ def tensor_from_obj(obj):
     return TensorElement(*_context_and_terms(obj, "tensor", "left", "right"))
 
 
-def _factor_pretty(g, variant, basis):
-    letter = "p" if basis == "p" else "q"
+def _factor_pretty(row, variant, basis):
+    n, m = row
     if variant == "sep":
-        return "%s_{%d,(%s)}" % (letter, g[0], ",".join(str(x) for x in g[1]))
-    return "q_{(%s)}" % ",".join(str(x) for x in g)
+        return "%s_{%d,(%s)}" % (basis, n, ",".join(map(str, m)))
+    return "q_{(%s)}" % ",".join(map(str, m))
 
 
 def _printer(variant, basis):
@@ -853,10 +845,8 @@ def _printer(variant, basis):
                 continue
             if g not in factors:
                 h = _GENS[g]
-                factors[g] = ((h[0], *h[1]) if variant == "sep" else h,
-                              _factor_pretty(h, variant, basis),
-                              monomial_cycle_degree((h,), variant),
-                              monomial_hom_degree((h,), variant))
+                factors[g] = ((h[0], *h[1]), _factor_pretty(h, variant, basis),
+                              *_degrees((h,)))
             runs.append((factors[g], k))
             k = 1
         runs.sort()

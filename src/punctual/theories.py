@@ -162,14 +162,13 @@ class Theory:
                                        "match theory (%d, %s)" %
                                        (x.d, x.variant, self.d, self.variant))
         if self.variant == "nonsep":
-            get = self.nonsep_value
+            get = lambda n, lam: self.nonsep_value(lam)
         else:
-            lookup = self.primitive_value if x.basis == "p" else self.value
-            get = lambda g: lookup(*g)
+            get = self.primitive_value if x.basis == "p" else self.value
         c_den, nums = x._den, x._nums
         if self.kind == "primitive":
             nums = {mon: c for mon, c in nums.items() if len(mon) == 1}
-        values = {g: Fraction(get(_GENS[g])) for g in
+        values = {g: Fraction(get(*_GENS[g])) for g in
                   dict.fromkeys(itertools.chain.from_iterable(nums))}
         e_den, ints = _numerators(values)
         sums = {}

@@ -592,6 +592,46 @@ def test_each_generator_keeps_one_id_that_decodes_back_to_it():
     assert [hopf._IDS[g] for g in reversed(gens)] == ids[::-1]
 
 
+def test_a_sep_q_1_lam_and_a_nonsep_q_lam_share_one_id():
+    # both are interned as the row (1, lam); each element still shows its
+    # own form
+    lam, mu = (3, 1), (2, 0)
+    s, t = q(2, 1, lam), HopfElement.nonsep_generator(2, lam)
+    assert s._nums == t._nums == {(hopf._IDS[1, lam],): 1}
+    assert s.terms == {((1, lam),): 1} and t.terms == {(lam,): 1}
+    assert t.coproduct().terms == {((lam,), ()): 1, ((), (lam,)): 1}
+    for x in (s, t):
+        assert element_to_obj(x)["terms"] == [
+            {"monomial": [[1, [3, 1]]], "coeff": "1/1"}]
+        (cyc, hom, tot, part), = x.grade()
+        assert (cyc, hom, tot) == (1, 8, 4) and part == x
+    assert element_pretty(s) == "1/1*q_{1,(3,1)}"
+    assert element_pretty(t) == "1/1*q_{(3,1)}"
+    assert s.coefficient([(1, lam)]) == t.coefficient([lam]) == 1
+    with pytest.raises(ValueError, match="bad nonsep factor"):
+        t.coefficient([(1, lam)])
+    assert sep_to_nonsep(p(2, 1, lam) * p(2, 1, mu)) == \
+        HopfElement.nonsep_generator(2, lam) * \
+        HopfElement.nonsep_generator(2, mu)
+
+
+def test_coefficient_of_a_generator_never_met_adds_no_id():
+    x = q(2, 1, (1, 0)) + HopfElement.unit(2)
+    y = HopfElement.nonsep_generator(2, (1, 0))
+    size = len(hopf._GENS)
+    for k in range(10 ** 6, 10 ** 6 + 1000):
+        assert x.coefficient([(1, (k, 0))]) == 0
+        assert x.coefficient([(1, (1, 0)), (k, (0, 0))]) == 0
+        assert y.coefficient([(k, k)]) == 0
+    assert len(hopf._GENS) == size
+    # refusals still come first
+    with pytest.raises(ValueError, match="multiplicity >= 1"):
+        x.coefficient([(0, (10 ** 7, 0))])
+    with pytest.raises(ValueError, match="bad nonsep factor"):
+        y.coefficient([(10 ** 7, 10 ** 7, 0)])
+    assert len(hopf._GENS) == size
+
+
 def test_terms_decode_to_nested_order_against_the_id_order():
     # generators of a context no other test uses, met one at a time from
     # the highest down, so that their ids run against nested order
