@@ -209,10 +209,11 @@ MUTANTS = [
     {
         "name": "generator-coproduct-without-class-count",
         "why": "each canonical splitting class counts once instead of w "
-               "times; six tests kill it",
+               "times in the generator's coproduct map; eight tests kill "
+               "it, six listed",
         "file": "src/punctual/hopf.py",
-        "old": "                out.append((_ids(left), _ids(right), w))\n",
-        "new": "                out.append((_ids(left), _ids(right), 1))\n",
+        "old": "                out[_ids(left), _ids(right)] = w\n",
+        "new": "                out[_ids(left), _ids(right)] = 1\n",
         "tests": [
             "tests/test_hopf.py::"
             "test_monomial_coproducts_match_the_splitting_oracle",
@@ -624,11 +625,12 @@ MUTANTS = [
     },
     {
         "name": "monomial-coproduct-left-factor-right",
-        "why": "each step inserts the left factor into the right side too "
-               "(26 tests kill it, four listed)",
+        "why": "_tensor_mul puts b's left factor on the right side too, "
+               "so each coproduct step and tensor product does (31 tests "
+               "kill it, four listed)",
         "file": "src/punctual/hopf.py",
-        "old": "                key = (_insert(l, gl), _insert(r, gr))\n",
-        "new": "                key = (_insert(l, gl), _insert(r, gl))\n",
+        "old": "                   tuple(sorted(r1 + r2)) if r2 else r1)\n",
+        "new": "                   tuple(sorted(r1 + l2)) if r2 else r1)\n",
         "tests": [
             "tests/test_hopf.py::"
             "test_monomial_coproducts_match_the_splitting_oracle",
@@ -761,6 +763,57 @@ MUTANTS = [
         "new": "                pass\n",
         "tests": [
             "tests/test_cli.py::test_builtin_option_refusals",
+        ],
+    },
+    {
+        "name": "tensor-mul-empty-side-swapped",
+        "why": "when b's right side is the unit, _tensor_mul keeps a's left "
+               "side on the right, so 1 ox g and g ox 1 steps mix the two "
+               "slots in coproducts and tensor products (26 tests kill it, "
+               "four listed)",
+        "file": "src/punctual/hopf.py",
+        "old": "if r2 else r1)\n",
+        "new": "if r2 else l1)\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_monomial_coproducts_match_the_splitting_oracle",
+            "tests/test_hopf.py::test_counit_axiom_via_tensor",
+            "tests/test_hopf_properties.py::test_maps_of_drawn_products_"
+            "match_the_nested_references[nonsep-q]",
+            "tests/test_axioms.py::test_suite_counts",
+        ],
+    },
+    {
+        "name": "frame-without-dimension-check",
+        "why": "_frame reads d without refusing a negative one, so the "
+               "theory builders fail later in words that do not name the "
+               "dimension (ck: a float power of the class denominator), or "
+               "build a theory of dimension -1; only the refusal test sees "
+               "it, since the CLI checks --d itself",
+        "file": "src/punctual/theories.py",
+        "old": "    d = _nonneg_int(d, \"dimension\")\n",
+        "new": "    d = index(d)\n",
+        "tests": [
+            "tests/test_theories.py::"
+            "test_a_negative_dimension_is_refused_in_its_own_words",
+        ],
+    },
+    {
+        "name": "m-to-e-count-lets-a-column-go-negative",
+        "why": "the 0-1 matrix count picks a row's columns without checking "
+               "that each has a sum left; its base case returns 1 without "
+               "looking at the column sums, so [x^nu]e_mu becomes "
+               "binom(d, mu_1) binom(d, mu_2) ... for every nu (30 tests "
+               "kill it, four listed)",
+        "file": "src/punctual/symfunc.py",
+        "old": "                if all(nu[i] for i in cols))\n",
+        "new": "                )\n",
+        "tests": [
+            "tests/test_symfunc.py::test_transition_by_random_evaluation",
+            "tests/test_symfunc.py::test_frozen_tables_d3",
+            "tests/test_sympy_oracles.py::"
+            "test_monomial_to_elementary_matches_sympy",
+            "tests/test_genfun.py::test_dt_formula_three_inputs",
         ],
     },
 ]

@@ -50,14 +50,15 @@ the structure maps', sums' and the constructor's; products and scalar
 multiples sum straight into integers.  Each returns through _reduced, and
 _built stores the result unchecked.  terms is a read-only {nested monomial:
 Fraction} view built on first read.  Tensors (TensorElement) share
-HopfElement's body.
+HopfElement's body.  A product has one kernel per term-map shape, named by
+each class as _product: _poly_mul, or _tensor_mul on (left, right) pairs,
+which also multiplies a monomial's factors' coproducts (a bialgebra).
 
 Gradings per monomial (_degrees): cycle degree is the sum of the rows'
 multiplicities n (for nonsep, the number of factors); homological degree is
 twice the sum of all column entries; total is hom - 2*d*(cycle degree).
 """
 
-from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
@@ -148,12 +149,36 @@ def _context(d, variant, basis):
     return d
 
 
+def _poly_mul(a, b):
+    """Product of two monomial -> integer numerator maps."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mon = tuple(sorted(m1 + m2))
+            out[mon] = out.get(mon, 0) + c1 * c2
+    return out
+
+
+def _tensor_mul(a, b):
+    """Product of two (left, right) -> integer numerator maps, side by side:
+    (l1 ox r1)(l2 ox r2) = l1 l2 ox r1 r2.  Where b's side is the unit, a's
+    is kept as it is, not sorted again (1 ox g and g ox 1 are common)."""
+    out = {}
+    for (l1, r1), c1 in a.items():
+        for (l2, r2), c2 in b.items():
+            key = (tuple(sorted(l1 + l2)) if l2 else l1,
+                   tuple(sorted(r1 + r2)) if r2 else r1)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
 class HopfElement:
     """A sparse rational linear combination of monomials in the generators,
     stored as integer numerators _nums over one denominator _den."""
 
     __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
     _unit_key = ()  # the monomial of a scalar
+    _product = staticmethod(_poly_mul)  # the term maps' product
 
     def __init__(self, d, variant, basis, terms=None):
         self.d = _context(d, variant, basis)
@@ -282,7 +307,7 @@ class HopfElement:
             return self.scaled(other)
         self._check_context(other)
         return self._like(_reduced(self._den * other._den,
-                                   _poly_mul(self._nums, other._nums)))
+                                   self._product(self._nums, other._nums)))
 
     __rmul__ = __mul__
 
@@ -360,11 +385,12 @@ class HopfElement:
 
 class TensorElement:
     """An element of the two-fold tensor product, sparse over monomial pairs,
-    with HopfElement's constructor checks and linear-space body (which keeps
-    the two types apart)."""
+    with HopfElement's constructor checks and body, products too (which
+    keeps the two types apart)."""
 
     __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
     _unit_key = ((), ())
+    _product = staticmethod(_tensor_mul)
 
     __init__ = HopfElement.__init__
     terms = HopfElement.terms
@@ -388,25 +414,11 @@ class TensorElement:
     __sub__ = HopfElement.__sub__
     __rsub__ = HopfElement.__rsub__
     scaled = HopfElement.scaled
+    __mul__ = __rmul__ = HopfElement.__mul__
 
     def __repr__(self):
         return "TensorElement(d=%d, %s, %d terms)" % (self.d, self.variant,
                                                       len(self._nums))
-
-    def __mul__(self, other):
-        """Componentwise product (a ox b)(c ox d) = ac ox bd; a scalar
-        scales."""
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        self._check_context(other)
-        acc, b = {}, other._nums.items()
-        for (l1, r1), c1 in self._nums.items():
-            for (l2, r2), c2 in b:
-                key = (tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return self._like(_reduced(self._den * other._den, acc))
-
-    __rmul__ = __mul__
 
     def swap(self):
         return self._like((self._den, {(r, l): c for (l, r), c
@@ -463,53 +475,28 @@ def _split_classes(m):
 
 @lru_cache(maxsize=None)
 def _generator_coproduct(n, m):
-    """Coproduct of one sep generator: (left, right, count) monomial pairs,
-    one per canonical splitting class of the row (n, m)."""
-    out = []
+    """Coproduct of one sep generator as a map (left mono, right mono) ->
+    count, one pair per canonical splitting class of the row (n, m)."""
+    out = {}
     for (a, b), w in _split_classes(m):
         for n1 in range(n + 1):
             left = canonical_generator(n1, a)
             right = canonical_generator(n - n1, b)
             if left is not None and right is not None:
-                out.append((_ids(left), _ids(right), w))
-    return tuple(out)
+                out[_ids(left), _ids(right)] = w
+    return out
 
 
 @lru_cache(maxsize=None)
 def _monomial_coproduct(variant, mon):
-    """Coproduct of a monomial as a map (left mono, right mono) -> count;
-    each factor's splittings add at most one factor to either side."""
+    """Coproduct of a monomial as a map (left mono, right mono) -> count:
+    the product of its factors' coproducts (a nonsep factor is primitive)."""
     pairs = {((), ()): 1}
     for g in mon:
-        if variant == "sep":
-            opts = _generator_coproduct(*_GENS[g])
-        else:
-            opts = (((g,), (), 1), ((), (g,), 1))
-        nxt = {}
-        for (l, r), c in pairs.items():
-            for gl, gr, w in opts:
-                key = (_insert(l, gl), _insert(r, gr))
-                nxt[key] = nxt.get(key, 0) + c * w
-        pairs = nxt
+        pairs = _tensor_mul(pairs, _generator_coproduct(*_GENS[g])
+                            if variant == "sep"
+                            else {((g,), ()): 1, ((), (g,)): 1})
     return pairs
-
-
-def _insert(mon, part):
-    """The sorted monomial mon with part's factor (it has at most one)."""
-    if not part:
-        return mon
-    i = bisect(mon, part[0])
-    return mon[:i] + part + mon[i:]
-
-
-def _poly_mul(a, b):
-    """Product of two monomial -> integer numerator maps."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mon = tuple(sorted(m1 + m2))
-            out[mon] = out.get(mon, 0) + c1 * c2
-    return out
 
 
 def _reduced(den, acc):
@@ -566,7 +553,7 @@ def _columns(k, m):
     acc = {}
     for (a, b), w in _split_classes(m):
         for cols, c in _columns(k - 1, b).items():
-            cols = _insert(cols, (a,))
+            cols = tuple(sorted(cols + (a,)))
             acc[cols] = acc.get(cols, 0) + w * c
     return acc
 

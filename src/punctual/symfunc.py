@@ -1,8 +1,8 @@
 """Monomial-to-elementary symmetric transitions and Chern number data.
 
 Only degree-d identities in d variables are ever needed, so transitions are
-computed by direct expansion and one back-substitution over the integers,
-then cached per d.
+computed by counting 0-1 matrices and one back-substitution over the
+integers, then cached per d.
 An elementary monomial e_mu = e_{mu_1} e_{mu_2} ... is keyed by the
 partition mu of its indices, e.g. (2, 1) stands for e_2*e_1.
 
@@ -16,26 +16,10 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, index
+from operator import index
 
 from .combinat import canonical_partition, pad_partition, partitions_of
 from .rational import _numerators, format_rational, parse_rational
-
-
-def _expand_e_monomial(mu, d):
-    """Full expansion of e_mu in d variables, as {exponent vector: count}."""
-    poly = {(0,) * d: 1}
-    for k in mu:
-        # e_k = sum over k-subsets of the variables
-        subsets = [tuple(int(i in subset) for i in range(d))
-                   for subset in itertools.combinations(range(d), k)]
-        product = {}
-        for e, c in poly.items():
-            for s in subsets:
-                key = tuple(map(add, e, s))
-                product[key] = product.get(key, 0) + c
-        poly = product
-    return poly
 
 
 def _partition_of(lam, d):
@@ -54,15 +38,30 @@ def _m_to_e_table(d):
     over nu strictly below lam in dominance order, all of which come after
     lam in partitions_of.  Walking that list backwards, m_lam is e_lam'
     minus already expanded m_nu, in ints, and the rows stay ints.
+    [x^nu]e_mu counts the 0-1 matrices with row sums mu and column sums nu
+    (row i picks the variables of e_(mu_i)), a row at a time, the column
+    sums still owed kept sorted so that every column order shares a count.
     """
     lams = partitions_of(d, d)
+    counts = {}
+
+    def count(mu, nu):
+        if not mu:
+            return 1  # |mu| = |nu| and no column went below 0: nu is used up
+        if (mu, nu) not in counts:
+            counts[mu, nu] = sum(
+                count(mu[1:], tuple(sorted((x - (i in cols) for i, x
+                                            in enumerate(nu)), reverse=True)))
+                for cols in itertools.combinations(range(d), mu[0])
+                if all(nu[i] for i in cols))
+        return counts[mu, nu]
+
     rows = {}
     for lam in reversed(lams):
         conj = tuple(sum(part > i for part in lam) for i in range(lam[0]))
-        poly = _expand_e_monomial(conj, d)
         row = {conj: 1}
         for nu, nu_row in rows.items():
-            c = poly.get(pad_partition(nu, d), 0)
+            c = count(conj, pad_partition(nu, d))
             for mu, x in nu_row.items():
                 row[mu] = row.get(mu, 0) - c * x
         rows[lam] = row

@@ -46,6 +46,7 @@ def _frame(d, n_cap, m_cap, variant="sep"):
     """The variables T, U1..Ud of a theory's series and its caps: n_cap on
     T, 1 for a nonsep series, whose q_lam sits at T U^lam, m_cap on each
     U_i.  A negative cap refuses every lookup it bounds; the cap stops at 0."""
+    d = _nonneg_int(d, "dimension")
     return (("T",) + tuple("U%d" % (i + 1) for i in range(d)),
             (max(n_cap, 0) if variant == "sep" else 1,) + (max(m_cap, 0),) * d)
 

@@ -596,6 +596,24 @@ def test_refusals(call, error, message):
     assert str(err.value) == message
 
 
+UNIT_CLASS = MultiSeries(("x",), (3,), {(0,): 1, (1,): 2})
+
+
+@pytest.mark.parametrize("call", (
+    lambda: ck_theory(1, -1, 3, 3),
+    lambda: ek_theory(1, -1, 3, 3),
+    lambda: mult_class_theory(UNIT_CLASS, -1, 3, 3),
+    lambda: inertial_theory(UNIT_CLASS, -1, 3, 3),
+    lambda: table_theory([], -1, 3, 3),
+    lambda: Theory(-1, "multiplicative", "x", 3, 3,
+                   prim_fn=MultiSeries(("T",), (3,), {})),
+), ids=("ck", "ek", "class", "inertial", "table", "theory"))
+def test_a_negative_dimension_is_refused_in_its_own_words(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == "dimension must be >= 0"
+
+
 def test_random_table_exp_log_consistency():
     # a lazily derived primitive table always exponentiates back to the
     # generator table it came from
