@@ -626,7 +626,7 @@ MUTANTS = [
     {
         "name": "monomial-coproduct-left-factor-right",
         "why": "_tensor_mul puts b's left factor on the right side too, "
-               "so each coproduct step and tensor product does (31 tests "
+               "so each coproduct step and tensor product does (32 tests "
                "kill it, four listed)",
         "file": "src/punctual/hopf.py",
         "old": "                   tuple(sorted(r1 + r2)) if r2 else r1)\n",
@@ -770,7 +770,8 @@ MUTANTS = [
         "why": "when b's right side is the unit, _tensor_mul keeps a's left "
                "side on the right, so 1 ox g and g ox 1 steps mix the two "
                "slots in coproducts and tensor products (26 tests kill it, "
-               "four listed)",
+               "five listed; the multiplicativity test compares with the "
+               "splitting oracle, so it fails run alone too)",
         "file": "src/punctual/hopf.py",
         "old": "if r2 else r1)\n",
         "new": "if r2 else l1)\n",
@@ -778,6 +779,7 @@ MUTANTS = [
             "tests/test_hopf.py::"
             "test_monomial_coproducts_match_the_splitting_oracle",
             "tests/test_hopf.py::test_counit_axiom_via_tensor",
+            "tests/test_hopf.py::test_coproduct_multiplicative",
             "tests/test_hopf_properties.py::test_maps_of_drawn_products_"
             "match_the_nested_references[nonsep-q]",
             "tests/test_axioms.py::test_suite_counts",
@@ -814,6 +816,68 @@ MUTANTS = [
             "tests/test_sympy_oracles.py::"
             "test_monomial_to_elementary_matches_sympy",
             "tests/test_genfun.py::test_dt_formula_three_inputs",
+        ],
+    },
+    {
+        "name": "coproduct-primitive-up-to-multiplicity-2",
+        "why": "_monomial_coproduct takes a factor of multiplicity 2 for "
+               "primitive too, so q_{2,m} loses the splittings with a row "
+               "on each side (20 tests kill it, five listed)",
+        "file": "src/punctual/hopf.py",
+        "old": "if row[0] > 1\n",
+        "new": "if row[0] > 2\n",
+        "tests": [
+            "tests/test_hopf.py::"
+            "test_monomial_coproducts_match_the_splitting_oracle",
+            "tests/test_hopf.py::test_coproduct_multiplicative",
+            "tests/test_hopf.py::test_coproduct_q22",
+            "tests/test_hopf_properties.py::"
+            "test_structure_maps_match_the_fraction_oracles[coproduct]",
+            "tests/test_acceptance.py::test_criterion_1_hopf_axioms",
+        ],
+    },
+    {
+        "name": "sep-image-one-layer-short",
+        "why": "_sep_gen_image reads the layer of n - 1 rows, so q_{n,m} "
+               "for n >= 2 maps to compositions with a row of multiplicity "
+               "2 instead of n columns (11 tests kill it, four listed)",
+        "file": "src/punctual/hopf.py",
+        "old": "    return factorial(n), _layer(n, n, m)\n",
+        "new": "    return factorial(n), _layer(n - 1 or 1, n, m)\n",
+        "tests": [
+            "tests/test_hopf.py::test_sep_generator_images_match_the_oracle",
+            "tests/test_hopf.py::test_sep_to_nonsep_is_coalgebra_map",
+            "tests/test_sympy_oracles.py::"
+            "test_hopf_structure_maps_match_sympy[2-3-2-sep_gen_image]",
+            "tests/test_acceptance.py::test_criterion_10_nonsep_pushforward",
+        ],
+    },
+    {
+        "name": "chern-key-grammar-takes-a-bare-m",
+        "why": "the key grammar lets m take no digits, so \"m=1\" is read "
+               "as a c-key of no factors and refused for its degree, not "
+               "as malformed; only the grammar test sees it",
+        "file": "src/punctual/symfunc.py",
+        "old": "r\"m(\\d+)|",
+        "new": "r\"m(\\d*)|",
+        "tests": [
+            "tests/test_symfunc.py::"
+            "test_every_key_outside_the_grammar_is_malformed",
+        ],
+    },
+    {
+        "name": "pair-without-type-check",
+        "why": "Theory.pair takes anything with an element's context "
+               "fields, so a tensor fails inside on its (left, right) keys "
+               "and a float on its missing d, neither naming the type",
+        "file": "src/punctual/theories.py",
+        "old": "        if not isinstance(x, HopfElement):\n"
+               "            raise TypeError(\"cannot pair a theory with %s\" % "
+               "type(x).__name__)\n",
+        "new": "",
+        "tests": [
+            "tests/test_theories.py::"
+            "test_pairing_refuses_anything_but_an_element_by_its_type",
         ],
     },
 ]

@@ -41,7 +41,7 @@ def _coproduct_in_slot(t, slot):
     to a TensorElement: a map (a, b, c) -> coeff."""
     def image(pair):
         return 1, {pair[:slot] + ab + pair[slot + 1:]: c for ab, c in
-                   _monomial_coproduct(t.variant, pair[slot]).items()}
+                   _monomial_coproduct(pair[slot]).items()}
     return _linear(t._den, t._nums, image)
 
 

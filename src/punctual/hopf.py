@@ -12,7 +12,8 @@ modeled, both as free commutative polynomial algebras.
 
 * The "nonsep" variant has primitive generators q_lam indexed by partitions
   lam with at most d parts (trailing zeros padded to length d; the all-zero
-  partition is a generator, not the unit).
+  partition is a generator, not the unit).  q_lam is the row (1, lam); a
+  row of multiplicity 1 is primitive in both variants.
 
 Elements carry a basis flag: "q" for the generator basis and, for the sep
 variant, "p" for the primitive basis obtained as the coefficientwise
@@ -34,13 +35,14 @@ a + b = m once per class (sort a, sort b), times its size (_split_classes).
 A monomial is the sorted tuple of its generators' ids, which hash and
 compare as ints; the sort keeps its form unique.  _IDS numbers each
 generator's index row, a nonsep q_lam's being (1, lam), on first sight, in
-one process-wide table that is never cleared; _GENS maps ids back.  A sep
-q_{1,lam} and a nonsep q_lam share an id, read by variant (the coproduct
-cache is keyed on it, a printer lives for one call).  Ids go back to sorted
-rows (_decode) only at the boundary: the JSON writers, grade, Theory.pair
-and the CLI's caps; terms reads them through _decoded, which turns nonsep
-rows back into lam.  The text printers keep each id's entries, text and
-degrees.  An element is (den, {monomial: int}), integer numerators over one
+one process-wide table that is never cleared; _GENS maps ids back.  The
+structure tables read rows, not the variant: the coproduct cache is keyed
+by the monomial alone, and q_{n,m}'s nonsep image is the layer A_n(n, m),
+whose rows all have n = 1.  Ids go back to sorted rows (_decode), read by
+variant, only at the boundary: the JSON writers, grade, Theory.pair, the
+CLI's caps, terms (via _decoded, nonsep rows as lam) and the text
+printers, which keep each id's entries, text and degrees for one call.  An
+element is (den, {monomial: int}), integer numerators over one
 denominator, none 0, with gcd(den, *numerators) = 1, so zero is (1, {}).
 Equality compares that form.  _reduced is the one place that drops a zero
 sum or divides by a gcd.  Every term map that sums coefficients comes from
@@ -49,10 +51,10 @@ over one denominator (a generator's image is over n!, lcm(1..n), 1 or n!):
 the structure maps', sums' and the constructor's; products and scalar
 multiples sum straight into integers.  Each returns through _reduced, and
 _built stores the result unchecked.  terms is a read-only {nested monomial:
-Fraction} view built on first read.  Tensors (TensorElement) share
-HopfElement's body.  A product has one kernel per term-map shape, named by
-each class as _product: _poly_mul, or _tensor_mul on (left, right) pairs,
-which also multiplies a monomial's factors' coproducts (a bialgebra).
+Fraction} view built on first read.  _Body is the one body of elements and
+tensors; a tensor borrows HopfElement's sums, scalars and products
+(_product names each class's kernel: _poly_mul, or _tensor_mul on (left,
+right) pairs, which also multiplies a monomial's factors' coproducts).
 
 Gradings per monomial (_degrees): cycle degree is the sum of the rows'
 multiplicities n (for nonsep, the number of factors); homological degree is
@@ -172,13 +174,11 @@ def _tensor_mul(a, b):
     return out
 
 
-class HopfElement:
-    """A sparse rational linear combination of monomials in the generators,
-    stored as integer numerators _nums over one denominator _den."""
+class _Body:
+    """The body of elements and tensors; each class names its key form
+    (_canonical, _decoded), unit key (_unit_key) and kernel (_product)."""
 
     __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
-    _unit_key = ()  # the monomial of a scalar
-    _product = staticmethod(_poly_mul)  # the term maps' product
 
     def __init__(self, d, variant, basis, terms=None):
         self.d = _context(d, variant, basis)
@@ -210,6 +210,41 @@ class HopfElement:
         for row in rows:
             _check_row(row, self.d, sep)
         return rows
+
+    def _check_context(self, other):
+        if (type(other) is not type(self) or self.d != other.d
+                or self.variant != other.variant or self.basis != other.basis):
+            raise ContextMismatchError("elements live in different contexts")
+
+    def _like(self, form):
+        return _built(type(self), self.d, self.variant, self.basis, form)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.d == other.d and self.variant == other.variant
+                and self.basis == other.basis and self._den == other._den
+                and self._nums == other._nums)
+
+    __hash__ = None
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+
+class HopfElement(_Body):
+    """A sparse rational linear combination of monomials in the generators,
+    stored as integer numerators _nums over one denominator _den."""
+
+    __slots__ = ()
+    _unit_key = ()  # the monomial of a scalar
+    _product = staticmethod(_poly_mul)  # the term maps' product
 
     def _canonical(self, mon):
         return _ids(self._rows(mon))
@@ -244,14 +279,6 @@ class HopfElement:
 
     # -- basics ------------------------------------------------------------
 
-    def _check_context(self, other):
-        if (type(other) is not type(self) or self.d != other.d
-                or self.variant != other.variant or self.basis != other.basis):
-            raise ContextMismatchError("elements live in different contexts")
-
-    def _like(self, form):
-        return _built(type(self), self.d, self.variant, self.basis, form)
-
     def is_zero(self):
         return not self._nums
 
@@ -260,15 +287,6 @@ class HopfElement:
         is not canonical here); an unmet generator, id -1, is not interned."""
         ids = [_IDS.get(row, -1) for row in self._rows(mon)]
         return Fraction(self._nums.get(tuple(sorted(ids)), 0), self._den)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.d == other.d and self.variant == other.variant
-                and self.basis == other.basis and self._den == other._den
-                and self._nums == other._nums)
-
-    __hash__ = None
 
     def __repr__(self):
         return "HopfElement(d=%d, %s, %s basis, %d terms)" % (
@@ -285,15 +303,6 @@ class HopfElement:
         return self._like(_linear(1, {0: 1, 1: 1}, parts.__getitem__))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def scaled(self, c):
         c = Fraction(c)
@@ -336,7 +345,7 @@ class HopfElement:
             raise ValueError("coproduct expects the q basis, convert first")
         return _built(TensorElement, self.d, self.variant, self.basis,
                       _linear(self._den, self._nums, lambda mon: (
-                          1, _monomial_coproduct(self.variant, mon))))
+                          1, _monomial_coproduct(mon))))
 
     def antipode(self):
         """Multiplicative: -1 on each primitive factor (sep p basis and
@@ -383,18 +392,14 @@ class HopfElement:
                 for cyc, hom in sorted(buckets)]
 
 
-class TensorElement:
+class TensorElement(_Body):
     """An element of the two-fold tensor product, sparse over monomial pairs,
-    with HopfElement's constructor checks and body, products too (which
-    keeps the two types apart)."""
+    with HopfElement's sums, scalars and products (which keep the two types
+    apart)."""
 
-    __slots__ = ("d", "variant", "basis", "_den", "_nums", "_terms")
+    __slots__ = ()
     _unit_key = ((), ())
     _product = staticmethod(_tensor_mul)
-
-    __init__ = HopfElement.__init__
-    terms = HopfElement.terms
-    _rows = HopfElement._rows
 
     def _canonical(self, pair):
         """A (left, right) pair of monomials, each canonical and checked."""
@@ -405,14 +410,7 @@ class TensorElement:
     def _decoded(self, pair):
         return tuple(HopfElement._decoded(self, side) for side in pair)
 
-    _like = HopfElement._like
-    _check_context = HopfElement._check_context
-    __eq__ = HopfElement.__eq__
-    __hash__ = None
     __add__ = __radd__ = HopfElement.__add__
-    __neg__ = HopfElement.__neg__
-    __sub__ = HopfElement.__sub__
-    __rsub__ = HopfElement.__rsub__
     scaled = HopfElement.scaled
     __mul__ = __rmul__ = HopfElement.__mul__
 
@@ -488,14 +486,15 @@ def _generator_coproduct(n, m):
 
 
 @lru_cache(maxsize=None)
-def _monomial_coproduct(variant, mon):
+def _monomial_coproduct(mon):
     """Coproduct of a monomial as a map (left mono, right mono) -> count:
-    the product of its factors' coproducts (a nonsep factor is primitive)."""
+    the product of its factors' coproducts.  A factor whose row has
+    multiplicity 1 (a sep q_{1,m}, a nonsep q_lam) is primitive."""
     pairs = {((), ()): 1}
     for g in mon:
-        pairs = _tensor_mul(pairs, _generator_coproduct(*_GENS[g])
-                            if variant == "sep"
-                            else {((g,), ()): 1, ((), (g,)): 1})
+        row = _GENS[g]
+        pairs = _tensor_mul(pairs, _generator_coproduct(*row) if row[0] > 1
+                            else {((), (g,)): 1, ((g,), ()): 1})
     return pairs
 
 
@@ -620,9 +619,9 @@ def _antipode_in_q(n, m):
 @lru_cache(maxsize=None)
 def _sep_gen_image(n, m):
     """Image of the sep generator q_{n,m}: A_n(n, m) over n!, the ordered
-    splittings of m into n columns, each column a nonsep generator."""
-    return factorial(n), {_ids((1, col) for col in cols): c
-                          for cols, c in _columns(n, m).items()}
+    splittings of m into n columns, each column col a nonsep generator,
+    its row (1, col)."""
+    return factorial(n), _layer(n, n, m)
 
 
 def sep_to_nonsep(x):

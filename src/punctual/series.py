@@ -185,6 +185,8 @@ class MultiSeries:
                       {e: c for e, c in terms.items() if c}, self.total_cap)
 
     def _check_compatible(self, other):
+        if not isinstance(other, MultiSeries):
+            raise TypeError("not a MultiSeries: %s" % type(other).__name__)
         if (self.variables != other.variables or self.caps != other.caps
                 or self.total_cap != other.total_cap):
             raise ValueError("series variables/caps mismatch")

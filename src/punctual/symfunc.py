@@ -161,6 +161,7 @@ def _from_class_ints(d, den, numbers):
 
 
 _CLASS_FACTOR_RE = re.compile(r"c(\d+)(?:\^(\d+))?")
+_CHERN_KEY_RE = re.compile(r"m(\d+)|(?:c\d+(?:\^\d+)?)+")
 
 
 def parse_chern_arg(d, text):
@@ -181,19 +182,16 @@ def parse_chern_arg(d, text):
         key, _, val = piece.partition("=")
         key = key.strip()
         value = parse_rational(val)
-        if key.startswith("m") and key[1:].isdigit():
-            kind = "m"
-            lam = canonical_partition(tuple(int(ch) for ch in key[1:]))
-        elif key.startswith("c"):
-            kind = "c"
-            if _CLASS_FACTOR_RE.sub("", key):  # not only factors
-                raise ValueError("malformed Chern key %r" % key)
-            idx = []
+        match = _CHERN_KEY_RE.fullmatch(key)
+        if match is None:
+            raise ValueError("malformed Chern key %r" % key)
+        if match[1]:
+            kind, lam = "m", canonical_partition(tuple(map(int, match[1])))
+        else:
+            kind, idx = "c", []
             for i, power in _CLASS_FACTOR_RE.findall(key):
                 idx.extend([int(i)] * (int(power) if power else 1))
             lam = canonical_partition(idx)
-        else:
-            raise ValueError("malformed Chern key %r" % key)
         if family is None:
             family = kind
         elif family != kind:

@@ -30,8 +30,9 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import index, le
 
-from .hopf import (_GENS, ContextMismatchError, _canonical_nonsep, _fields,
-                   _monomial_from_obj, canonical_generator)
+from .hopf import (_GENS, ContextMismatchError, HopfElement,
+                   _canonical_nonsep, _context, _fields, _monomial_from_obj,
+                   canonical_generator)
 from .rational import _nonneg_int, _numerators, parse_rational
 from .series import MultiSeries, _built, _macmahon_log
 
@@ -71,12 +72,10 @@ class Theory:
                  gen_fn=None, prim_fn=None):
         if kind not in ("multiplicative", "primitive"):
             raise ValueError("kind must be multiplicative or primitive")
-        if variant not in ("sep", "nonsep"):
-            raise ValueError("variant must be 'sep' or 'nonsep'")
+        self.d = _context(d, variant, "q")
         if (gen_fn is None) == (prim_fn is None):
             raise ValueError("need exactly one of a generator table and a "
                              "primitive table")
-        self.d = index(d)
         self.variant = variant
         self.kind = kind
         self.label = label or kind
@@ -158,6 +157,8 @@ class Theory:
         a common denominator E and the coefficients over C, the integer
         sums S_k over monomials of k factors give sum_k S_k / (C E^k).
         """
+        if not isinstance(x, HopfElement):
+            raise TypeError("cannot pair a theory with %s" % type(x).__name__)
         if x.d != self.d or x.variant != self.variant:
             raise ContextMismatchError("element context (%d, %s) does not "
                                        "match theory (%d, %s)" %

@@ -452,12 +452,15 @@ NONSEP_TERM = '{"d": %d, "variant": "nonsep", "basis": "q", "terms": ' \
      "malformed rational '1.5', expected num/den"),
     (("vertical", "--theory", "builtin:ek,k=1", "--d", "1", "--chern", "c=3",
       "--order", "3"), "malformed Chern key 'c'"),
+    (("vertical", "--theory", "builtin:ek,k=1", "--d", "2", "--chern",
+      "m\u00b2=3", "--order", "3"), "malformed Chern key 'm\u00b2'"),
     (("eval", "--theory", "builtin:ck,k=1", "--element",
       NONSEP_TERM % (1, 2, "[1]")),
      "nonsep factors must carry multiplicity 1"),
     (("eval", "--theory", "builtin:ck,k=1", "--element",
       NONSEP_TERM % (2, 1, "[0, 1]")), "bad nonsep factor (0, 1) for d=2"),
-), ids=("chi", "chern-key", "nonsep-multiplicity", "nonsep-unsorted"))
+), ids=("chi", "chern-key", "chern-m-key", "nonsep-multiplicity",
+        "nonsep-unsorted"))
 def test_refusals_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 

@@ -3,7 +3,7 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import factorial, lcm
 
 import pytest
@@ -91,9 +91,14 @@ def test_coproduct_q22():
 
 
 def test_coproduct_multiplicative():
-    x = q(1, 1, (0,))
-    y = q(1, 1, (2,))
-    assert (x * y).coproduct() == x.coproduct() * y.coproduct()
+    # Delta(xy) = Delta(x) Delta(y) = the splitting oracle's coproduct of
+    # the monomial xy, for each order of x and y, so no check rests on which
+    # generator was interned (and given the smaller id) first
+    for a, b in permutations(((1, (0,)), (1, (2,)), (2, (1,))), 2):
+        x, y = q(1, *a), q(1, *b)
+        assert (x * y).coproduct().terms == \
+            oracles.monomial_coproduct("sep", tuple(sorted((a, b))))
+        assert (x * y).coproduct() == x.coproduct() * y.coproduct()
 
 
 def test_coproduct_needs_q_basis():
@@ -280,11 +285,13 @@ COPRODUCT_MONOMIALS += [("nonsep", mon) for d in (1, 2) for k in (1, 2, 3)
 
 
 def test_monomial_coproducts_match_the_splitting_oracle():
-    # the cached coproduct of the id monomial, its pairs decoded
+    # the cached coproduct of the id monomial, its pairs decoded; a nonsep
+    # q_lam is interned as its row (1, lam), as the constructor does
     for variant, mon in COPRODUCT_MONOMIALS:
-        pairs = hopf._monomial_coproduct(variant, hopf._ids(mon))
-        assert {(hopf._decode(l), hopf._decode(r)): c
-                for (l, r), c in pairs.items()} == \
+        nested = HopfElement.zero(0, variant)._decoded
+        rows = mon if variant == "sep" else [(1, lam) for lam in mon]
+        pairs = hopf._monomial_coproduct(hopf._ids(rows))
+        assert {(nested(l), nested(r)): c for (l, r), c in pairs.items()} == \
             oracles.monomial_coproduct(variant, mon), (variant, mon)
 
 

@@ -1,9 +1,11 @@
 import json
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from punctual.hopf import HopfElement
 from punctual.series import MultiSeries, _macmahon_log, macmahon_series
 
 import oracles
@@ -48,6 +50,20 @@ def test_mismatched_frames_rejected():
     with pytest.raises(ValueError):
         a + b
     assert a != b
+
+
+def test_an_operand_that_is_not_a_series_is_refused_by_its_type():
+    # a float or a Hopf element is neither a scalar nor a series (a float
+    # on either side of the operator)
+    s = MultiSeries.one(("T",), (3,))
+    x = HopfElement.generator(1, 1, (0,))
+    for a, b in ((s, 0.5), (0.5, s), (s, x)):
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(TypeError) as err:
+                op(a, b)
+            other = b if a is s else a
+            assert str(err.value) == "not a MultiSeries: %s" % (
+                type(other).__name__)
 
 
 @pytest.mark.parametrize("args, kwargs, message", (

@@ -212,6 +212,16 @@ def test_parse_chern_rejects():
         parse_chern_arg(2, "m2=1/0")
 
 
+def test_every_key_outside_the_grammar_is_malformed():
+    # each key is matched once against m<digits> | (c<digits>[^<digits>])+,
+    # so a digit that str.isdigit takes but int() does not ('²'), a bare m
+    # and a key mixing the two families all get the one message
+    for key in ("m²", "m", "m2x", "mc2", "m2^1", "c2m1", "x3"):
+        with pytest.raises(ValueError) as err:
+            parse_chern_arg(2, key + "=1")
+        assert str(err.value) == "malformed Chern key %r" % key
+
+
 def test_parse_chern_accumulates_duplicates():
     ch = parse_chern_arg(1, "m1=2,m1=3")
     assert ch.value((1,)) == 5

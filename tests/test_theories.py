@@ -185,6 +185,18 @@ def test_pairing_rules():
     assert eval_theory(eb, p(1, 2, (2,))) == F(1, 2)
 
 
+def test_pairing_refuses_anything_but_an_element_by_its_type():
+    # a tensor has the context fields of an element, so only its type
+    # keeps it out of the lookup
+    e = coarse_curve_theory(1, "euler", 3, 3)
+    for x in (q(1, 1, (1,)).coproduct(), 0.5):
+        for pair in (e.pair, lambda x: eval_theory(e, x)):
+            with pytest.raises(TypeError) as err:
+                pair(x)
+            assert str(err.value) == "cannot pair a theory with %s" % (
+                type(x).__name__)
+
+
 def test_inertial_primitives():
     u = MultiSeries.var(("U",), (2,), "U")
     P = 1 + 2 * u + F(1, 3) * u * u
